@@ -8,19 +8,18 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <thread>
 #include <utility>
 
-#include "decomp/builder.hpp"
 #include "decomp/cutter.hpp"
 #include "graph/fingerprint.hpp"
 #include "io/snapshot.hpp"
 #include "net/channel.hpp"
 #include "net/protocol.hpp"
+#include "obs/event_journal.hpp"  // next_library_request_id under HGP_OBS=OFF
 #include "obs/obs.hpp"
 #include "runtime/forest_cache.hpp"
 #include "util/prng.hpp"
@@ -116,29 +115,18 @@ struct ShardCoordinator::Impl {
 
   // ------------------------------------------------------- stage 1: the job
 
-  /// Builds the decomposition forest exactly as solve_hgp's stage 1 does
-  /// (same cache, same key) and serializes the instance into the Job
-  /// payload every shard receives.  Throws on forest failure — the caller
-  /// skips distribution and lets the final solve_hgp reproduce the failure
-  /// (or its fallback chain) so sharded and single-process behaviour stay
-  /// aligned.
+  /// Acquires the decomposition forest through solve_hgp's own
+  /// acquire_forest (same cache, same key) and serializes the instance into
+  /// the Job payload every shard receives.  Throws on forest failure — the
+  /// caller skips distribution and lets the final solve_hgp reproduce the
+  /// failure (or its fallback chain) so sharded and single-process
+  /// behaviour stay aligned.
   void build_job() {
-    const FmCutter default_cutter;
-    const Cutter& cutter = opt.cutter != nullptr ? *opt.cutter : default_cutter;
-
-    ForestCache& cache = ForestCache::global();
-    const ForestCacheKey key{fingerprint, opt.seed, opt.num_trees,
-                             cutter.name()};
-    if (cache.enabled()) forest = cache.find(key);
-    if (forest == nullptr) {
-      ExecContext exec;
-      exec.deadline = deadline;
-      exec.cancel = opt.cancel;
-      forest = std::make_shared<const std::vector<DecompTree>>(
-          build_decomposition_forest(g, opt.num_trees, opt.seed, cutter,
-                                     opt.pool, &exec));
-      if (cache.enabled()) cache.insert(key, forest);
-    }
+    ExecContext exec;
+    exec.deadline = deadline;
+    exec.cancel = opt.cancel;
+    forest = acquire_forest(g, fingerprint, opt.num_trees, opt.seed,
+                            opt.cutter, opt.pool, &exec);
     if (forest->empty()) {
       throw SolveError(StatusCode::kInternal, "forest sampling yielded no trees");
     }
@@ -150,7 +138,8 @@ struct ShardCoordinator::Impl {
     meta.graph_fingerprint = fingerprint;
     meta.seed = opt.seed;
     meta.num_trees = opt.num_trees;
-    meta.cutter = cutter.name();
+    meta.cutter =
+        opt.cutter != nullptr ? opt.cutter->name() : FmCutter().name();
     io::append_forest_sections(w, meta, *forest);
 
     net::JobMsg job;
@@ -289,25 +278,19 @@ struct ShardCoordinator::Impl {
         HGP_COUNTER_ADD("shard.remote_tree_failures", 1);
         continue;
       }
-      // Wire results are untrusted until proven shaped like this instance —
-      // the same discipline solve_hgp applies to disk-recovered checkpoints.
-      const bool shaped =
-          tree.tree_index >= 0 &&
-          static_cast<std::size_t>(tree.tree_index) < forest->size() &&
-          tree.leaf_of.size() == static_cast<std::size_t>(g.vertex_count()) &&
-          std::isfinite(tree.cost) &&
-          std::all_of(tree.leaf_of.begin(), tree.leaf_of.end(),
-                      [this](LeafId leaf) {
-                        return leaf >= 0 && leaf < h.leaf_count();
-                      });
-      if (!shaped) {
-        HGP_COUNTER_ADD("shard.malformed_tree_results", 1);
-        continue;
-      }
+      // Wire results are untrusted until proven shaped like this instance,
+      // by the same check the forest executor applies to recovered
+      // checkpoints, plus the tree index this path alone receives.
       CheckpointedTree ck;
       ck.placement.leaf_of = std::move(tree.leaf_of);
       ck.cost = tree.cost;
       ck.stats = tree.stats;
+      if (tree.tree_index < 0 ||
+          static_cast<std::size_t>(tree.tree_index) >= forest->size() ||
+          !tree_result_fits(g, h, ck)) {
+        HGP_COUNTER_ADD("shard.malformed_tree_results", 1);
+        continue;
+      }
       checkpoint->record(tree.tree_index, std::move(ck));
       ++report.trees_from_shards;
       HGP_COUNTER_ADD("shard.trees_from_shards", 1);
@@ -572,21 +555,9 @@ struct ShardCoordinator::Impl {
                        "ShardCoordinator::solve() may run only once");
     }
     solved = true;
-    // Mirror solve_hgp's argument contract up front so a bad request fails
+    // solve_hgp's own argument check, up front, so a bad request fails
     // before any process is spawned.
-    if (!g.has_demands()) {
-      throw SolveError(StatusCode::kInvalidInput,
-                       "HGP instances require vertex demands");
-    }
-    if (opt.num_trees < 1) {
-      throw SolveError(StatusCode::kInvalidInput, "num_trees must be >= 1");
-    }
-    if (opt.timeout_ms < 0) {
-      throw SolveError(StatusCode::kInvalidInput, "timeout_ms must be >= 0");
-    }
-    if (opt.epsilon <= 0) {
-      throw SolveError(StatusCode::kInvalidInput, "epsilon must be > 0");
-    }
+    validate_solve_args(g, opt.num_trees, opt.timeout_ms, opt.epsilon);
     if (copt.lease_ms <= 0) {
       throw SolveError(StatusCode::kInvalidInput, "lease_ms must be > 0");
     }
@@ -633,10 +604,11 @@ struct ShardCoordinator::Impl {
                              : static_cast<std::size_t>(opt.num_trees));
     }
 
-    // Final aggregation IS solve_hgp: every shard-delivered tree is served
-    // from the checkpoint without re-running its DP, every missing tree is
-    // solved in-process, and stage 3's arg-min + fallback classification
-    // run unmodified — which is the whole bit-identity argument.
+    // Final aggregation IS solve_hgp, so the one forest executor: every
+    // shard-delivered tree is served from the checkpoint without re-running
+    // its DP, every missing tree is solved in-process, and the arg-min,
+    // failure classification and fallback chain run unmodified — which is
+    // the whole bit-identity argument.
     SolverOptions final_opt = opt;
     final_opt.checkpoint = checkpoint;
     if (opt.timeout_ms > 0) {

@@ -1,276 +1,14 @@
 #include "runtime/incremental.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "graph/fingerprint.hpp"
 #include "obs/event_journal.hpp"  // journal kinds under HGP_OBS=OFF
 #include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
-#include "util/contracts.hpp"
-#include "util/fault_injector.hpp"
-#include "util/timer.hpp"
 
 namespace hgp {
-
-namespace {
-
-struct TreeOutcome {
-  Placement placement;
-  double cost = std::numeric_limits<double>::infinity();
-  TreeDpStats stats;
-};
-
-// Mirrors solver.cpp's solve_one_tree (the reuse hooks arrive through
-// tree_opt): solve HGPT on the tree, map the leaf assignment back through
-// the leaf↔vertex bijection, judge by the true Eq.-1 objective on G.
-TreeOutcome solve_one_tree(const Graph& g, const Hierarchy& h,
-                           const DecompTree& dt,
-                           const TreeSolverOptions& tree_opt) {
-  const TreeHgpSolution sol = solve_hgpt(dt.tree(), h, tree_opt);
-  TreeOutcome out;
-  HGP_TRACE_SPAN("tree.map_back");
-  out.placement.leaf_of.assign(static_cast<std::size_t>(g.vertex_count()), 0);
-  for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    out.placement.leaf_of[static_cast<std::size_t>(v)] =
-        sol.assignment.of(dt.leaf_of_vertex(v));
-  }
-  out.cost = placement_cost(g, h, out.placement);
-  out.stats = sol.stats;
-  HGP_COUNTER_ADD("solver.trees_solved", 1);
-  if (contracts_enabled()) validate_placement(g, h, out.placement);
-  return out;
-}
-
-/// Failure classification for a fixed forest (no sampling stage, so no
-/// forest status): deadline dominates, then all-infeasible, then the
-/// memory budget, then the first internal error.
-Status classify_forest_failure(const ExecContext& exec,
-                               const std::vector<TreeAttempt>& attempts) {
-  if (exec.deadline.expired()) {
-    return Status(StatusCode::kDeadlineExceeded,
-                  "deadline expired before any tree solve completed");
-  }
-  bool all_infeasible = !attempts.empty();
-  for (const TreeAttempt& a : attempts) {
-    all_infeasible = all_infeasible && a.status == StatusCode::kInfeasible;
-  }
-  if (all_infeasible) {
-    return Status(StatusCode::kInfeasible,
-                  "every decomposition tree reported an infeasible "
-                  "instance: " +
-                      attempts.front().error);
-  }
-  for (const TreeAttempt& a : attempts) {
-    if (a.status == StatusCode::kResourceExhausted) {
-      return Status(StatusCode::kResourceExhausted,
-                    "tree solves hit the memory budget: " + a.error);
-    }
-  }
-  for (const TreeAttempt& a : attempts) {
-    if (!a.ok()) {
-      return Status(StatusCode::kInternal,
-                    "all tree solves failed; first error: " + a.error);
-    }
-  }
-  return Status(StatusCode::kInternal, "no decomposition trees were solved");
-}
-
-}  // namespace
-
-HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
-                          const std::vector<DecompTree>& forest,
-                          const ForestSolveOptions& opt) {
-  if (!g.has_demands()) {
-    throw SolveError(StatusCode::kInvalidInput,
-                     "HGP instances require vertex demands");
-  }
-  if (forest.empty()) {
-    throw SolveError(StatusCode::kInvalidInput,
-                     "solve_on_forest requires a non-empty forest");
-  }
-  if (opt.timeout_ms < 0) {
-    throw SolveError(StatusCode::kInvalidInput, "timeout_ms must be >= 0");
-  }
-  if (opt.epsilon <= 0) {
-    throw SolveError(StatusCode::kInvalidInput, "epsilon must be > 0");
-  }
-  for (const DecompTree& dt : forest) {
-    if (dt.graph_vertex_count() != g.vertex_count()) {
-      throw SolveError(StatusCode::kInvalidInput,
-                       "forest tree does not decompose the solved graph");
-    }
-  }
-  if (opt.reuse_in != nullptr && opt.reuse_in->size() != forest.size()) {
-    throw SolveError(StatusCode::kInvalidInput,
-                     "reuse_in must carry one store per forest tree");
-  }
-  if (opt.reuse_out != nullptr && opt.reuse_out == opt.reuse_in) {
-    throw SolveError(StatusCode::kInvalidInput,
-                     "reuse_in and reuse_out must not alias");
-  }
-
-  if (contracts_enabled()) validate_hierarchy(h);
-
-  HGP_TRACE_SPAN_ARG("solve.on_forest", g.vertex_count());
-  Timer total_timer;
-
-  ExecContext exec;
-  exec.deadline = opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
-                                     : Deadline::never();
-  exec.cancel = opt.cancel;
-  exec.check("solve_on_forest entry");
-
-  HgpResult result;
-
-  // Same binding rule as solve_hgp: retries with identical parameters
-  // resume recorded trees; any parameter drift invalidates the store.
-  if (opt.checkpoint != nullptr) {
-    opt.checkpoint->bind(CheckpointKey{graph_fingerprint(g), opt.seed,
-                                       narrow<int>(forest.size()), opt.epsilon,
-                                       opt.units_override});
-  }
-  if (opt.reuse_out != nullptr) {
-    opt.reuse_out->assign(forest.size(), DpReuseStore{});
-  }
-
-  TreeSolverOptions base_opt;
-  base_opt.epsilon = opt.epsilon;
-  base_opt.units_override = opt.units_override;
-  base_opt.pool = opt.pool;
-  base_opt.exec = &exec;
-  base_opt.force_prune = opt.force_prune;
-
-  // Isolated per-tree solves: the arg-min is over whatever survives, so
-  // nothing one tree does may escape its attempt record (same contract as
-  // solve_hgp stage 2; the chaos harness reuses the same fault sites).
-  std::vector<TreeOutcome> outcomes(forest.size());
-  result.attempts.assign(forest.size(), TreeAttempt{});
-  auto run = [&](std::size_t i) {
-    TreeAttempt& attempt = result.attempts[i];
-    HGP_TRACE_SPAN_ARG("tree.attempt", i);
-    Timer timer;
-    try {
-      CheckpointedTree ck;
-      bool from_checkpoint = opt.checkpoint != nullptr &&
-                             opt.checkpoint->lookup(static_cast<int>(i), &ck);
-      if (from_checkpoint) {
-        // Recovered entries are re-validated against THIS instance before
-        // being trusted (spills may have matched a different run).
-        from_checkpoint =
-            ck.placement.leaf_of.size() ==
-                static_cast<std::size_t>(g.vertex_count()) &&
-            std::isfinite(ck.cost);
-        for (std::size_t v = 0;
-             from_checkpoint && v < ck.placement.leaf_of.size(); ++v) {
-          from_checkpoint = ck.placement.leaf_of[v] >= 0 &&
-                            ck.placement.leaf_of[v] < h.leaf_count();
-        }
-      }
-      if (from_checkpoint) {
-        // A previous attempt of this request already solved tree i.  No DP
-        // runs, so the tree's reuse_out slot stays empty — checkpoints
-        // carry placements, not DP tables.
-        outcomes[i].placement = std::move(ck.placement);
-        outcomes[i].cost = ck.cost;
-        outcomes[i].stats = ck.stats;
-        attempt.status = StatusCode::kOk;
-        attempt.cost = outcomes[i].cost;
-        attempt.from_checkpoint = true;
-        HGP_COUNTER_ADD("solver.checkpoint_trees", 1);
-      } else {
-        FaultInjector::instance().on_site("solve_one_tree",
-                                          static_cast<int>(i));
-        exec.check("tree solve start");
-        TreeSolverOptions tree_opt = base_opt;
-        if (opt.reuse_in != nullptr) tree_opt.reuse_in = &(*opt.reuse_in)[i];
-        if (opt.reuse_out != nullptr) {
-          tree_opt.reuse_out = &(*opt.reuse_out)[i];
-        }
-        outcomes[i] = solve_one_tree(g, h, forest[i], tree_opt);
-        attempt.status = StatusCode::kOk;
-        attempt.cost = outcomes[i].cost;
-        if (opt.checkpoint != nullptr) {
-          opt.checkpoint->record(
-              static_cast<int>(i),
-              CheckpointedTree{outcomes[i].placement, outcomes[i].cost,
-                               outcomes[i].stats});
-        }
-      }
-    } catch (...) {
-      const Status s = status_from_current_exception();
-      attempt.status = s.code;
-      attempt.error = s.message;
-    }
-    attempt.elapsed_ms = timer.millis();
-  };
-  {
-    HGP_TRACE_SPAN_ARG("solve.trees", forest.size());
-    Timer trees_timer;
-    if (opt.pool != nullptr) {
-      parallel_for(*opt.pool, 0, forest.size(), run);
-    } else {
-      for (std::size_t i = 0; i < forest.size(); ++i) run(i);
-    }
-    result.telemetry.tree_solve_ms = trees_timer.millis();
-  }
-
-  if (exec.cancelled()) {
-    throw SolveError(StatusCode::kCancelled, "solve_on_forest cancelled");
-  }
-
-  try {
-    FaultInjector::instance().on_site("solve_finalize", 0);
-  } catch (const SolveError&) {
-    throw;
-  } catch (...) {
-    throw SolveError(status_from_current_exception());
-  }
-
-  // Arg-min over the survivors (Theorem 7).
-  result.telemetry.trees_attempted = narrow<int>(result.attempts.size());
-  result.tree_costs.reserve(result.attempts.size());
-  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
-    if (result.attempts[i].from_checkpoint) {
-      ++result.telemetry.checkpoint_trees;
-    }
-    if (result.attempts[i].ok()) {
-      ++result.telemetry.trees_succeeded;
-      const TreeDpStats& s = outcomes[i].stats;
-      result.telemetry.dp_signatures += s.signature_count;
-      result.telemetry.dp_feasible_states += s.feasible_states;
-      result.telemetry.dp_merge_operations += s.merge_operations;
-      result.telemetry.dp_merges_rejected += s.merges_rejected;
-      result.telemetry.dp_states_pruned += s.states_pruned;
-      result.telemetry.dp_nodes_built += s.nodes_built;
-      result.telemetry.dp_nodes_reused += s.nodes_reused;
-    } else {
-      HGP_COUNTER_ADD("solver.tree_failures", 1);
-    }
-    result.tree_costs.push_back(result.attempts[i].cost);
-    if (result.attempts[i].ok() &&
-        (result.best_tree < 0 ||
-         result.attempts[i].cost <
-             result.attempts[static_cast<std::size_t>(result.best_tree)]
-                 .cost)) {
-      result.best_tree = narrow<int>(i);
-    }
-  }
-  if (result.best_tree < 0) {
-    throw SolveError(classify_forest_failure(exec, result.attempts));
-  }
-
-  TreeOutcome& best = outcomes[static_cast<std::size_t>(result.best_tree)];
-  result.placement = std::move(best.placement);
-  result.cost = best.cost;
-  result.stats = best.stats;
-  result.loads = load_report(g, h, result.placement);
-  result.method = SolveMethod::kHgp;
-  result.status = Status();
-  result.telemetry.total_ms = total_timer.millis();
-  return result;
-}
 
 IncrementalSolver::IncrementalSolver(std::shared_ptr<const Graph> base,
                                      const Hierarchy& h,
@@ -280,16 +18,8 @@ IncrementalSolver::IncrementalSolver(std::shared_ptr<const Graph> base,
     throw SolveError(StatusCode::kInvalidInput,
                      "incremental solver requires a base graph");
   }
-  if (!graph_->has_demands()) {
-    throw SolveError(StatusCode::kInvalidInput,
-                     "HGP instances require vertex demands");
-  }
-  if (opt_.num_trees < 1) {
-    throw SolveError(StatusCode::kInvalidInput, "num_trees must be >= 1");
-  }
-  if (opt_.epsilon <= 0) {
-    throw SolveError(StatusCode::kInvalidInput, "epsilon must be > 0");
-  }
+  validate_solve_args(*graph_, opt_.num_trees, opt_.timeout_ms,
+                      opt_.epsilon);
   // Pin the demand-unit count to the base instance (same formula as
   // scale_demands for n = base vertex count), so later resolves keep the
   // rounding — and with it every clean subtree's signatures — stable as
@@ -308,11 +38,8 @@ IncrementalSolver::IncrementalSolver(std::shared_ptr<const Graph> base,
   exec.cancel = opt_.cancel;
   exec.check("incremental base solve");
 
-  const FmCutter default_cutter;
-  const Cutter& cutter =
-      opt_.cutter != nullptr ? *opt_.cutter : default_cutter;
-  forest_ = build_decomposition_forest(*graph_, opt_.num_trees, opt_.seed,
-                                       cutter, opt_.pool, &exec);
+  forest_ = acquire_forest(*graph_, fingerprint_, opt_.num_trees, opt_.seed,
+                           opt_.cutter, opt_.pool, &exec);
 
   ForestSolveOptions fo;
   fo.epsilon = opt_.epsilon;
@@ -323,7 +50,7 @@ IncrementalSolver::IncrementalSolver(std::shared_ptr<const Graph> base,
   fo.cancel = opt_.cancel;
   fo.force_prune = opt_.force_prune;
   fo.reuse_out = &stores_;
-  last_ = solve_on_forest(*graph_, h, forest_, fo);
+  last_ = solve_on_forest(*graph_, h, *forest_, fo);
   HGP_COUNTER_ADD("incremental.sessions", 1);
 }
 
@@ -356,7 +83,7 @@ HgpResult IncrementalSolver::resolve(const MutationLog& log,
   // the DP reuse stores to hit (and for the churn differential to compare
   // like against like).
   MutationLog::Materialized mat = log.materialize();
-  ForestPatch patch = patch_forest(forest_, log, mat);
+  ForestPatch patch = patch_forest(*forest_, log, mat);
   const std::shared_ptr<const Graph> next =
       std::make_shared<const Graph>(std::move(mat.graph));
 
@@ -410,7 +137,8 @@ HgpResult IncrementalSolver::resolve(const MutationLog& log,
   // together, only on success.
   graph_ = next;
   fingerprint_ = graph_fingerprint(*graph_);
-  forest_ = std::move(patch.forest);
+  forest_ = std::make_shared<const std::vector<DecompTree>>(
+      std::move(patch.forest));
   stores_ = std::move(fresh);
   last_ = r;
   HGP_JOURNAL_SCOPED(kResolveEnd,

@@ -22,10 +22,13 @@
 //
 // Correctness invariant (pinned by tests/test_churn_differential.cpp):
 // the incremental path is bit-identical — same cost, same placement, same
-// per-signature DP tables — to a from-scratch solve of the SAME patched
-// forest on the mutated graph.  Reuse changes how tables are obtained,
-// never their content; patching (not resampling) is what makes the
-// incremental arm and the scratch arm comparable at all.
+// per-signature DP tables — to a from-scratch solve_on_forest
+// (runtime/solver.hpp) of the SAME patched forest on the mutated graph.
+// Both arms run solve_on_forest, and so the forest executor solve_hgp
+// runs too; they differ only in the reuse stores handed to it.  Reuse
+// changes how tables are obtained, never their content; patching (not
+// resampling) is what makes the incremental arm and the scratch arm
+// comparable at all.
 //
 // The service front end (SolverService::open_incremental / submit_resolve,
 // runtime/service.hpp) wraps an IncrementalSolver in a session with its
@@ -43,50 +46,6 @@
 
 namespace hgp {
 
-/// Options for solve_on_forest(): SolverOptions minus the forest-sampling
-/// knobs (the caller supplies the forest), plus the per-tree reuse hooks.
-struct ForestSolveOptions {
-  double epsilon = 0.25;
-  /// Demand-unit override (0 = derive ⌈n/ε⌉ from the solved graph).  The
-  /// incremental path always pins this (see IncrementalOptions) so demand
-  /// rounding does not drift as vertices churn.
-  DemandUnits units_override = 0;
-  /// Checkpoint-identity seed.  The forest is supplied rather than
-  /// sampled, so the seed only distinguishes checkpoint bindings of
-  /// otherwise-identical solves.
-  std::uint64_t seed = 1;
-  /// Pool for solving trees concurrently; nullptr = sequential.
-  ThreadPool* pool = nullptr;
-  /// Wall-clock budget in ms (0 = unbounded) and cooperative cancel.
-  double timeout_ms = 0;
-  const CancelToken* cancel = nullptr;
-  /// Completed-tree store shared across retries of one logical request
-  /// (same validation + bind semantics as solve_hgp).  Must outlive the
-  /// call.
-  SolveCheckpoint* checkpoint = nullptr;
-  /// Forces DP dominance pruning ON (memory-pressure degrade).  NOTE: the
-  /// pruning flag is part of DpReuseStore compatibility, so toggling it
-  /// between solves turns reuse off for that solve.
-  bool force_prune = false;
-  /// Clean-subtree stores, parallel to the forest (reuse_in->size() ==
-  /// forest.size() when non-null).  reuse_out is resized to the forest and
-  /// receives the tables of every tree whose DP actually ran; trees served
-  /// from the checkpoint leave their slot empty (they carry no tables, so
-  /// the next resolve rebuilds them in full).  Must outlive the call.
-  const std::vector<DpReuseStore>* reuse_in = nullptr;
-  std::vector<DpReuseStore>* reuse_out = nullptr;
-};
-
-/// Solves HGP on a FIXED forest: per-tree isolated solves (same fault
-/// isolation, checkpoint lookup/record and map-back as solve_hgp's stage
-/// 2) and the Theorem-7 arg-min.  No fallback chain and no resampling —
-/// this is the primitive both arms of the churn differential share, so a
-/// total failure throws the classified SolveError instead of degrading.
-/// Requires vertex demands on `g` and a non-empty forest over `g`.
-HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
-                          const std::vector<DecompTree>& forest,
-                          const ForestSolveOptions& opt = {});
-
 /// Construction-time knobs of an IncrementalSolver.  All of them are
 /// pinned for the solver's lifetime: resolves must keep the checkpoint /
 /// reuse identity of the instance stable under churn.
@@ -99,7 +58,9 @@ struct IncrementalOptions {
   /// clean subtree for no accuracy gain.
   DemandUnits units_override = 0;
   std::uint64_t seed = 1;
-  /// Cut heuristic for the base forest; nullptr = spectral + FM.
+  /// Cut heuristic for the base forest; nullptr = spectral + FM.  The
+  /// base forest comes from (and goes into) the forest cache under the
+  /// same key solve_hgp uses.
   const Cutter* cutter = nullptr;
   /// Pool for tree/DP parallelism (base solve and every resolve).
   ThreadPool* pool = nullptr;
@@ -154,7 +115,7 @@ class IncrementalSolver {
   const std::shared_ptr<const Graph>& graph() const { return graph_; }
   const Hierarchy& hierarchy() const { return *hierarchy_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
-  const std::vector<DecompTree>& forest() const { return forest_; }
+  const std::vector<DecompTree>& forest() const { return *forest_; }
   /// Last committed result (base solve, then each successful resolve).
   const HgpResult& last() const { return last_; }
   /// The pinned demand-unit count every solve of this instance uses.
@@ -182,7 +143,8 @@ class IncrementalSolver {
   DemandUnits units_ = 0;
   std::shared_ptr<const Graph> graph_;
   std::uint64_t fingerprint_ = 0;
-  std::vector<DecompTree> forest_;
+  /// Shared with the forest cache until the first resolve patches it.
+  std::shared_ptr<const std::vector<DecompTree>> forest_;
   /// Clean-subtree tables of the last committed solve, per tree.
   std::vector<DpReuseStore> stores_;
   HgpResult last_;

@@ -313,6 +313,11 @@ SolverService::SolverService(ServiceOptions opt) : opt_(std::move(opt)) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
 #if HGP_OBS_ENABLED
+  // Publish the service gauges before the endpoint opens: a scrape that
+  // lands before the first request must still describe the service, not
+  // an empty registry.
+  HGP_GAUGE_SET("service.queue_depth", 0);
+  HGP_GAUGE_SET("service.inflight", 0);
   if (!opt_.flight_dump_path.empty()) {
     obs::FlightRecorder::install_signal_dump(opt_.flight_dump_path +
                                              ".signal");

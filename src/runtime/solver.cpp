@@ -1,11 +1,14 @@
 #include "runtime/solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "baseline/greedy.hpp"
 #include "baseline/multilevel.hpp"
+#include "graph/fingerprint.hpp"
 #include "obs/event_journal.hpp"  // stage constants under HGP_OBS=OFF
 #include "obs/obs.hpp"
 #include "runtime/forest_cache.hpp"
@@ -41,16 +44,14 @@ ForestTreeResult solve_forest_tree(const Graph& g, const Hierarchy& h,
 
 namespace {
 
-using TreeOutcome = ForestTreeResult;
-
-/// Aggregates a full primary-pipeline failure into the one status the
-/// caller should see: a gone deadline dominates (the trees were killed, not
+/// Aggregates a primary-pipeline failure into the one status the caller
+/// should see: a gone deadline dominates (the trees were killed, not
 /// broken), then a forest-build failure, then "every tree infeasible",
 /// then memory-budget exhaustion (the degradation ladder keys off it),
 /// then the first internal error.
-Status classify_total_failure(const ExecContext& exec,
-                              const Status& forest_status,
-                              const std::vector<TreeAttempt>& attempts) {
+Status classify_forest_failure(const ExecContext& exec,
+                               const Status& forest_status,
+                               const std::vector<TreeAttempt>& attempts) {
   if (exec.deadline.expired()) {
     return Status(StatusCode::kDeadlineExceeded,
                   "deadline expired before any tree solve completed");
@@ -79,6 +80,156 @@ Status classify_total_failure(const ExecContext& exec,
     }
   }
   return Status(StatusCode::kInternal, "no decomposition trees were solved");
+}
+
+/// The forest executor: isolated per-tree solves over `forest`, the
+/// solve_finalize fault site, the Theorem-7 arg-min over the survivors and
+/// the telemetry sums.  On a survivor it fills `result` with the winner
+/// and returns kOk; otherwise it returns the classified failure
+/// (`forest_status` says why the forest is empty, when it is).  Throws
+/// only SolveError: kCancelled (naming `entry`), or a fault injected at
+/// solve_finalize.
+Status solve_forest_trees(const Graph& g, const Hierarchy& h,
+                          const std::vector<DecompTree>& forest,
+                          const ForestSolveOptions& opt,
+                          const ExecContext& exec, const Status& forest_status,
+                          const char* entry, HgpResult& result) {
+  if (opt.reuse_out != nullptr) {
+    opt.reuse_out->assign(forest.size(), DpReuseStore{});
+  }
+  TreeSolverOptions base_opt;
+  base_opt.epsilon = opt.epsilon;
+  base_opt.units_override = opt.units_override;
+  // The DP itself may also fan subtrees across the pool; when the attempts
+  // below already occupy the workers, its is_worker_thread() guard keeps
+  // each tree's DP sequential, so sharing the pool cannot deadlock.
+  base_opt.pool = opt.pool;
+  base_opt.exec = &exec;
+  base_opt.force_prune = opt.force_prune;
+
+  // Isolated per-tree solves.  Theorem 7's arg-min is over whatever
+  // survives, so nothing a single tree does — throw, stall past the
+  // deadline, report infeasibility — may escape its attempt record.
+  std::vector<ForestTreeResult> outcomes(forest.size());
+  result.attempts.assign(forest.size(), TreeAttempt{});
+  auto run = [&](std::size_t i) {
+    TreeAttempt& attempt = result.attempts[i];
+    HGP_TRACE_SPAN_ARG("tree.attempt", i);
+    Timer timer;
+    try {
+      CheckpointedTree ck;
+      // Checkpoints may have been recovered from disk, so an entry is
+      // re-validated against THIS instance before it is trusted: a spill
+      // that survived its CRCs but matched a different run, or hostile
+      // bytes, is treated as a miss and the tree is simply re-solved.
+      if (opt.checkpoint != nullptr &&
+          opt.checkpoint->lookup(static_cast<int>(i), &ck) &&
+          tree_result_fits(g, h, ck)) {
+        // A previous attempt of this request already solved tree i — the
+        // subproblem is deterministic in the checkpoint key, so reuse the
+        // recorded placement instead of re-running the DP.  No DP runs, so
+        // the tree's reuse_out slot stays empty.
+        outcomes[i] = ForestTreeResult{std::move(ck.placement), ck.cost,
+                                       ck.stats};
+        attempt.from_checkpoint = true;
+        HGP_COUNTER_ADD("solver.checkpoint_trees", 1);
+      } else {
+        FaultInjector::instance().on_site("solve_one_tree",
+                                          static_cast<int>(i));
+        exec.check("tree solve start");
+        TreeSolverOptions tree_opt = base_opt;
+        if (opt.reuse_in != nullptr) tree_opt.reuse_in = &(*opt.reuse_in)[i];
+        if (opt.reuse_out != nullptr) {
+          tree_opt.reuse_out = &(*opt.reuse_out)[i];
+        }
+        outcomes[i] = solve_forest_tree(g, h, forest[i], tree_opt);
+        if (opt.checkpoint != nullptr) {
+          opt.checkpoint->record(
+              static_cast<int>(i),
+              CheckpointedTree{outcomes[i].placement, outcomes[i].cost,
+                               outcomes[i].stats});
+        }
+      }
+      attempt.status = StatusCode::kOk;
+      attempt.cost = outcomes[i].cost;
+    } catch (...) {
+      const Status s = status_from_current_exception();
+      attempt.status = s.code;
+      attempt.error = s.message;
+    }
+    attempt.elapsed_ms = timer.millis();
+  };
+  // No exec on this loop: isolation happens inside `run`, and the loop
+  // itself must visit every index so every attempt is recorded.
+  {
+    HGP_TRACE_SPAN_ARG("solve.trees", forest.size());
+    Timer trees_timer;
+    if (opt.pool != nullptr) {
+      parallel_for(*opt.pool, 0, forest.size(), run);
+    } else {
+      for (std::size_t i = 0; i < forest.size(); ++i) run(i);
+    }
+    result.telemetry.tree_solve_ms = trees_timer.millis();
+  }
+
+  if (exec.cancelled()) {
+    throw SolveError(StatusCode::kCancelled, std::string(entry) + " cancelled");
+  }
+
+  // Post-tree fault hook: by now every completed tree is checkpointed, so
+  // a fault injected here models the worst checkpoint-resume case — the
+  // attempt dies with all its tree work banked (tests and the chaos
+  // harness use it to force a resume that skips completed trees).  The
+  // injected CheckError is classified here so the entry points keep their
+  // only-typed-errors contract.
+  try {
+    FaultInjector::instance().on_site("solve_finalize", 0);
+  } catch (const SolveError&) {
+    throw;
+  } catch (...) {
+    throw SolveError(status_from_current_exception());
+  }
+
+  // Arg-min over the survivors (Theorem 7).
+  result.telemetry.trees_attempted = narrow<int>(result.attempts.size());
+  result.tree_costs.reserve(result.attempts.size());
+  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
+    if (result.attempts[i].from_checkpoint) {
+      ++result.telemetry.checkpoint_trees;
+    }
+    if (result.attempts[i].ok()) {
+      ++result.telemetry.trees_succeeded;
+      const TreeDpStats& s = outcomes[i].stats;
+      result.telemetry.dp_signatures += s.signature_count;
+      result.telemetry.dp_feasible_states += s.feasible_states;
+      result.telemetry.dp_merge_operations += s.merge_operations;
+      result.telemetry.dp_merges_rejected += s.merges_rejected;
+      result.telemetry.dp_states_pruned += s.states_pruned;
+      result.telemetry.dp_nodes_built += s.nodes_built;
+      result.telemetry.dp_nodes_reused += s.nodes_reused;
+    } else {
+      HGP_COUNTER_ADD("solver.tree_failures", 1);
+    }
+    result.tree_costs.push_back(result.attempts[i].cost);
+    if (result.attempts[i].ok() &&
+        (result.best_tree < 0 ||
+         result.attempts[i].cost <
+             result.attempts[static_cast<std::size_t>(result.best_tree)]
+                 .cost)) {
+      result.best_tree = narrow<int>(i);
+    }
+  }
+  if (result.best_tree < 0) {
+    return classify_forest_failure(exec, forest_status, result.attempts);
+  }
+  ForestTreeResult& best = outcomes[static_cast<std::size_t>(result.best_tree)];
+  result.placement = std::move(best.placement);
+  result.cost = best.cost;
+  result.stats = best.stats;
+  result.loads = load_report(g, h, result.placement);
+  result.method = SolveMethod::kHgp;
+  result.status = Status();
+  return Status();
 }
 
 /// Runs the degradation chain (multilevel, then greedy) without a deadline:
@@ -144,22 +295,56 @@ const char* solve_method_name(SolveMethod method) {
   return "unknown";
 }
 
-HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
-                    const SolverOptions& opt) {
+void validate_solve_args(const Graph& g, int num_trees, double timeout_ms,
+                         double epsilon) {
   if (!g.has_demands()) {
     throw SolveError(StatusCode::kInvalidInput,
                      "HGP instances require vertex demands");
   }
-  if (opt.num_trees < 1) {
+  if (num_trees < 1) {
     throw SolveError(StatusCode::kInvalidInput, "num_trees must be >= 1");
   }
-  if (opt.timeout_ms < 0) {
+  if (timeout_ms < 0) {
     throw SolveError(StatusCode::kInvalidInput, "timeout_ms must be >= 0");
   }
-  if (opt.epsilon <= 0) {
+  if (epsilon <= 0) {
     throw SolveError(StatusCode::kInvalidInput, "epsilon must be > 0");
   }
+}
 
+CachedForest acquire_forest(const Graph& g, std::uint64_t fingerprint,
+                            int num_trees, std::uint64_t seed,
+                            const Cutter* cutter, ThreadPool* pool,
+                            const ExecContext* exec, bool* cache_hit) {
+  const FmCutter default_cutter;
+  const Cutter& c = cutter != nullptr ? *cutter : default_cutter;
+  // Sampling is deterministic in (graph content, seed, count, cutter), so
+  // the global LRU cache can serve repeated solves of the same instance.
+  ForestCache& cache = ForestCache::global();
+  const ForestCacheKey key{fingerprint, seed, num_trees, c.name()};
+  CachedForest forest = cache.find(key);
+  if (cache_hit != nullptr) *cache_hit = forest != nullptr;
+  if (forest == nullptr) {
+    forest = std::make_shared<const std::vector<DecompTree>>(
+        build_decomposition_forest(g, num_trees, seed, c, pool, exec));
+    cache.insert(key, forest);
+  }
+  return forest;
+}
+
+bool tree_result_fits(const Graph& g, const Hierarchy& h,
+                      const CheckpointedTree& tree) {
+  const std::vector<LeafId>& leaf_of = tree.placement.leaf_of;
+  return leaf_of.size() == static_cast<std::size_t>(g.vertex_count()) &&
+         std::isfinite(tree.cost) &&
+         std::all_of(leaf_of.begin(), leaf_of.end(), [&h](LeafId leaf) {
+           return leaf >= 0 && leaf < h.leaf_count();
+         });
+}
+
+HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
+                    const SolverOptions& opt) {
+  validate_solve_args(g, opt.num_trees, opt.timeout_ms, opt.epsilon);
   if (contracts_enabled()) validate_hierarchy(h);
 
   HGP_TRACE_SPAN_ARG("solve", g.vertex_count());
@@ -172,28 +357,17 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
   exec.cancel = opt.cancel;
   exec.check("solve_hgp entry");
 
-  const FmCutter default_cutter;
-  const Cutter& cutter =
-      opt.cutter != nullptr ? *opt.cutter : default_cutter;
-
   HgpResult result;
 
-  // Stage 1: decomposition forest.  A failure here leaves zero trees, which
-  // the degradation logic below treats like "all trees failed".  Sampling
-  // is deterministic in (graph content, seed, count, cutter), so the
-  // global LRU cache can serve repeated solves of the same instance; the
-  // forest is held as a shared immutable snapshot either way.
+  // Stage 1: decomposition forest, from the cache or built.  A failure
+  // here leaves zero trees, which the executor classifies like "all trees
+  // failed".  The forest is held as a shared immutable snapshot either way.
   CachedForest forest_ptr;
   Status forest_status;
   {
     HGP_TRACE_SPAN_ARG("solve.forest", opt.num_trees);
     Timer forest_timer;
-    ForestCache& cache = ForestCache::global();
-    ForestCacheKey key;
-    std::uint64_t fingerprint = 0;
-    if (cache.enabled() || opt.checkpoint != nullptr) {
-      fingerprint = graph_fingerprint(g);
-    }
+    const std::uint64_t fingerprint = graph_fingerprint(g);
     // (Re)bind the checkpoint to this solve's parameters: retries with
     // identical parameters resume recorded trees, a degraded retry (e.g.
     // fewer trees) invalidates them — the forest it samples differs.
@@ -201,177 +375,35 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
       opt.checkpoint->bind(CheckpointKey{fingerprint, opt.seed, opt.num_trees,
                                          opt.epsilon, opt.units_override});
     }
-    if (cache.enabled()) {
-      key = ForestCacheKey{fingerprint, opt.seed, opt.num_trees,
-                           cutter.name()};
-      forest_ptr = cache.find(key);
-    }
-    if (forest_ptr != nullptr) {
-      result.telemetry.forest_cache_hit = true;
-    } else {
-      try {
-        forest_ptr = std::make_shared<const std::vector<DecompTree>>(
-            build_decomposition_forest(g, opt.num_trees, opt.seed, cutter,
-                                       opt.pool, &exec));
-        cache.insert(key, forest_ptr);
-      } catch (...) {
-        forest_status = status_from_current_exception();
-        if (forest_status.code == StatusCode::kCancelled) throw;
-        forest_ptr = std::make_shared<const std::vector<DecompTree>>();
-      }
+    try {
+      forest_ptr = acquire_forest(g, fingerprint, opt.num_trees, opt.seed,
+                                  opt.cutter, opt.pool, &exec,
+                                  &result.telemetry.forest_cache_hit);
+    } catch (...) {
+      forest_status = status_from_current_exception();
+      if (forest_status.code == StatusCode::kCancelled) throw;
+      forest_ptr = std::make_shared<const std::vector<DecompTree>>();
     }
     result.telemetry.forest_build_ms = forest_timer.millis();
   }
-  const std::vector<DecompTree>& forest = *forest_ptr;
   HGP_COUNTER_ADD("solver.trees_sampled",
-                  static_cast<std::int64_t>(forest.size()));
+                  static_cast<std::int64_t>(forest_ptr->size()));
 
-  TreeSolverOptions tree_opt;
-  tree_opt.epsilon = opt.epsilon;
-  tree_opt.units_override = opt.units_override;
-  // The DP itself may also fan subtrees across the pool; when the attempts
-  // below already occupy the workers, its is_worker_thread() guard keeps
-  // each tree's DP sequential, so sharing the pool cannot deadlock.
-  tree_opt.pool = opt.pool;
-  tree_opt.exec = &exec;
-  tree_opt.force_prune = opt.force_prune;
-
-  // Stage 2: isolated per-tree solves.  Theorem 7's arg-min is over
-  // whatever survives, so nothing a single tree does — throw, stall past
-  // the deadline, report infeasibility — may escape its attempt record.
-  std::vector<TreeOutcome> outcomes(forest.size());
-  result.attempts.assign(forest.size(), TreeAttempt{});
-  auto run = [&](std::size_t i) {
-    TreeAttempt& attempt = result.attempts[i];
-    HGP_TRACE_SPAN_ARG("tree.attempt", i);
-    Timer timer;
-    try {
-      CheckpointedTree ck;
-      bool from_checkpoint = opt.checkpoint != nullptr &&
-                             opt.checkpoint->lookup(static_cast<int>(i), &ck);
-      if (from_checkpoint) {
-        // Checkpoints may have been recovered from disk, so the entry is
-        // re-validated against THIS instance before it is trusted: a
-        // placement of the wrong size or with out-of-range leaves (a spill
-        // that survived its CRCs but matched a different run, or hostile
-        // bytes) is treated as a miss and the tree is simply re-solved.
-        from_checkpoint =
-            ck.placement.leaf_of.size() ==
-                static_cast<std::size_t>(g.vertex_count()) &&
-            std::isfinite(ck.cost);
-        for (std::size_t v = 0; from_checkpoint && v < ck.placement.leaf_of.size();
-             ++v) {
-          from_checkpoint =
-              ck.placement.leaf_of[v] >= 0 &&
-              ck.placement.leaf_of[v] < h.leaf_count();
-        }
-      }
-      if (from_checkpoint) {
-        // A previous attempt of this request already solved tree i — the
-        // subproblem is deterministic in the checkpoint key, so reuse the
-        // recorded placement instead of re-running the DP.
-        outcomes[i].placement = std::move(ck.placement);
-        outcomes[i].cost = ck.cost;
-        outcomes[i].stats = ck.stats;
-        attempt.status = StatusCode::kOk;
-        attempt.cost = outcomes[i].cost;
-        attempt.from_checkpoint = true;
-        HGP_COUNTER_ADD("solver.checkpoint_trees", 1);
-      } else {
-        FaultInjector::instance().on_site("solve_one_tree",
-                                          static_cast<int>(i));
-        exec.check("tree solve start");
-        outcomes[i] = solve_forest_tree(g, h, forest[i], tree_opt);
-        attempt.status = StatusCode::kOk;
-        attempt.cost = outcomes[i].cost;
-        if (opt.checkpoint != nullptr) {
-          opt.checkpoint->record(
-              static_cast<int>(i),
-              CheckpointedTree{outcomes[i].placement, outcomes[i].cost,
-                               outcomes[i].stats});
-        }
-      }
-    } catch (...) {
-      const Status s = status_from_current_exception();
-      attempt.status = s.code;
-      attempt.error = s.message;
-    }
-    attempt.elapsed_ms = timer.millis();
-  };
-  // No exec on this loop: isolation happens inside `run`, and the loop
-  // itself must visit every index so every attempt is recorded.
-  {
-    HGP_TRACE_SPAN_ARG("solve.trees", forest.size());
-    Timer trees_timer;
-    if (opt.pool != nullptr) {
-      parallel_for(*opt.pool, 0, forest.size(), run);
-    } else {
-      for (std::size_t i = 0; i < forest.size(); ++i) run(i);
-    }
-    result.telemetry.tree_solve_ms = trees_timer.millis();
-  }
-
-  if (exec.cancelled()) {
-    throw SolveError(StatusCode::kCancelled, "solve_hgp cancelled");
-  }
-
-  // Post-tree fault hook: by now every completed tree is checkpointed, so
-  // a fault injected here models the worst checkpoint-resume case — the
-  // attempt dies with all its tree work banked (tests and the chaos
-  // harness use it to force a resume that skips completed trees).  The
-  // injected CheckError is classified here so solve_hgp keeps its
-  // only-typed-errors contract.
-  try {
-    FaultInjector::instance().on_site("solve_finalize", 0);
-  } catch (const SolveError&) {
-    throw;
-  } catch (...) {
-    throw SolveError(status_from_current_exception());
-  }
-
-  // Stage 3: arg-min over the survivors.
-  result.telemetry.trees_attempted = narrow<int>(result.attempts.size());
-  result.tree_costs.reserve(result.attempts.size());
-  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
-    if (result.attempts[i].from_checkpoint) {
-      ++result.telemetry.checkpoint_trees;
-    }
-    if (result.attempts[i].ok()) {
-      ++result.telemetry.trees_succeeded;
-      const TreeDpStats& s = outcomes[i].stats;
-      result.telemetry.dp_signatures += s.signature_count;
-      result.telemetry.dp_feasible_states += s.feasible_states;
-      result.telemetry.dp_merge_operations += s.merge_operations;
-      result.telemetry.dp_merges_rejected += s.merges_rejected;
-      result.telemetry.dp_states_pruned += s.states_pruned;
-      result.telemetry.dp_nodes_built += s.nodes_built;
-      result.telemetry.dp_nodes_reused += s.nodes_reused;
-    } else {
-      HGP_COUNTER_ADD("solver.tree_failures", 1);
-    }
-    result.tree_costs.push_back(result.attempts[i].cost);
-    if (result.attempts[i].ok() &&
-        (result.best_tree < 0 ||
-         result.attempts[i].cost <
-             result.attempts[static_cast<std::size_t>(result.best_tree)]
-                 .cost)) {
-      result.best_tree = narrow<int>(i);
-    }
-  }
-  if (result.best_tree >= 0) {
-    TreeOutcome& best = outcomes[static_cast<std::size_t>(result.best_tree)];
-    result.placement = std::move(best.placement);
-    result.cost = best.cost;
-    result.stats = best.stats;
-    result.loads = load_report(g, h, result.placement);
-    result.method = SolveMethod::kHgp;
-    result.status = Status();
+  // Stages 2-3: the forest executor.
+  ForestSolveOptions fo;
+  fo.epsilon = opt.epsilon;
+  fo.units_override = opt.units_override;
+  fo.pool = opt.pool;
+  fo.checkpoint = opt.checkpoint;
+  fo.force_prune = opt.force_prune;
+  Status reason = solve_forest_trees(g, h, *forest_ptr, fo, exec,
+                                     forest_status, "solve_hgp", result);
+  if (reason.ok()) {
     result.telemetry.total_ms = total_timer.millis();
     return result;
   }
 
   // Stage 4: graceful degradation.
-  Status reason = classify_total_failure(exec, forest_status, result.attempts);
   if (opt.fallback == FallbackPolicy::kNone) {
     throw SolveError(std::move(reason));
   }
@@ -379,6 +411,56 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
       run_fallback_chain(g, h, opt, std::move(result), std::move(reason));
   degraded.telemetry.total_ms = total_timer.millis();
   return degraded;
+}
+
+HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
+                          const std::vector<DecompTree>& forest,
+                          const ForestSolveOptions& opt) {
+  if (forest.empty()) {
+    throw SolveError(StatusCode::kInvalidInput,
+                     "solve_on_forest requires a non-empty forest");
+  }
+  validate_solve_args(g, narrow<int>(forest.size()), opt.timeout_ms,
+                      opt.epsilon);
+  for (const DecompTree& dt : forest) {
+    if (dt.graph_vertex_count() != g.vertex_count()) {
+      throw SolveError(StatusCode::kInvalidInput,
+                       "forest tree does not decompose the solved graph");
+    }
+  }
+  if (opt.reuse_in != nullptr && opt.reuse_in->size() != forest.size()) {
+    throw SolveError(StatusCode::kInvalidInput,
+                     "reuse_in must carry one store per forest tree");
+  }
+  if (opt.reuse_out != nullptr && opt.reuse_out == opt.reuse_in) {
+    throw SolveError(StatusCode::kInvalidInput,
+                     "reuse_in and reuse_out must not alias");
+  }
+  if (contracts_enabled()) validate_hierarchy(h);
+
+  HGP_TRACE_SPAN_ARG("solve.on_forest", g.vertex_count());
+  Timer total_timer;
+
+  ExecContext exec;
+  exec.deadline = opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
+                                     : Deadline::never();
+  exec.cancel = opt.cancel;
+  exec.check("solve_on_forest entry");
+
+  // Same binding rule as solve_hgp: retries with identical parameters
+  // resume recorded trees; any parameter drift invalidates the store.
+  if (opt.checkpoint != nullptr) {
+    opt.checkpoint->bind(CheckpointKey{graph_fingerprint(g), opt.seed,
+                                       narrow<int>(forest.size()), opt.epsilon,
+                                       opt.units_override});
+  }
+
+  HgpResult result;
+  Status reason = solve_forest_trees(g, h, forest, opt, exec, Status(),
+                                     "solve_on_forest", result);
+  if (!reason.ok()) throw SolveError(std::move(reason));
+  result.telemetry.total_ms = total_timer.millis();
+  return result;
 }
 
 }  // namespace hgp

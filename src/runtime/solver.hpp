@@ -6,6 +6,15 @@
 // leaf↔vertex bijection, evaluate the true Eq.-1 cost on G, and keep the
 // best (Theorem 7's arg-min over the tree family).
 //
+// Every runtime entry point runs that arg-min through ONE forest executor
+// (solver.cpp): solve_hgp samples or cache-hits the forest and hands it
+// over, solve_on_forest hands over a caller-supplied forest, and the
+// shard coordinator (coordinator.hpp) ends in solve_hgp.  The executor
+// owns the per-tree attempts, the checkpoint lookup/re-validation/record,
+// the DP reuse hooks, the solve_finalize fault site, the arg-min and the
+// telemetry sums, so the entry points differ only in where the forest
+// comes from and in what they do when no tree survives.
+//
 // Resilience semantics: the arg-min only needs ONE surviving tree, so each
 // per-tree solve is fault-isolated — a throw, an injected fault, or a
 // deadline expiry inside tree k is recorded in HgpResult::attempts[k] and
@@ -135,12 +144,56 @@ struct HgpResult {
 HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
                     const SolverOptions& opt = {});
 
-/// One tree of the forest, solved exactly as solve_hgp's per-tree stage
-/// solves it: HGPT DP on the tree, mapped back to G through the
-/// leaf↔vertex bijection, judged by the true Eq.-1 cost.  Deterministic in
-/// (graph, hierarchy, tree, tree_opt) — the sharded worker runs THIS
-/// function so distributed per-tree results are bit-identical to the
-/// in-process path (src/runtime/shard_server.hpp).
+/// Options for solve_on_forest(): SolverOptions minus the forest-sampling
+/// knobs (the caller supplies the forest), plus the per-tree reuse hooks.
+struct ForestSolveOptions {
+  double epsilon = 0.25;
+  /// Demand-unit override (0 = derive ⌈n/ε⌉ from the solved graph).  The
+  /// incremental path always pins this (see IncrementalOptions) so demand
+  /// rounding does not drift as vertices churn.
+  DemandUnits units_override = 0;
+  /// Checkpoint-identity seed.  The forest is supplied rather than
+  /// sampled, so the seed only distinguishes checkpoint bindings of
+  /// otherwise-identical solves.
+  std::uint64_t seed = 1;
+  /// Pool for solving trees concurrently; nullptr = sequential.
+  ThreadPool* pool = nullptr;
+  /// Wall-clock budget in ms (0 = unbounded) and cooperative cancel.
+  double timeout_ms = 0;
+  const CancelToken* cancel = nullptr;
+  /// Completed-tree store shared across retries of one logical request
+  /// (same validation + bind semantics as solve_hgp).  Must outlive the
+  /// call.
+  SolveCheckpoint* checkpoint = nullptr;
+  /// Forces DP dominance pruning ON (memory-pressure degrade).  NOTE: the
+  /// pruning flag is part of DpReuseStore compatibility, so toggling it
+  /// between solves turns reuse off for that solve.
+  bool force_prune = false;
+  /// Clean-subtree stores, parallel to the forest (reuse_in->size() ==
+  /// forest.size() when non-null).  reuse_out is resized to the forest and
+  /// receives the tables of every tree whose DP actually ran; trees served
+  /// from the checkpoint leave their slot empty (they carry no tables, so
+  /// the next resolve rebuilds them in full).  Must outlive the call.
+  const std::vector<DpReuseStore>* reuse_in = nullptr;
+  std::vector<DpReuseStore>* reuse_out = nullptr;
+};
+
+/// Solves HGP on a FIXED forest through the same executor as solve_hgp
+/// (fault isolation, checkpoint lookup/record, map-back, Theorem-7
+/// arg-min).  No fallback chain and no resampling — this is the primitive
+/// both arms of the churn differential share, so a total failure throws
+/// the classified SolveError instead of degrading.  Requires vertex
+/// demands on `g` and a non-empty forest over `g`.
+HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
+                          const std::vector<DecompTree>& forest,
+                          const ForestSolveOptions& opt = {});
+
+/// One tree of the forest, solved exactly as the forest executor solves
+/// it: HGPT DP on the tree, mapped back to G through the leaf↔vertex
+/// bijection, judged by the true Eq.-1 cost.  Deterministic in (graph,
+/// hierarchy, tree, tree_opt) — the sharded worker runs THIS function so
+/// distributed per-tree results are bit-identical to the in-process path
+/// (src/runtime/shard_server.hpp).
 struct ForestTreeResult {
   Placement placement;
   double cost = std::numeric_limits<double>::infinity();
@@ -149,5 +202,31 @@ struct ForestTreeResult {
 ForestTreeResult solve_forest_tree(const Graph& g, const Hierarchy& h,
                                    const DecompTree& dt,
                                    const TreeSolverOptions& tree_opt);
+
+// The request checks, forest acquisition and result validation every
+// forest-solve entry point shares (solve_hgp, solve_on_forest,
+// IncrementalSolver, ShardCoordinator).
+
+/// Throws SolveError(kInvalidInput) unless `g` carries demands,
+/// num_trees >= 1, timeout_ms >= 0 and epsilon > 0.
+void validate_solve_args(const Graph& g, int num_trees, double timeout_ms,
+                         double epsilon);
+
+/// The forest a solve of `g` samples: the ForestCache::global() entry for
+/// (fingerprint, seed, num_trees, cutter name) when present, else a fresh
+/// build that is then cached.  `fingerprint` is graph_fingerprint(g);
+/// nullptr cutter = spectral + FM.  Sets *cache_hit when non-null.
+/// Throws what build_decomposition_forest throws.
+std::shared_ptr<const std::vector<DecompTree>> acquire_forest(
+    const Graph& g, std::uint64_t fingerprint, int num_trees,
+    std::uint64_t seed, const Cutter* cutter, ThreadPool* pool,
+    const ExecContext* exec, bool* cache_hit = nullptr);
+
+/// True when a tree result that arrived from outside this solve (a
+/// recovered checkpoint spill, a shard's reply) fits the instance: one
+/// leaf per vertex of `g`, every leaf in [0, h.leaf_count()), and a
+/// finite cost.  Untrusted results are checked with this before use.
+bool tree_result_fits(const Graph& g, const Hierarchy& h,
+                      const CheckpointedTree& tree);
 
 }  // namespace hgp

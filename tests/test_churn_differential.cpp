@@ -22,6 +22,7 @@
 #include "graph/fingerprint.hpp"
 #include "hierarchy/placement.hpp"
 #include "runtime/incremental.hpp"
+#include "util/fault_injector.hpp"
 #include "util/status.hpp"
 
 namespace hgp {
@@ -247,6 +248,80 @@ TEST(ChurnDifferential, ReusePinsPruneFlagCompatibility) {
       solve_on_forest(*solver.graph(), inst.hierarchy, solver.forest(), fo);
   ASSERT_EQ(inc.cost, scratch.cost);
   ASSERT_EQ(inc.placement.leaf_of, scratch.placement.leaf_of);
+}
+
+FaultInjector::Fault fault_of(FaultInjector::Action action) {
+  FaultInjector::Fault f;
+  f.action = action;
+  return f;
+}
+
+// Per-tree fault isolation on the incremental path: a resolve whose tree 0
+// throws still commits, from the surviving trees, exactly what
+// solve_on_forest returns on the same patched forest under the same fault.
+TEST(ChurnDifferential, TreeFaultDuringResolveCommitsFromSurvivors) {
+  const ChurnInstance inst = make_churn_instance(5);
+  ASSERT_GE(inst.opt.num_trees, 2);
+  IncrementalSolver solver(inst.graph, inst.hierarchy, inst.opt);
+  const std::shared_ptr<MutationLog> log = solver.begin_batch();
+  testchurn::apply_schedule(*log, inst);
+  ASSERT_FALSE(log->empty());
+
+  const FaultScope fault("solve_one_tree", 0,
+                         fault_of(FaultInjector::Action::kThrow));
+  const HgpResult inc = solver.resolve(*log);
+  ASSERT_EQ(inc.attempts.size(), static_cast<std::size_t>(inst.opt.num_trees));
+  EXPECT_EQ(inc.attempts[0].status, StatusCode::kInternal);
+  EXPECT_FALSE(inc.attempts[0].error.empty());
+  ASSERT_GT(inc.best_tree, 0);
+  EXPECT_EQ(solver.last().placement.leaf_of, inc.placement.leaf_of);
+
+  const HgpResult scratch =
+      solve_on_forest(*solver.graph(), inst.hierarchy, solver.forest(),
+                      scratch_options(solver));
+  ASSERT_EQ(inc.cost, scratch.cost);
+  ASSERT_EQ(inc.best_tree, scratch.best_tree);
+  ASSERT_EQ(inc.placement.leaf_of, scratch.placement.leaf_of);
+  ASSERT_EQ(inc.tree_costs, scratch.tree_costs);
+  for (std::size_t i = 0; i < inc.attempts.size(); ++i) {
+    EXPECT_EQ(inc.attempts[i].status, scratch.attempts[i].status) << i;
+  }
+}
+
+// When every tree fails, resolve throws the classified status and the
+// committed state (graph, forest, last result) is untouched, so the same
+// log resolves once the fault is gone.
+TEST(ChurnDifferential, ResolveWithEveryTreeFailingKeepsCommittedState) {
+  const ChurnInstance inst = make_churn_instance(5);
+  IncrementalSolver solver(inst.graph, inst.hierarchy, inst.opt);
+  const std::shared_ptr<MutationLog> log = solver.begin_batch();
+  testchurn::apply_schedule(*log, inst);
+  ASSERT_FALSE(log->empty());
+
+  const std::shared_ptr<const Graph> graph_before = solver.graph();
+  const std::vector<DecompTree>* forest_before = &solver.forest();
+  const HgpResult last_before = solver.last();
+  const struct {
+    FaultInjector::Action action;
+    StatusCode classified;
+  } kinds[] = {{FaultInjector::Action::kThrow, StatusCode::kInternal},
+               {FaultInjector::Action::kInfeasible, StatusCode::kInfeasible}};
+  for (const auto& kind : kinds) {
+    SCOPED_TRACE(::testing::Message() << status_code_name(kind.classified));
+    const FaultScope fault("solve_one_tree", FaultInjector::kEveryIndex,
+                           fault_of(kind.action));
+    try {
+      solver.resolve(*log);
+      FAIL() << "resolve must throw when every tree fails";
+    } catch (const SolveError& e) {
+      EXPECT_EQ(e.status().code, kind.classified) << e.what();
+    }
+    EXPECT_EQ(solver.graph(), graph_before);
+    EXPECT_EQ(&solver.forest(), forest_before);
+    EXPECT_EQ(solver.last().cost, last_before.cost);
+    EXPECT_EQ(solver.last().placement.leaf_of, last_before.placement.leaf_of);
+  }
+  EXPECT_NO_THROW(solver.resolve(*log));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "graph/fingerprint.hpp"
@@ -16,6 +18,7 @@
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "obs/event_journal.hpp"
+#include "obs/obs.hpp"  // HGP_OBS_ENABLED
 #include "runtime/checkpoint.hpp"
 #include "runtime/coordinator.hpp"
 #include "runtime/shard_server.hpp"
@@ -86,6 +89,32 @@ net::Socket start_shard(std::deque<ShardThread>& pool,
     sh.report = run_shard_server(ch, opt);
   });
   return std::move(mine);
+}
+
+/// Opens once a faulty shard has taken its first lease.  An honest shard
+/// beside it holds its first tree until then (held_by), so it cannot
+/// finish every batch before the faulty shard is up; on a loaded host that
+/// left the scripted fault unfired.
+class LeaseGate {
+ public:
+  void open() {
+    std::call_once(once_, [this] { promise_.set_value(); });
+  }
+  /// Bounded so a broken coordinator fails the test instead of hanging it.
+  void wait() const { (void)future_.wait_for(std::chrono::seconds(30)); }
+
+ private:
+  std::once_flag once_;
+  std::promise<void> promise_;
+  std::shared_future<void> future_ = promise_.get_future().share();
+};
+
+/// Options for an honest shard that starts solving only once `gate` opens
+/// (its heartbeats keep its own lease alive meanwhile).
+ShardServerOptions held_by(const LeaseGate& gate) {
+  ShardServerOptions opt;
+  opt.on_tree_start = [&gate](int) { gate.wait(); };
+  return opt;
 }
 
 /// A scripted peer that completes the handshake + job phase like a real
@@ -159,15 +188,18 @@ TEST(Coordinator, CrashedShardIsDetectedAndWorkReassigned) {
   const Graph g = workload(13);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(13));
 
+  LeaseGate gate;  // outlives the shard threads, which pool joins
   std::deque<ShardThread> pool;
   CoordinatorOptions copt;
   ShardCoordinator coord(g, hier(), base_options(13), copt);
   // Shard 0 crashes the moment it receives work — socket gone, no goodbye.
-  coord.adopt_shard(start_scripted_shard(pool, g, [](net::FrameChannel& ch) {
-    (void)ch.recv(Deadline::after_ms(20000));  // the Assign
-    ch.close();
-  }));
-  coord.adopt_shard(start_shard(pool));
+  coord.adopt_shard(
+      start_scripted_shard(pool, g, [&gate](net::FrameChannel& ch) {
+        (void)ch.recv(Deadline::after_ms(20000));  // the Assign
+        gate.open();
+        ch.close();
+      }));
+  coord.adopt_shard(start_shard(pool, held_by(gate)));
   const HgpResult got = coord.solve();
 
   expect_bit_identical(got, baseline);
@@ -181,6 +213,7 @@ TEST(Coordinator, HungShardLeaseExpires) {
   const Graph g = workload(14);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(14));
 
+  LeaseGate gate;  // outlives the shard threads, which pool joins
   std::deque<ShardThread> pool;
   Mutex mu;
   CondVar cv;
@@ -192,10 +225,11 @@ TEST(Coordinator, HungShardLeaseExpires) {
   // socket held open) until the test releases it — a hang, not a crash.
   coord.adopt_shard(start_scripted_shard(pool, g, [&](net::FrameChannel& ch) {
     (void)ch.recv(Deadline::after_ms(20000));
+    gate.open();
     MutexLock lock(mu);
     while (!release) cv.wait_for_ms(mu, 50);
   }));
-  coord.adopt_shard(start_shard(pool));
+  coord.adopt_shard(start_shard(pool, held_by(gate)));
   const HgpResult got = coord.solve();
   {
     MutexLock lock(mu);
@@ -283,6 +317,8 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
   EXPECT_EQ(coord.report().trees_from_shards, 4);
   EXPECT_EQ(coord.report().batches_completed, 4);
 
+#if HGP_OBS_ENABLED
+  // The journal records these events only when instrumentation is built.
   bool saw_fence = false, saw_lease = false, saw_reassign = false;
   for (const obs::JournalEvent& e : obs::EventJournal::global().snapshot()) {
     saw_fence |= e.kind == obs::EventKind::kZombieFenced;
@@ -292,6 +328,7 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
   EXPECT_TRUE(saw_fence);
   EXPECT_TRUE(saw_lease);
   EXPECT_TRUE(saw_reassign);
+#endif
 }
 
 TEST(Coordinator, AllShardsLostDegradesToInProcess) {

@@ -731,8 +731,9 @@ TEST(Race, ServiceSpillRecoveryRacesResolveBatches) {
           const auto log = session->begin_batch();
           gen::churn(*log, race_drift(), rng);
           if (log->empty()) break;
-          const RetrySolveReport& rep =
-              restarted.submit_resolve(session, log)->wait();
+          // Hold the request: wait() returns a reference into it.
+          const auto req = restarted.submit_resolve(session, log);
+          const RetrySolveReport& rep = req->wait();
           if (rep.ok()) {
             committed.fetch_add(1, std::memory_order_relaxed);
             break;

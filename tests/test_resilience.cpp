@@ -5,15 +5,18 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baseline/multilevel.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"  // TraceBuffer directly: obs.hpp omits it under OFF
 #include "decomp/builder.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "runtime/solver.hpp"
@@ -503,6 +506,121 @@ TEST(Resilience, FallbackChainExhaustionNamesEveryStage) {
   EXPECT_EQ(TraceCapture::closed("fallback.multilevel"), 1u);
   EXPECT_EQ(TraceCapture::closed("fallback.greedy"), 1u);
 #endif
+}
+
+// A checkpoint entry may come from a recovered spill, so the forest
+// executor re-validates it against the instance before trusting it.  Each
+// malformed kind below is given a cost low enough to win the arg-min if it
+// were trusted; it must instead be a miss, the tree solved again, and the
+// answer the clean solve's, bit for bit, on both entry points.
+std::vector<std::pair<std::string, CheckpointedTree>> malformed_entries(
+    const Graph& g) {
+  const std::size_t n = static_cast<std::size_t>(g.vertex_count());
+  CheckpointedTree base;
+  base.placement.leaf_of.assign(n, 0);
+  base.cost = 0.0;
+  std::vector<std::pair<std::string, CheckpointedTree>> out;
+  CheckpointedTree e = base;
+  e.placement.leaf_of.pop_back();
+  out.emplace_back("short placement", e);
+  e = base;
+  e.cost = std::numeric_limits<double>::quiet_NaN();
+  out.emplace_back("NaN cost", e);
+  e = base;
+  e.cost = std::numeric_limits<double>::infinity();
+  out.emplace_back("+inf cost", e);
+  e = base;
+  e.placement.leaf_of[n / 2] = -1;
+  out.emplace_back("leaf -1", e);
+  e = base;
+  e.placement.leaf_of[n / 2] = hier().leaf_count();
+  out.emplace_back("leaf == leaf_count", e);
+  return out;
+}
+
+void expect_bit_identical(const HgpResult& got, const HgpResult& want) {
+  EXPECT_EQ(std::memcmp(&got.cost, &want.cost, sizeof got.cost), 0)
+      << got.cost << " vs " << want.cost;
+  EXPECT_EQ(got.best_tree, want.best_tree);
+  EXPECT_EQ(got.placement.leaf_of, want.placement.leaf_of);
+  ASSERT_EQ(got.tree_costs.size(), want.tree_costs.size());
+  for (std::size_t i = 0; i < got.tree_costs.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got.tree_costs[i], &want.tree_costs[i],
+                          sizeof(double)),
+              0)
+        << "tree " << i;
+  }
+}
+
+TEST(Resilience, MalformedCheckpointEntriesAreSolvedAgain) {
+  const Graph g = workload(21);
+  constexpr int kTree = 1;
+
+  SolverOptions opt;
+  opt.num_trees = 3;
+  opt.seed = 4;
+  opt.fallback = FallbackPolicy::kNone;
+  const CheckpointKey hgp_key{graph_fingerprint(g), opt.seed, opt.num_trees,
+                              opt.epsilon, opt.units_override};
+  SolveCheckpoint clean_ck;
+  SolverOptions recorded = opt;
+  recorded.checkpoint = &clean_ck;
+  const HgpResult clean = solve_hgp(g, hier(), recorded);
+  ASSERT_FALSE(clean.degraded());
+
+  const std::vector<DecompTree> forest =
+      build_decomposition_forest(g, 3, 8, FmCutter());
+  ForestSolveOptions fo;
+  fo.seed = 8;
+  const CheckpointKey forest_key{graph_fingerprint(g), fo.seed,
+                                 static_cast<int>(forest.size()), fo.epsilon,
+                                 fo.units_override};
+  SolveCheckpoint clean_forest_ck;
+  ForestSolveOptions forest_recorded = fo;
+  forest_recorded.checkpoint = &clean_forest_ck;
+  const HgpResult clean_forest =
+      solve_on_forest(g, hier(), forest, forest_recorded);
+
+  // Runs both entry points with tree kTree pre-seeded to `entry` under
+  // the key each binds, and checks the served/solved flag and the answer.
+  auto check = [&](const CheckpointedTree& hgp_entry,
+                   const CheckpointedTree& forest_entry, bool served) {
+    SolveCheckpoint ck;
+    ck.bind(hgp_key);
+    ck.record(kTree, hgp_entry);
+    SolverOptions seeded = opt;
+    seeded.checkpoint = &ck;
+    const HgpResult got = solve_hgp(g, hier(), seeded);
+    ASSERT_EQ(got.attempts.size(), 3u);
+    EXPECT_EQ(got.attempts[kTree].from_checkpoint, served);
+    EXPECT_EQ(got.telemetry.checkpoint_trees, served ? 1 : 0);
+    expect_bit_identical(got, clean);
+
+    SolveCheckpoint fck;
+    fck.bind(forest_key);
+    fck.record(kTree, forest_entry);
+    ForestSolveOptions fseeded = fo;
+    fseeded.checkpoint = &fck;
+    const HgpResult fgot = solve_on_forest(g, hier(), forest, fseeded);
+    ASSERT_EQ(fgot.attempts.size(), forest.size());
+    EXPECT_EQ(fgot.attempts[kTree].from_checkpoint, served);
+    EXPECT_EQ(fgot.telemetry.checkpoint_trees, served ? 1 : 0);
+    expect_bit_identical(fgot, clean_forest);
+  };
+
+  // Control: the genuine entries are served, so the keys above match what
+  // the entry points bind and the malformed cases below are real lookups.
+  CheckpointedTree genuine, genuine_forest;
+  ASSERT_TRUE(clean_ck.lookup(kTree, &genuine));
+  ASSERT_TRUE(clean_forest_ck.lookup(kTree, &genuine_forest));
+  {
+    SCOPED_TRACE("genuine entry");
+    check(genuine, genuine_forest, true);
+  }
+  for (const auto& [kind, entry] : malformed_entries(g)) {
+    SCOPED_TRACE(kind);
+    check(entry, entry, false);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "graph/fingerprint.hpp"
@@ -42,6 +44,32 @@ net::Socket start_shard(std::deque<ShardThread>& pool,
     sh.report = run_shard_server(ch, opt);
   });
   return std::move(mine);
+}
+
+/// Opens once the faulty shard of a schedule has taken its first lease.
+/// The honest shard beside it holds its first tree until then, so it
+/// cannot finish every batch before the faulty shard is up (which, on a
+/// loaded host, left the scheduled fault unfired).
+class LeaseGate {
+ public:
+  void open() {
+    std::call_once(once_, [this] { promise_.set_value(); });
+  }
+  /// Bounded so a broken coordinator fails the test instead of hanging it.
+  void wait() const { (void)future_.wait_for(std::chrono::seconds(30)); }
+
+ private:
+  std::once_flag once_;
+  std::promise<void> promise_;
+  std::shared_future<void> future_ = promise_.get_future().share();
+};
+
+/// Options for an honest shard that starts solving only once `gate` opens
+/// (its heartbeats keep its own lease alive meanwhile).
+ShardServerOptions held_by(const LeaseGate& gate) {
+  ShardServerOptions opt;
+  opt.on_tree_start = [&gate](int) { gate.wait(); };
+  return opt;
 }
 
 /// Completes handshake + job, then runs `script` (see test_coordinator.cpp).
@@ -91,16 +119,21 @@ const char* schedule_name(Schedule s) {
   return "?";
 }
 
-net::Socket crash_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
-  return start_scripted_shard(pool, g, [](net::FrameChannel& ch) {
+// Each faulty shard below opens `gate` once it holds its lease.
+net::Socket crash_on_assign(std::deque<ShardThread>& pool, const Graph& g,
+                            LeaseGate& gate) {
+  return start_scripted_shard(pool, g, [&gate](net::FrameChannel& ch) {
     (void)ch.recv(Deadline::after_ms(20000));
+    gate.open();
     ch.close();
   });
 }
 
-net::Socket hang_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
-  return start_scripted_shard(pool, g, [](net::FrameChannel& ch) {
+net::Socket hang_on_assign(std::deque<ShardThread>& pool, const Graph& g,
+                           LeaseGate& gate) {
+  return start_scripted_shard(pool, g, [&gate](net::FrameChannel& ch) {
     auto frame = ch.recv(Deadline::after_ms(20000));
+    gate.open();
     if (!frame.has_value()) return;
     // Hold the socket open, silent, until the coordinator tears it down
     // (lease expiry -> cleanup shuts the channel and recv unblocks).
@@ -108,10 +141,12 @@ net::Socket hang_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
   });
 }
 
-net::Socket zombie_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
+net::Socket zombie_on_assign(std::deque<ShardThread>& pool, const Graph& g,
+                             LeaseGate& gate) {
   const std::size_t n = g.vertex_count();
-  return start_scripted_shard(pool, g, [n](net::FrameChannel& ch) {
+  return start_scripted_shard(pool, g, [n, &gate](net::FrameChannel& ch) {
     auto frame = ch.recv(Deadline::after_ms(20000));
+    gate.open();
     if (!frame.has_value() || frame->type != net::kMsgAssign) return;
     const net::AssignMsg assign = net::decode_assign(frame->payload);
     // Outlive the 120ms lease, then deliver a hostile zero-cost result
@@ -176,6 +211,7 @@ void run_instance(const Instance& in) {
           ? 120
           : 2000;
 
+  LeaseGate gate;  // outlives the shard threads, which pool joins
   std::deque<ShardThread> pool;
   ShardCoordinator coord(g, h, sopt, copt);
   switch (in.schedule) {
@@ -185,20 +221,20 @@ void run_instance(const Instance& in) {
       coord.adopt_shard(start_shard(pool));
       break;
     case Schedule::kCrash:
-      coord.adopt_shard(crash_on_assign(pool, g));
-      coord.adopt_shard(start_shard(pool));
+      coord.adopt_shard(crash_on_assign(pool, g, gate));
+      coord.adopt_shard(start_shard(pool, held_by(gate)));
       break;
     case Schedule::kHang:
-      coord.adopt_shard(hang_on_assign(pool, g));
-      coord.adopt_shard(start_shard(pool));
+      coord.adopt_shard(hang_on_assign(pool, g, gate));
+      coord.adopt_shard(start_shard(pool, held_by(gate)));
       break;
     case Schedule::kZombie:
-      coord.adopt_shard(zombie_on_assign(pool, g));
-      coord.adopt_shard(start_shard(pool));
+      coord.adopt_shard(zombie_on_assign(pool, g, gate));
+      coord.adopt_shard(start_shard(pool, held_by(gate)));
       break;
     case Schedule::kAllLost:
-      coord.adopt_shard(crash_on_assign(pool, g));
-      coord.adopt_shard(crash_on_assign(pool, g));
+      coord.adopt_shard(crash_on_assign(pool, g, gate));
+      coord.adopt_shard(crash_on_assign(pool, g, gate));
       break;
   }
   const HgpResult got = coord.solve();

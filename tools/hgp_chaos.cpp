@@ -692,8 +692,9 @@ int main(int argc, char** argv) {
                 landed = true;
                 break;
               }
-              const RetrySolveReport& rep =
-                  churn_service.submit_resolve(session, log)->wait();
+              // Hold the request: wait() returns a reference into it.
+              const auto req = churn_service.submit_resolve(session, log);
+              const RetrySolveReport& rep = req->wait();
               if (rep.ok()) {
                 committed.fetch_add(1, std::memory_order_relaxed);
                 landed = true;
