@@ -156,8 +156,8 @@ int run() {
       "incremental == from-scratch on every batch, and the drift run "
       "(<= 10% of vertices touched) saves >= 5x merges", all_ok);
 
-  // scripts/run_benches.sh persists this as BENCH_e12_churn.json; the
-  // merge_operations/solve_ms pair feeds the --check throughput gate.
+  // scripts/run_benches.sh persists this as BENCH_e12_churn.json;
+  // scripts/ab_gate.py reads solve_ms for the same-machine A/B gate.
   std::printf(
       "BENCH_JSON: {\"n\": %u, \"solve_ms\": %.1f, "
       "\"merge_operations\": %llu, \"drift_inc_merges\": %llu, "

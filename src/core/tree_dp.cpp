@@ -13,6 +13,7 @@
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/arena.hpp"
+#include "util/contracts.hpp"
 #include "util/env.hpp"
 
 namespace hgp {
@@ -67,6 +68,16 @@ constexpr std::uint32_t kNoSig = kDpNoSig;
 /// alias is the public type.
 using Back = DpBack;
 
+/// One distinct masked-prefix key of a projected child table: `key` =
+/// space.lift(s, j, j) interns (D^(1..j), j) with j = space.present(key);
+/// `g` is the minimum of cost[s] + w·(PS[p] − PS[j]) over the child states
+/// sharing it, first attained (ascending id) by child signature `sig`.
+struct ProjectedKey {
+  std::uint32_t key;
+  std::uint32_t sig;
+  double g;
+};
+
 /// Recycled dense DP scratch.  Every node needs a |Sig|-sized cost array
 /// (read by its parent's merge) and a parallel back-pointer array (read by
 /// compaction); heap-allocating them per node used to dominate small-node
@@ -78,14 +89,22 @@ class DenseTablePool {
  public:
   explicit DenseTablePool(std::size_t size) : size_(size) {}
 
+  /// Cost spans are handed out all-∞.  A fresh span is filled once; a
+  /// released span comes back already clean, because its table resets
+  /// exactly the entries it set (NodeTable::release_cost, with pruning
+  /// resetting the entries it drops), so recycling costs O(states), not
+  /// O(|Sig|).  A stale finite entry would silently hide its signature
+  /// from relax(), so contract builds check every recycled span.
   std::span<double> acquire_cost() {
-    std::span<double> s;
     if (!free_cost_.empty()) {
-      s = free_cost_.back();
+      const std::span<double> s = free_cost_.back();
       free_cost_.pop_back();
-    } else {
-      s = arena_.allocate<double>(size_);
+      HGP_INVARIANT_MSG(
+          std::all_of(s.begin(), s.end(), [](double c) { return c == kInf; }),
+          "recycled DP cost span still holds a finite entry");
+      return s;
     }
+    const std::span<double> s = arena_.allocate<double>(size_);
     std::fill(s.begin(), s.end(), kInf);
     return s;
   }
@@ -110,6 +129,25 @@ class DenseTablePool {
     if (!s.empty()) free_back_.push_back(s);
   }
 
+  /// Dense per-key minimum g (`best`) and its child signature (`arg`) for
+  /// projecting one child table.  Allocated once per pool and kept all-∞
+  /// between projections (each resets exactly the keys it touched), so
+  /// projecting costs O(child states), not O(|Sig|).
+  struct Projection {
+    std::span<double> best;
+    std::span<std::uint32_t> arg;
+  };
+  Projection projection() {
+    if (projection_.best.empty()) {
+      projection_.best = arena_.allocate<double>(size_);
+      std::fill(projection_.best.begin(), projection_.best.end(), kInf);
+      projection_.arg = arena_.allocate<std::uint32_t>(size_);
+    }
+    return projection_;
+  }
+  /// Reused per-child key lists of the node being built.
+  std::vector<ProjectedKey>& keys(std::size_t child) { return keys_[child]; }
+
   std::size_t bytes_reserved() const { return arena_.bytes_reserved(); }
 
  private:
@@ -117,6 +155,8 @@ class DenseTablePool {
   Arena arena_;
   std::vector<std::span<double>> free_cost_;
   std::vector<std::span<Back>> free_back_;
+  Projection projection_;
+  std::vector<ProjectedKey> keys_[2];
 };
 
 /// Per-node DP table.  `cost` is scratch read by the parent's merge and
@@ -165,7 +205,9 @@ struct NodeTable {
           break;
         }
       }
-      if (!dominated) {
+      if (dominated) {
+        cost[s] = kInf;
+      } else {
         kept[p].push_back(s);
         survivors.push_back(s);
       }
@@ -192,7 +234,11 @@ struct NodeTable {
     return back_compact[static_cast<std::size_t>(it - feasible.begin())];
   }
 
+  /// Returns the cost span clean: the feasible entries are the only ones
+  /// still set.
   void release_cost(DenseTablePool& pool) {
+    if (cost.empty()) return;
+    for (const std::uint32_t s : feasible) cost[s] = kInf;
     pool.release_cost(cost);
     cost = {};
   }
@@ -243,9 +289,10 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t x) {
   return mix64(h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2)));
 }
 
-/// Content hash of every binarized subtree, children-before-parents.
-std::vector<std::uint64_t> subtree_hashes(const Tree& bt,
-                                          const ScaledDemands& sd) {
+}  // namespace
+
+std::vector<std::uint64_t> dp_subtree_hashes(const Tree& bt,
+                                             const ScaledDemands& sd) {
   const auto n = static_cast<std::size_t>(bt.node_count());
   std::vector<std::uint64_t> hash(n, 0);
   const std::vector<Vertex>& pre = bt.preorder();
@@ -274,6 +321,8 @@ std::vector<std::uint64_t> subtree_hashes(const Tree& bt,
   return hash;
 }
 
+namespace {
+
 /// Per-node rehydrate/build decisions for one solve.  `entry[v]` non-null
 /// means v rehydrates from that table (already in the *current* space);
 /// `needs_dense[v]` means v's dense cost span will be read (by a built
@@ -293,7 +342,7 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
                           bool prune, const DpReuseStore* store) {
   const auto n = static_cast<std::size_t>(bt.node_count());
   ReusePlan plan;
-  plan.hash = subtree_hashes(bt, sd);
+  plan.hash = dp_subtree_hashes(bt, sd);
   plan.entry.assign(n, nullptr);
   plan.needs_dense.assign(n, 1);
   const bool usable = store != nullptr && !store->entries.empty() &&
@@ -461,6 +510,42 @@ struct DpEngine {
     if (capture != nullptr) (*capture)[vi] = e;
   }
 
+  /// Projects child table `ct` (edge weight `w`; `uncut` = dummy edge,
+  /// cut only at j = p) onto its distinct masked-prefix keys, ascending by
+  /// key id.  The merge reads a child state cut at j only through
+  /// (D^(1..j), j) and the closing charge w·(PS[p] − PS[j]) is the child's
+  /// own, so the minimum over states sharing a key can be taken before
+  /// pairing.  Ties keep the smallest state id (ascending walk, strict <).
+  void project(const NodeTable& ct, bool uncut, Weight w,
+               DenseTablePool& pool, std::vector<ProjectedKey>& out) const {
+    const auto [best, arg] = pool.projection();
+    out.clear();
+    for (const std::uint32_t s : ct.feasible) {
+      const int p = space.present(s);
+      for (int j = uncut ? p : 0; j <= p; ++j) {
+        const std::size_t key = space.lift(s, j, j);
+        const double g = ct.cost[s] + w * (ps[static_cast<std::size_t>(p)] -
+                                           ps[static_cast<std::size_t>(j)]);
+        if (g < best[key]) {
+          if (best[key] == kInf) {
+            out.push_back({narrow<std::uint32_t>(key), s, g});
+          }
+          best[key] = g;
+          arg[key] = s;
+        }
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const ProjectedKey& a, const ProjectedKey& b) {
+                return a.key < b.key;
+              });
+    for (ProjectedKey& k : out) {
+      k.sig = arg[k.key];
+      k.g = best[k.key];
+      best[k.key] = kInf;
+    }
+  }
+
   void build_node(Vertex v, DenseTablePool& pool, TreeDpStats& stats,
                   PeriodicCheck& guard) const {
     const int height = space.height();
@@ -483,28 +568,25 @@ struct DpEngine {
       NodeTable& ct = tables[static_cast<std::size_t>(c)];
       const bool uncut = bt.parent_edge_infinite(c);
       const Weight w = uncut ? 0 : bt.parent_weight(c);
-      for (const std::uint32_t s1 : ct.feasible) {
-        const int p1 = space.present(s1);
-        for (int j1 = uncut ? p1 : 0; j1 <= p1; ++j1) {
-          const double closing =
-              w * (ps[static_cast<std::size_t>(p1)] -
-                   ps[static_cast<std::size_t>(j1)]);
-          const int pv_lo = uncut ? p1 : j1;
-          const int pv_hi = uncut ? p1 : height;
-          for (int pv = pv_lo; pv <= pv_hi; ++pv) {
-            const std::size_t up = space.lift(s1, j1, pv);
-            HGP_ASSERT(up != SignatureSpace::npos);
-            const double surviving =
-                w * (ps[static_cast<std::size_t>(pv)] -
-                     ps[static_cast<std::size_t>(j1)]);
-            relax(table, up, ct.cost[s1] + closing + surviving,
-                  Back{s1, kNoSig, narrow<std::int8_t>(j1), -1});
-            ++stats.merge_operations;
-            guard.tick();
-          }
+      std::vector<ProjectedKey>& keys = pool.keys(0);
+      project(ct, uncut, w, pool, keys);
+      ct.release_cost(pool);
+      for (const ProjectedKey& k1 : keys) {
+        const int j1 = space.present(k1.key);
+        // Parent presence: at least the kept prefix, optionally extended
+        // by phantom regions entering from above; a dummy edge pins it.
+        const int pv_hi = uncut ? j1 : height;
+        for (int pv = j1; pv <= pv_hi; ++pv) {
+          const std::size_t up = space.lift(k1.key, j1, pv);
+          HGP_ASSERT(up != SignatureSpace::npos);
+          relax(table, up,
+                k1.g + w * (ps[static_cast<std::size_t>(pv)] -
+                            ps[static_cast<std::size_t>(j1)]),
+                Back{k1.sig, kNoSig, narrow<std::int8_t>(j1), -1});
+          ++stats.merge_operations;
+          guard.tick();
         }
       }
-      ct.release_cost(pool);
     } else {
       HGP_CHECK_MSG(kids.size() == 2, "tree must be binarized");
       NodeTable& t1 = tables[static_cast<std::size_t>(kids[0])];
@@ -513,53 +595,44 @@ struct DpEngine {
       const bool inf2 = bt.parent_edge_infinite(kids[1]);
       const Weight w1 = inf1 ? 0 : bt.parent_weight(kids[0]);
       const Weight w2 = inf2 ? 0 : bt.parent_weight(kids[1]);
-      for (const std::uint32_t s1 : t1.feasible) {
-        const int p1 = space.present(s1);
-        const double base1 = t1.cost[s1];
-        for (const std::uint32_t s2 : t2.feasible) {
-          const int p2 = space.present(s2);
-          const double base12 = base1 + t2.cost[s2];
-          for (int j1 = inf1 ? p1 : 0; j1 <= p1; ++j1) {
-            const double closing1 =
-                w1 * (ps[static_cast<std::size_t>(p1)] -
-                      ps[static_cast<std::size_t>(j1)]);
-            for (int j2 = inf2 ? p2 : 0; j2 <= p2; ++j2) {
-              const double closing2 =
-                  w2 * (ps[static_cast<std::size_t>(p2)] -
-                        ps[static_cast<std::size_t>(j2)]);
-              // Parent presence: at least the kept prefixes, optionally
-              // extended by phantom regions entering from above; dummy
-              // edges pin it to the child's presence.
-              int pv_lo = std::max(j1, j2);
-              int pv_hi = height;
-              if (inf1) pv_lo = pv_hi = p1;
-              if (inf2) {
-                pv_lo = std::max(pv_lo, p2);
-                pv_hi = std::min(pv_hi, p2);
-              }
-              for (int pv = pv_lo; pv <= pv_hi; ++pv) {
-                const std::size_t up = space.merge(s1, j1, s2, j2, pv);
-                ++stats.merge_operations;
-                guard.tick();
-                if (up == SignatureSpace::npos) {
-                  ++stats.merges_rejected;
-                  continue;
-                }
-                const double surviving =
-                    w1 * (ps[static_cast<std::size_t>(pv)] -
-                          ps[static_cast<std::size_t>(j1)]) +
-                    w2 * (ps[static_cast<std::size_t>(pv)] -
-                          ps[static_cast<std::size_t>(j2)]);
-                relax(table, up, base12 + closing1 + closing2 + surviving,
-                      Back{s1, s2, narrow<std::int8_t>(j1),
-                           narrow<std::int8_t>(j2)});
-              }
+      std::vector<ProjectedKey>& keys1 = pool.keys(0);
+      std::vector<ProjectedKey>& keys2 = pool.keys(1);
+      project(t1, inf1, w1, pool, keys1);
+      project(t2, inf2, w2, pool, keys2);
+      t1.release_cost(pool);
+      t2.release_cost(pool);
+      for (const ProjectedKey& k1 : keys1) {
+        const int j1 = space.present(k1.key);
+        for (const ProjectedKey& k2 : keys2) {
+          const int j2 = space.present(k2.key);
+          const double g12 = k1.g + k2.g;
+          // Parent presence: at least the kept prefixes, optionally
+          // extended by phantom regions entering from above; dummy edges
+          // pin it to the child's presence.
+          int pv_lo = std::max(j1, j2);
+          int pv_hi = height;
+          if (inf1) pv_lo = pv_hi = j1;
+          if (inf2) {
+            pv_lo = std::max(pv_lo, j2);
+            pv_hi = std::min(pv_hi, j2);
+          }
+          for (int pv = pv_lo; pv <= pv_hi; ++pv) {
+            const std::size_t up = space.merge(k1.key, j1, k2.key, j2, pv);
+            ++stats.merge_operations;
+            guard.tick();
+            if (up == SignatureSpace::npos) {
+              ++stats.merges_rejected;
+              continue;
             }
+            const double ps_v = ps[static_cast<std::size_t>(pv)];
+            relax(table, up,
+                  g12 + w1 * (ps_v - ps[static_cast<std::size_t>(j1)]) +
+                      w2 * (ps_v - ps[static_cast<std::size_t>(j2)]),
+                  Back{k1.sig, k2.sig, narrow<std::int8_t>(j1),
+                       narrow<std::int8_t>(j2)});
           }
         }
       }
-      t1.release_cost(pool);
-      t2.release_cost(pool);
     }
     if (prune) {
       stats.states_pruned += table.prune_dominated(space);

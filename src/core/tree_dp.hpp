@@ -13,11 +13,22 @@
 //  * the input tree is binarized first (uncuttable dummy edges), so the
 //    merge never sees more than two children;
 //  * signatures are interned to dense ids; the merge derives the parent id
-//    arithmetically instead of enumerating parent signatures, which brings
-//    the per-node cost to O(|feasible1| · |feasible2| · h²) — polynomially
-//    far below the paper's crude O(D^(2h+2)) bound, with the same result;
-//  * cut levels are enumerated only up to each signature's support (levels
-//    with D > 0); cutting above the support is a no-op.
+//    arithmetically instead of enumerating parent signatures;
+//  * projected merge: Definition 9 reads a child state s cut at level j
+//    only through its masked prefix (D^(1..j), j), and the cost splits as
+//    g1 + g2 + surviving(j1, j2, pv) with g = cost[s] + w·(PS[p] − PS[j]).
+//    Each child table is first projected onto its distinct keys
+//    k = space.lift(s, j, j) (j = present(k); only j = p on a dummy edge),
+//    keeping the minimum g per key; the merge then pairs keys, not states,
+//    so a node costs O(|keys1| · |keys2| · h) instead of
+//    O(|feasible1| · |feasible2| · h³), with the same feasible tables;
+//  * tie rule: within a key the smallest child signature attaining the
+//    minimum g wins (states walked in ascending id, strict <); keys are
+//    paired in ascending id order (pv ascending innermost) and a parent
+//    entry keeps the first candidate reaching its minimum (strict <).
+//    Which of several equal-cost back-pointers survives is therefore a
+//    fixed function of the tables, so every schedule — sequential,
+//    parallel, incremental, sharded — traces back the same solution.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +92,13 @@ struct DpReuseStore {
   bool empty() const { return entries.empty(); }
 };
 
+/// The DpReuseStore key of every subtree of the BINARIZED tree `bt`
+/// (indexed by its node ids), given the demand rounding `sd` solve_rhgpt
+/// derives for it.  Exposed so tests can line up per-node tables captured
+/// through TreeDpOptions::reuse_out with the nodes that produced them.
+std::vector<std::uint64_t> dp_subtree_hashes(const Tree& bt,
+                                             const ScaledDemands& sd);
+
 struct TreeDpOptions {
   /// Demand rounding accuracy; U = ⌈n/ε⌉ units per leaf capacity.
   double epsilon = 0.25;
@@ -127,8 +145,8 @@ struct TreeDpOptions {
 struct TreeDpStats {
   std::size_t signature_count = 0;   ///< |Sig| for this instance
   std::size_t feasible_states = 0;   ///< Σ_v |feasible signatures at v|
-  std::size_t merge_operations = 0;  ///< relaxation steps performed
-  std::size_t merges_rejected = 0;   ///< (j1,j2)-merges outside the space
+  std::size_t merge_operations = 0;  ///< projected (key pair, pv) steps
+  std::size_t merges_rejected = 0;   ///< of those, merges outside the space
   std::size_t states_pruned = 0;     ///< dominance-pruned DP entries
   std::size_t subtree_tasks = 0;     ///< parallel subtree DP tasks (0 = seq)
   std::size_t arena_bytes = 0;       ///< workspace arena high-water, bytes

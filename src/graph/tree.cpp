@@ -174,14 +174,19 @@ Vertex Tree::lca(Vertex u, Vertex v) const {
 Tree::LeafSeparator Tree::leaf_separator(const std::vector<char>& in_set) const {
   const std::size_t n = parent_.size();
   HGP_CHECK(in_set.size() == n);
-  // dp[v][side] = (min cut weight, min #side-1 nodes) for the subtree of v
-  // with v's component labelled `side`.  Leaves are forced by membership.
+  // dp[v][side] = lexicographically least (cut weight, #side-1 components
+  // closed below v, #side-1 nodes) for the subtree of v with v's component
+  // labelled `side`.  A side-1 component is counted at its top node: a
+  // side-1 child of a side-0 parent, or a side-1 root.  Leaves are forced
+  // by membership.
   struct Cell {
     Weight w = 0;
+    std::int64_t comps = 0;
     std::int64_t ones = 0;
   };
   auto better = [](const Cell& a, const Cell& b) {
     if (a.w != b.w) return a.w < b.w;
+    if (a.comps != b.comps) return a.comps < b.comps;
     return a.ones < b.ones;
   };
   std::vector<std::array<Cell, 2>> dp(n);
@@ -190,26 +195,30 @@ Tree::LeafSeparator Tree::leaf_separator(const std::vector<char>& in_set) const 
     auto& cell = dp[static_cast<std::size_t>(v)];
     if (is_leaf(v)) {
       const bool member = in_set[static_cast<std::size_t>(v)] != 0;
-      cell[0] = Cell{member ? kInf : 0, 0};
-      cell[1] = Cell{member ? 0 : kInf, 1};
+      cell[0] = Cell{member ? kInf : 0, 0, 0};
+      cell[1] = Cell{member ? 0 : kInf, 0, 1};
       continue;
     }
-    cell[0] = Cell{0, 0};
-    cell[1] = Cell{0, 1};
+    cell[0] = Cell{0, 0, 0};
+    cell[1] = Cell{0, 0, 1};
     for (const Vertex c : children(v)) {
       const auto& cc = dp[static_cast<std::size_t>(c)];
       const Weight cut_w =
           parent_edge_infinite(c) ? kInf : parent_weight(c);
       for (int side = 0; side < 2; ++side) {
-        Cell keep{cell[side].w + cc[side].w, cell[side].ones + cc[side].ones};
+        Cell keep{cell[side].w + cc[side].w, cell[side].comps + cc[side].comps,
+                  cell[side].ones + cc[side].ones};
         Cell cut{cell[side].w + cc[1 - side].w + cut_w,
+                 cell[side].comps + cc[1 - side].comps + (side == 0 ? 1 : 0),
                  cell[side].ones + cc[1 - side].ones};
         cell[side] = better(keep, cut) ? keep : cut;
       }
     }
   }
   const auto& rc = dp[static_cast<std::size_t>(root_)];
-  const Cell best = better(rc[0], rc[1]) ? rc[0] : rc[1];
+  const Cell root1{rc[1].w, rc[1].comps + 1, rc[1].ones};
+  const bool root_side0 = better(rc[0], root1);
+  const Cell best = root_side0 ? rc[0] : root1;
   LeafSeparator result;
   if (best.w == kInf) {
     result.feasible = false;
@@ -220,7 +229,7 @@ Tree::LeafSeparator Tree::leaf_separator(const std::vector<char>& in_set) const 
   // Reconstruct labels top-down by replaying the child decisions.
   result.s_side.assign(n, 0);
   std::vector<char> label(n, 0);
-  label[static_cast<std::size_t>(root_)] = better(rc[0], rc[1]) ? 0 : 1;
+  label[static_cast<std::size_t>(root_)] = root_side0 ? 0 : 1;
   for (const Vertex v : preorder_) {
     const int side = label[static_cast<std::size_t>(v)];
     for (const Vertex c : children(v)) {
@@ -228,7 +237,9 @@ Tree::LeafSeparator Tree::leaf_separator(const std::vector<char>& in_set) const 
       const Weight cut_w =
           parent_edge_infinite(c) ? kInf : parent_weight(c);
       const Cell keep = cc[side];
-      const Cell cut{cc[1 - side].w + cut_w, cc[1 - side].ones};
+      const Cell cut{cc[1 - side].w + cut_w,
+                     cc[1 - side].comps + (side == 0 ? 1 : 0),
+                     cc[1 - side].ones};
       label[static_cast<std::size_t>(c)] =
           static_cast<char>(better(keep, cut) ? side : 1 - side);
     }

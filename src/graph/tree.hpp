@@ -75,10 +75,15 @@ class Tree {
   /// Minimum-weight leaf separator: the paper's CUT_T(S).
   /// `in_set[v] != 0` marks leaves of S (entries for internal nodes are
   /// ignored).  Returns the cut weight and a node labelling `s_side` where
-  /// label 1 = component on S's side; ties are broken toward fewer 1-labelled
-  /// nodes, matching the paper's "minimum number of nodes connected to S"
-  /// rule.  Returns infinity() weight if S and its complement cannot be
-  /// separated (an uncuttable edge joins them).
+  /// label 1 = component on S's side.  Among minimum-weight separators the
+  /// labelling has the fewest S-side components, then the fewest S-side
+  /// nodes (the paper's "minimum number of nodes connected to S" rule).
+  /// Components come first because the S-side is the mirror region N(S)
+  /// of Definition 7: when equal-weight separators split it differently,
+  /// fewest-nodes alone may pick a disconnected region although a
+  /// connected one is also minimum, and a disconnected N(S) has bad nodes.
+  /// Returns infinity() weight if S and its complement cannot be separated
+  /// (an uncuttable edge joins them).
   struct LeafSeparator {
     Weight weight = 0;
     bool feasible = true;

@@ -161,6 +161,20 @@ TEST(LeafSeparator, TieBreakMinimizesSSideNodes) {
   EXPECT_EQ(ones, 1);  // only leaf 1, not {0,1} or more
 }
 
+TEST(LeafSeparator, TieBreakPrefersAConnectedSSide) {
+  // Root 0 with children 1 and leaf 2; node 1 has leaves 3 and 4.
+  // Separating {2,3} costs 3 either by cutting (0,2)+(1,3) — S side {2,3},
+  // two components — or by cutting (1,4) — S side {0,1,2,3}, connected.
+  // Fewer components wins over fewer nodes.
+  const Tree t =
+      Tree::from_parents({-1, 0, 0, 1, 1}, {0, 5.0, 1.0, 2.0, 3.0});
+  std::vector<char> s(5, 0);
+  s[2] = s[3] = 1;
+  const auto sep = t.leaf_separator(s);
+  EXPECT_DOUBLE_EQ(sep.weight, 3.0);
+  EXPECT_EQ(sep.s_side, (std::vector<char>{1, 1, 1, 1, 0}));
+}
+
 TEST(LeafSeparator, WeightMatchesLabelCut) {
   Rng rng(77);
   for (int round = 0; round < 10; ++round) {

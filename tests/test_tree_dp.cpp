@@ -3,6 +3,8 @@
 #include "baseline/exact.hpp"
 #include "core/rhgpt.hpp"
 #include "core/tree_dp.hpp"
+#include "decomp/builder.hpp"
+#include "decomp/cutter.hpp"
 #include "graph/generators.hpp"
 
 namespace hgp {
@@ -202,6 +204,34 @@ TEST(TreeDp, HeightThreeHierarchy) {
   EXPECT_NEAR(r.cost, rhgpt_cost(t, h, r.solution), 1e-9);
   EXPECT_NO_THROW(validate_rhgpt(t, h, r.scaled, r.solution, 1.0));
   EXPECT_EQ(count_bad_sets(t, r.solution), 0);
+}
+
+TEST(TreeDp, PlantedSeed1068TreeThreeIsNice) {
+  // Theorem 3 on a tree whose level-1 optimum has two equal-weight minimum
+  // separators: its set {leaves under node 2} ∪ {leaves under node 13}
+  // can be cut off by (0,2)+(1,13) or by (1,14) alone (no graph edge joins
+  // the two clusters, so the weights tie exactly).  The first gives the
+  // fewer S-side nodes but a disconnected mirror region, where node 1 is
+  // bad; the DP's region is the connected second one.  The audit must
+  // count the connected mirror region, in every build type.
+  Rng rng(1068);
+  Graph g = gen::planted_partition(24, 4, 0.75, 0.05, rng,
+                                   gen::WeightRange{2.0, 6.0},
+                                   gen::WeightRange{1.0, 2.0});
+  gen::set_uniform_demands(g, 4.0 / 24.0);
+  const Hierarchy h({2, 2}, {4.0, 1.0, 0.0});
+  const FmCutter cutter;
+  const std::vector<DecompTree> forest =
+      build_decomposition_forest(g, 4, 1068, cutter);
+  ASSERT_EQ(forest.size(), 4u);
+  for (std::size_t i = 0; i < forest.size(); ++i) {
+    const Tree& t = forest[i].tree();
+    TreeDpOptions opt;
+    opt.epsilon = 0.5;
+    const TreeDpResult r = solve_rhgpt(t, h, opt);
+    EXPECT_EQ(count_bad_sets(t, r.solution), 0) << "tree " << i;
+    EXPECT_NEAR(rhgpt_cost(t, h, r.solution), r.cost, 1e-9) << "tree " << i;
+  }
 }
 
 }  // namespace
