@@ -8,9 +8,8 @@
 //   (b) demand units U (our 1/ε dial) — polynomial growth, exponent
 //       increasing with h,
 //   (c) height h — the super-polynomial wall that motivates "h constant".
-//   (d) hot-path configurations at the largest size — dominance pruning
-//       A/B and the parallel subtree phase — quantifying the optimization
-//       layer on top of the asymptotics.
+//   (d) dominance pruning A/B at the largest size, quantifying the
+//       optimization layer on top of the asymptotics.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -22,7 +21,6 @@
 #include "core/tree_dp.hpp"
 #include "exp/report.hpp"
 #include "exp/workloads.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -157,13 +155,11 @@ int run() {
   }
   tc.print(std::cout);
 
-  std::printf("\n-- (d) hot-path configurations (h = 2, largest n)\n");
-  Table td({"config", "ms", "merge ops", "merges/ms", "subtree tasks"});
+  std::printf("\n-- (d) dominance pruning A/B (h = 2, largest n)\n");
+  Table td({"config", "ms", "merge ops", "merges/ms"});
   const Tree tbig = exp::make_tree_workload(n_max, h2, n_max, 0.6);
   TreeDpOptions dbase;
   dbase.units_override = exp::auto_units(tbig, h2, 2.0);
-  ThreadPool pool(ThreadPool::default_thread_count());
-  double seq_ms = 0, par_ms = 0;
   auto drow = [&](const char* name, const TreeDpOptions& opt) {
     Timer timer;
     const TreeDpResult r = solve_rhgpt(tbig, h2, opt);
@@ -172,18 +168,14 @@ int run() {
         .add(std::string(name))
         .add(ms, 1)
         .add(static_cast<std::int64_t>(r.stats.merge_operations))
-        .add(static_cast<double>(r.stats.merge_operations) / ms, 0)
-        .add(static_cast<std::int64_t>(r.stats.subtree_tasks));
+        .add(static_cast<double>(r.stats.merge_operations) / ms, 0);
     csv.row().add(std::string(name)).add(std::int64_t{0}).add(ms);
     return ms;
   };
-  seq_ms = drow("sequential", dbase);
+  const double seq_ms = drow("sequential", dbase);
   TreeDpOptions doff = dbase;
   doff.prune_dominated = false;
   drow("pruning off", doff);
-  TreeDpOptions dpar = dbase;
-  dpar.pool = &pool;
-  par_ms = drow("parallel subtrees", dpar);
   td.print(std::cout);
   exp::maybe_write_csv(csv, "bench_e7_dp_scaling");
 
@@ -197,13 +189,12 @@ int run() {
   std::printf(
       "BENCH_JSON: {\"n\": %d, \"solve_ms\": %.1f, \"signatures\": %llu, "
       "\"feasible_states\": %llu, \"merge_operations\": %llu, "
-      "\"merges_per_ms\": %.0f, \"parallel_ms\": %.1f, "
-      "\"sequential_ms\": %.1f}\n",
+      "\"merges_per_ms\": %.0f, \"sequential_ms\": %.1f}\n",
       n_max, solve_ms_total, static_cast<unsigned long long>(sig_total),
       static_cast<unsigned long long>(feasible_total),
       static_cast<unsigned long long>(merge_total),
       static_cast<double>(merge_total) / std::max(solve_ms_total, 1e-9),
-      par_ms, seq_ms);
+      seq_ms);
   return ok ? 0 : 1;
 }
 

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <future>
 #include <limits>
-#include <memory>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/arena.hpp"
 #include "util/contracts.hpp"
 #include "util/env.hpp"
@@ -38,7 +34,6 @@ void publish_dp_metrics(const TreeDpStats& stats, const Tree& bt,
   HGP_COUNTER_ADD("dp.merge_operations", stats.merge_operations);
   HGP_COUNTER_ADD("dp.merges_rejected", stats.merges_rejected);
   HGP_COUNTER_ADD("dp.states_pruned", stats.states_pruned);
-  HGP_COUNTER_ADD("dp.subtree_tasks", stats.subtree_tasks);
   HGP_COUNTER_ADD("dp.nodes_built", stats.nodes_built);
   HGP_COUNTER_ADD("dp.nodes_reused", stats.nodes_reused);
 #if HGP_OBS_ENABLED
@@ -83,8 +78,7 @@ struct ProjectedKey {
 /// compaction); heap-allocating them per node used to dominate small-node
 /// time.  The pool hands out arena-backed spans and recycles released ones
 /// through free lists, so a DP sweep performs O(tree depth) real
-/// allocations total instead of O(nodes).  One pool per worker in the
-/// parallel subtree phase — a pool is single-threaded by design.
+/// allocations total instead of O(nodes).
 class DenseTablePool {
  public:
   explicit DenseTablePool(std::size_t size) : size_(size) {}
@@ -264,9 +258,8 @@ void relax(NodeTable& table, std::size_t sig, double cost, const Back& back) {
 // in a compatible DpReuseStore is *rehydrated*: its compacted table is
 // copied in and its dense cost span is materialized only when the parent's
 // merge (or the root selection) will read it.  Everything else builds
-// normally, so the sweep stays a single children-before-parents pass and
-// the parallel subtree phase needs no changes beyond dispatching through
-// process() instead of build_node().
+// normally, so the sweep stays a single children-before-parents pass that
+// dispatches through process() instead of build_node().
 //
 // Bit-identity: stored entries were compacted+pruned exactly as a fresh
 // build would compact+prune them (the store pins the effective prune flag
@@ -447,11 +440,6 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
 // T ∖ CUT_T(S), Definition 5) are of this form, so the DP optimum equals
 // the Definition-4 objective (Σ of independent minimum separators) over the
 // rounded demands, as Theorem 4 requires.
-//
-// Node-build order only needs children before parents; beyond that, node
-// tables are independent — the parallel subtree phase exploits exactly
-// this (disjoint subtrees touch disjoint table ranges), and every
-// scheduling produces bit-identical tables.
 struct DpEngine {
   const Tree& bt;
   const SignatureSpace& space;
@@ -461,9 +449,8 @@ struct DpEngine {
   std::vector<NodeTable>& tables;
   /// Rehydrate/build decisions; nullptr = build everything.
   const ReusePlan* plan = nullptr;
-  /// Per-node capture slots for TreeDpOptions::reuse_out (indexed writes,
-  /// so the parallel subtree phase needs no synchronization); nullptr =
-  /// no capture.
+  /// Per-node capture slots for TreeDpOptions::reuse_out; nullptr = no
+  /// capture.
   std::vector<DpSubtreeEntry>* capture = nullptr;
 
   /// Node dispatch: rehydrate a clean subtree's table or build it by
@@ -642,96 +629,6 @@ struct DpEngine {
   }
 };
 
-/// Decomposition of the binarized tree into independent subtree slices for
-/// the parallel bottom-up phase.  Subtrees are contiguous in the DFS
-/// preorder, so a slice [lo, hi) walked in reverse visits children before
-/// parents and touches no table outside the slice.  Nodes not covered by a
-/// slice (the expanded ancestors) form the sequential "top" finished after
-/// the tasks join.
-struct SubtreePlan {
-  std::vector<std::pair<std::size_t, std::size_t>> slices;
-  std::vector<char> is_top;
-};
-
-SubtreePlan plan_subtrees(const Tree& bt, std::size_t target) {
-  const auto n = static_cast<std::size_t>(bt.node_count());
-  const std::vector<Vertex>& pre = bt.preorder();
-  std::vector<std::size_t> pos(n, 0);
-  std::vector<std::size_t> size(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    pos[static_cast<std::size_t>(pre[i])] = i;
-  }
-  for (auto it = pre.rbegin(); it != pre.rend(); ++it) {
-    const Vertex v = *it;
-    if (v != bt.root()) {
-      size[static_cast<std::size_t>(bt.parent(v))] +=
-          size[static_cast<std::size_t>(v)];
-    }
-  }
-
-  SubtreePlan plan;
-  plan.is_top.assign(n, 0);
-  // Repeatedly expand the largest frontier subtree into its children until
-  // we have enough roughly-balanced tasks or the pieces get too small to
-  // amortize scheduling.
-  const std::size_t grain =
-      std::max<std::size_t>(16, n / std::max<std::size_t>(1, 4 * target));
-  auto by_size = [&](Vertex a, Vertex b) {
-    return size[static_cast<std::size_t>(a)] <
-           size[static_cast<std::size_t>(b)];
-  };
-  std::priority_queue<Vertex, std::vector<Vertex>, decltype(by_size)>
-      frontier(by_size);
-  frontier.push(bt.root());
-  std::vector<Vertex> leaves_of_plan;
-  while (!frontier.empty()) {
-    const Vertex top = frontier.top();
-    const bool expand =
-        !bt.is_leaf(top) &&
-        (frontier.size() + leaves_of_plan.size() < target ||
-         size[static_cast<std::size_t>(top)] > grain * 4) &&
-        size[static_cast<std::size_t>(top)] > grain;
-    if (!expand) break;
-    frontier.pop();
-    plan.is_top[static_cast<std::size_t>(top)] = 1;
-    for (const Vertex c : bt.children(top)) {
-      if (bt.is_leaf(c) || size[static_cast<std::size_t>(c)] <= grain) {
-        leaves_of_plan.push_back(c);
-      } else {
-        frontier.push(c);
-      }
-    }
-  }
-  while (!frontier.empty()) {
-    leaves_of_plan.push_back(frontier.top());
-    frontier.pop();
-  }
-  for (const Vertex v : leaves_of_plan) {
-    const std::size_t lo = pos[static_cast<std::size_t>(v)];
-    plan.slices.emplace_back(lo, lo + size[static_cast<std::size_t>(v)]);
-  }
-  return plan;
-}
-
-/// Number of subtree tasks worth creating on `pool` right now, sized by
-/// the PR-3 `pool.queue_depth` gauge: a backlogged pool (the runtime
-/// already fans a forest of trees across it) gets a small fan-out — extra
-/// tasks would only queue — while an idle pool gets 2× its workers for
-/// load balancing.
-std::size_t subtree_fanout(const ThreadPool& pool) {
-  const std::size_t workers = pool.thread_count();
-  std::size_t backlog = pool.pending();
-#if HGP_OBS_ENABLED
-  static obs::Gauge& queue_depth =
-      obs::MetricsRegistry::global().gauge("pool.queue_depth");
-  backlog = std::max(
-      backlog, static_cast<std::size_t>(
-                   std::max<std::int64_t>(0, queue_depth.value())));
-#endif
-  const std::size_t available = backlog >= workers ? 1 : workers - backlog;
-  return available * 2;
-}
-
 }  // namespace
 
 TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
@@ -765,11 +662,8 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
         ps[static_cast<std::size_t>(k - 1)] + (h.cm(k - 1) - h.cm(k)) / 2.0;
   }
 
-  // 3. Bottom-up DP.  Independent subtrees run as pool tasks when a pool
-  //    is supplied (each task on its own arena-backed workspace, so the
-  //    hot loops never contend); the remaining top of the tree — and the
-  //    whole tree in the sequential case — runs on the caller's thread.
-  //    All workspaces outlive step 4: the root's cost span is read there.
+  // 3. Bottom-up DP: one children-before-parents sweep over one pool.
+  //    The pool outlives step 4: the root's cost span is read there.
   std::vector<NodeTable> tables(static_cast<std::size_t>(bt.node_count()));
   const bool prune =
       opt.force_prune || (opt.prune_dominated && dp_prune_env_enabled());
@@ -787,70 +681,11 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
                         prune,  tables,
                         reuse_plan.has_value() ? &*reuse_plan : nullptr,
                         opt.reuse_out != nullptr ? &capture_slots : nullptr};
-  std::vector<std::unique_ptr<DenseTablePool>> pools;
-  pools.push_back(std::make_unique<DenseTablePool>(space.size()));
-  DenseTablePool& main_pool = *pools.front();
-
-  bool parallel = false;
-  if (opt.pool != nullptr && opt.pool->thread_count() > 0 &&
-      !opt.pool->is_worker_thread() &&
-      bt.node_count() >= opt.min_parallel_nodes) {
-    const SubtreePlan plan = plan_subtrees(bt, subtree_fanout(*opt.pool));
-    if (plan.slices.size() >= 2) {
-      parallel = true;
-      HGP_TRACE_SPAN_ARG("dp.subtree_tasks", plan.slices.size());
-      result.stats.subtree_tasks = plan.slices.size();
-      std::vector<TreeDpStats> task_stats(plan.slices.size());
-      std::vector<std::future<void>> futures;
-      futures.reserve(plan.slices.size());
-      for (std::size_t i = 0; i < plan.slices.size(); ++i) {
-        pools.push_back(std::make_unique<DenseTablePool>(space.size()));
-        DenseTablePool& task_pool = *pools.back();
-        const auto [lo, hi] = plan.slices[i];
-        TreeDpStats& stats = task_stats[i];
-        futures.push_back(opt.pool->submit(
-            [&engine, &bt, &task_pool, &stats, lo, hi, exec = opt.exec] {
-              PeriodicCheck task_guard(exec, "tree DP subtree task", 4096);
-              for (std::size_t idx = hi; idx-- > lo;) {
-                engine.process(bt.preorder()[idx], task_pool, stats,
-                               task_guard);
-              }
-            }));
-      }
-      std::exception_ptr first_error;
-      for (auto& f : futures) {
-        try {
-          f.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      for (const TreeDpStats& s : task_stats) {
-        result.stats.feasible_states += s.feasible_states;
-        result.stats.merge_operations += s.merge_operations;
-        result.stats.merges_rejected += s.merges_rejected;
-        result.stats.states_pruned += s.states_pruned;
-        result.stats.nodes_built += s.nodes_built;
-        result.stats.nodes_reused += s.nodes_reused;
-      }
-      // Finish the ancestors of the subtree roots, children-first.
-      for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend();
-           ++it) {
-        if (plan.is_top[static_cast<std::size_t>(*it)] != 0) {
-          engine.process(*it, main_pool, result.stats, guard);
-        }
-      }
-    }
+  DenseTablePool pool(space.size());
+  for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend(); ++it) {
+    engine.process(*it, pool, result.stats, guard);
   }
-  if (!parallel) {
-    for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend(); ++it) {
-      engine.process(*it, main_pool, result.stats, guard);
-    }
-  }
-  for (const auto& pool : pools) {
-    result.stats.arena_bytes += pool->bytes_reserved();
-  }
+  result.stats.arena_bytes = pool.bytes_reserved();
 
   // 4. Pick the best root signature.
   const NodeTable& root_table = tables[static_cast<std::size_t>(bt.root())];

@@ -10,6 +10,9 @@
 // has this shape, so the DP optimum equals the RHGPT optimum.
 //
 // Implementation notes (beyond the paper):
+//  * one schedule: a single sequential children-before-parents sweep over
+//    one workspace.  Parallelism lives one level up, across the forest's
+//    independent trees (Theorem 7's arg-min, runtime/solver.cpp);
 //  * the input tree is binarized first (uncuttable dummy edges), so the
 //    merge never sees more than two children;
 //  * signatures are interned to dense ids; the merge derives the parent id
@@ -27,8 +30,8 @@
 //    paired in ascending id order (pv ascending innermost) and a parent
 //    entry keeps the first candidate reaching its minimum (strict <).
 //    Which of several equal-cost back-pointers survives is therefore a
-//    fixed function of the tables, so every schedule — sequential,
-//    parallel, incremental, sharded — traces back the same solution.
+//    fixed function of the tables, so a from-scratch, incremental or
+//    sharded solve traces back the same solution.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +47,6 @@
 #include "util/deadline.hpp"
 
 namespace hgp {
-
-class ThreadPool;
 
 /// One DP back-pointer (children's signature ids + cut levels), exposed so
 /// clean-subtree tables can be carried across solves via DpReuseStore.
@@ -115,15 +116,6 @@ struct TreeDpOptions {
   /// the service layer's memory-pressure degradation must be able to shed
   /// DP state regardless of the A/B knob.
   bool force_prune = false;
-  /// Solves independent subtrees of the (binarized) tree concurrently on
-  /// this pool, each task on its own arena-backed workspace.  nullptr —
-  /// or a call made from one of the pool's own workers (forest-level
-  /// parallelism already owns the pool) — runs the classic sequential
-  /// bottom-up sweep.  Results are bit-identical either way.
-  ThreadPool* pool = nullptr;
-  /// Minimum binarized-tree size before the parallel subtree phase is
-  /// worth its scheduling overhead.
-  Vertex min_parallel_nodes = 128;
   /// Cooperative deadline/cancellation; checked every few thousand merge
   /// relaxations.  nullptr = unconstrained.  Must outlive the call.
   const ExecContext* exec = nullptr;
@@ -148,7 +140,6 @@ struct TreeDpStats {
   std::size_t merge_operations = 0;  ///< projected (key pair, pv) steps
   std::size_t merges_rejected = 0;   ///< of those, merges outside the space
   std::size_t states_pruned = 0;     ///< dominance-pruned DP entries
-  std::size_t subtree_tasks = 0;     ///< parallel subtree DP tasks (0 = seq)
   std::size_t arena_bytes = 0;       ///< workspace arena high-water, bytes
   std::size_t nodes_built = 0;       ///< node tables computed by merging
   std::size_t nodes_reused = 0;      ///< node tables rehydrated from reuse_in

@@ -22,7 +22,6 @@ TreeHgpSolution solve_hgpt(const Tree& t, const Hierarchy& h,
   TreeDpOptions dp_opt;
   dp_opt.epsilon = opt.epsilon;
   dp_opt.units_override = opt.units_override;
-  dp_opt.pool = opt.pool;
   dp_opt.exec = opt.exec;
   dp_opt.force_prune = opt.force_prune;
   dp_opt.reuse_in = opt.reuse_in;

@@ -14,9 +14,6 @@ namespace hgp {
 struct TreeSolverOptions {
   double epsilon = 0.25;
   DemandUnits units_override = 0;
-  /// Pool for the DP's parallel subtree phase, forwarded to the DP (see
-  /// TreeDpOptions::pool; safe to share with outer per-tree parallelism).
-  ThreadPool* pool = nullptr;
   /// Cooperative deadline/cancellation, forwarded to the DP.
   const ExecContext* exec = nullptr;
   /// Forwarded to TreeDpOptions::force_prune (memory-pressure degrade).

@@ -10,7 +10,6 @@ void write_stats(WireWriter& w, const TreeDpStats& s) {
   w.u64(s.merge_operations);
   w.u64(s.merges_rejected);
   w.u64(s.states_pruned);
-  w.u64(s.subtree_tasks);
   w.u64(s.arena_bytes);
   w.u64(s.nodes_built);
   w.u64(s.nodes_reused);
@@ -23,7 +22,6 @@ TreeDpStats read_stats(WireReader& r) {
   s.merge_operations = r.u64();
   s.merges_rejected = r.u64();
   s.states_pruned = r.u64();
-  s.subtree_tasks = r.u64();
   s.arena_bytes = r.u64();
   s.nodes_built = r.u64();
   s.nodes_reused = r.u64();

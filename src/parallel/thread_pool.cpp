@@ -2,14 +2,6 @@
 
 namespace hgp {
 
-namespace {
-
-/// The pool whose worker_loop is running on this thread (nullptr on
-/// non-worker threads).  Written once per worker at startup.
-thread_local const ThreadPool* t_worker_pool = nullptr;
-
-}  // namespace
-
 #if HGP_OBS_ENABLED
 namespace {
 
@@ -89,15 +81,7 @@ void ThreadPool::run_job(const std::function<void()>& fn) {
 #endif
 }
 
-bool ThreadPool::is_worker_thread() const { return t_worker_pool == this; }
-
-std::size_t ThreadPool::pending() const {
-  const MutexLock lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::worker_loop() {
-  t_worker_pool = this;
   for (;;) {
     Job job;
     {

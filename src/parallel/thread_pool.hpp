@@ -41,16 +41,6 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// True when called from one of THIS pool's worker threads.  Nested
-  /// fan-out stages use this to fall back to inline execution instead of
-  /// submitting to — and then blocking on — the pool they are running
-  /// inside, which could deadlock once every worker waits.
-  bool is_worker_thread() const;
-
-  /// Tasks currently queued (excludes tasks being executed).  A scheduling
-  /// hint only — the value is stale the moment it is read.
-  std::size_t pending() const;
-
   /// Submits a callable; the result (or exception) arrives via the future.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F&>> {
@@ -101,7 +91,7 @@ class ThreadPool {
   void run_job(const std::function<void()>& fn);
 
   std::vector<std::thread> workers_;
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar cv_;
   std::deque<Job> queue_ HGP_GUARDED_BY(mutex_);
   bool stop_ HGP_GUARDED_BY(mutex_) = false;

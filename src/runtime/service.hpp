@@ -122,8 +122,9 @@ struct ServiceOptions {
   /// many milliseconds (0 disables the watchdog).
   double stuck_after_ms = 0;
   double watchdog_poll_ms = 20;
-  /// Inner pool for each solve's tree/DP parallelism (shared across
-  /// workers; solve_hgp's worker-thread guard keeps sharing safe).
+  /// Inner pool on which each solve runs its forest's trees concurrently
+  /// (shared across workers; a tree's DP never submits to it, so sharing
+  /// cannot deadlock).
   ThreadPool* solve_pool = nullptr;
   /// Directory for durable checkpoint spills (empty = disabled).  With a
   /// spill dir set, every failed attempt persists its checkpoint (binary

@@ -100,10 +100,6 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
   TreeSolverOptions base_opt;
   base_opt.epsilon = opt.epsilon;
   base_opt.units_override = opt.units_override;
-  // The DP itself may also fan subtrees across the pool; when the attempts
-  // below already occupy the workers, its is_worker_thread() guard keeps
-  // each tree's DP sequential, so sharing the pool cannot deadlock.
-  base_opt.pool = opt.pool;
   base_opt.exec = &exec;
   base_opt.force_prune = opt.force_prune;
 

@@ -4,7 +4,6 @@
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/maxflow.hpp"
 #include "graph/mincut.hpp"
 
 namespace hgp {
@@ -59,53 +58,6 @@ TEST(StoerWagner, RejectsDisconnectedOrTrivialInput) {
   EXPECT_THROW(global_min_cut(b.build()), CheckError);
   GraphBuilder one(1);
   EXPECT_THROW(global_min_cut(one.build()), CheckError);
-}
-
-TEST(Dinic, SimpleSeriesParallel) {
-  // s=0, t=3; two disjoint paths with bottlenecks 2 and 3.
-  Dinic d(4);
-  d.add_arc(0, 1, 2.0);
-  d.add_arc(1, 3, 5.0);
-  d.add_arc(0, 2, 4.0);
-  d.add_arc(2, 3, 3.0);
-  const auto r = d.solve(0, 3);
-  EXPECT_DOUBLE_EQ(r.value, 5.0);
-}
-
-TEST(Dinic, SourceSideIsAMinCut) {
-  Rng rng(42);
-  Graph g = gen::erdos_renyi(12, 0.4, rng, gen::WeightRange{1.0, 7.0});
-  if (!g.is_connected()) GTEST_SKIP();
-  const auto r = Dinic::min_st_cut(g, 0, 11);
-  EXPECT_TRUE(r.source_side[0]);
-  EXPECT_FALSE(r.source_side[11]);
-  EXPECT_NEAR(g.cut_weight(r.source_side), r.value, 1e-9);
-}
-
-TEST(Dinic, MaxFlowEqualsMinimumOverStPairsOfGlobalCut) {
-  // Global min cut = min over t of max-flow(s, t) for any fixed s.
-  Rng rng(19);
-  Graph g = gen::erdos_renyi(10, 0.5, rng, gen::WeightRange{1.0, 6.0});
-  if (!g.is_connected()) GTEST_SKIP();
-  Weight best = std::numeric_limits<Weight>::infinity();
-  for (Vertex t = 1; t < g.vertex_count(); ++t) {
-    best = std::min(best, Dinic::min_st_cut(g, 0, t).value);
-  }
-  EXPECT_NEAR(best, global_min_cut(g).weight, 1e-9);
-}
-
-TEST(Dinic, DisconnectedPairHasZeroFlow) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1, 5.0);
-  b.add_edge(2, 3, 5.0);
-  const auto r = Dinic::min_st_cut(b.build(), 0, 3);
-  EXPECT_DOUBLE_EQ(r.value, 0.0);
-}
-
-TEST(Dinic, InvalidEndpointsThrow) {
-  Dinic d(2);
-  d.add_undirected_edge(0, 1, 1.0);
-  EXPECT_THROW(d.solve(0, 0), CheckError);
 }
 
 }  // namespace

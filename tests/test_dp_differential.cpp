@@ -4,7 +4,6 @@
 // hierarchy height/degree/multipliers, rounding resolution) and solves it
 // under several DP configurations that must agree exactly:
 //   * pruning ON vs pruning OFF (dominance pruning is provably lossless);
-//   * sequential vs parallel subtree DP (scheduling must be bit-identical);
 //   * DP vs the exhaustive brute-force oracle on instances small enough to
 //     enumerate (dp_reference.hpp);
 //   * the projected merge vs the pair-loop reference kernel
@@ -25,7 +24,6 @@
 #include "core/tree_dp.hpp"
 #include "dp_reference.hpp"
 #include "graph/generators.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/prng.hpp"
 
 namespace hgp {
@@ -89,17 +87,14 @@ Instance make_instance(std::uint64_t seed) {
   return inst;
 }
 
-TreeDpResult run_dp(const Instance& inst, bool prune, ThreadPool* pool) {
+TreeDpResult run_dp(const Instance& inst, bool prune) {
   TreeDpOptions opt;
   opt.units_override = inst.units;
   opt.prune_dominated = prune;
-  opt.pool = pool;
-  opt.min_parallel_nodes = 2;  // force the parallel phase on small trees
   return solve_rhgpt(inst.tree, inst.hierarchy, opt);
 }
 
 TEST(DpDifferential, TwoHundredSeedsAgreeAcrossConfigurations) {
-  ThreadPool pool(4);
   int brute_checked = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Instance inst = make_instance(seed);
@@ -108,20 +103,12 @@ TEST(DpDifferential, TwoHundredSeedsAgreeAcrossConfigurations) {
                  << " h=" << inst.hierarchy.height()
                  << " units=" << inst.units);
 
-    const TreeDpResult baseline = run_dp(inst, /*prune=*/false, nullptr);
-    const TreeDpResult pruned = run_dp(inst, /*prune=*/true, nullptr);
-    const TreeDpResult parallel = run_dp(inst, /*prune=*/true, &pool);
+    const TreeDpResult baseline = run_dp(inst, /*prune=*/false);
+    const TreeDpResult pruned = run_dp(inst, /*prune=*/true);
 
     // Pruning is lossless: same optimum, never more surviving states.
     ASSERT_NEAR(baseline.cost, pruned.cost, 1e-9);
     ASSERT_LE(pruned.stats.feasible_states, baseline.stats.feasible_states);
-
-    // Parallel subtree scheduling is bit-identical to the sequential
-    // sweep: same optimum AND the same amount of DP work.
-    ASSERT_EQ(pruned.cost, parallel.cost);
-    ASSERT_EQ(pruned.stats.feasible_states, parallel.stats.feasible_states);
-    ASSERT_EQ(pruned.stats.merge_operations, parallel.stats.merge_operations);
-    ASSERT_EQ(pruned.stats.states_pruned, parallel.stats.states_pruned);
 
     // The reported cost is the Definition-4 cost of the reported solution.
     ASSERT_NEAR(pruned.cost,
@@ -190,53 +177,6 @@ TEST(DpDifferential, ProjectedMergeMatchesPairLoopReference) {
     ASSERT_NEAR(rhgpt_cost(inst.tree, inst.hierarchy, got.solution), got.cost,
                 1e-9 * std::max(1.0, std::abs(got.cost)));
   }
-}
-
-TEST(DpDifferential, ParallelPhaseActuallyRuns) {
-  // A solve large enough for plan_subtrees to emit tasks — guards against
-  // the parallel path silently degrading to sequential forever.
-  ThreadPool pool(4);
-  Rng rng(42);
-  const Graph g = gen::random_tree(300, rng, gen::WeightRange{1.0, 5.0});
-  Tree t = Tree::from_graph(g, 0);
-  std::vector<double> d(static_cast<std::size_t>(t.leaf_count()));
-  for (double& x : d) x = rng.next_double(0.01, 0.03);
-  t.set_leaf_demands(d);
-  const Hierarchy h = Hierarchy::uniform(2, 4, {4.0, 1.0, 0.0});
-
-  TreeDpOptions seq;
-  seq.units_override = 3;
-  TreeDpOptions par = seq;
-  par.pool = &pool;
-  const TreeDpResult a = solve_rhgpt(t, h, seq);
-  const TreeDpResult b = solve_rhgpt(t, h, par);
-  EXPECT_GT(b.stats.subtree_tasks, 1u);
-  EXPECT_EQ(a.stats.subtree_tasks, 0u);
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.stats.merge_operations, b.stats.merge_operations);
-  EXPECT_EQ(a.stats.feasible_states, b.stats.feasible_states);
-}
-
-TEST(DpDifferential, WorkerThreadFallsBackToSequentialDp) {
-  // A DP called from inside one of the pool's own workers must not fan
-  // subtrees back into that pool (deadlock risk); it runs sequentially.
-  ThreadPool pool(2);
-  Rng rng(7);
-  const Graph g = gen::random_tree(200, rng, gen::WeightRange{1.0, 5.0});
-  Tree t = Tree::from_graph(g, 0);
-  std::vector<double> d(static_cast<std::size_t>(t.leaf_count()));
-  for (double& x : d) x = rng.next_double(0.01, 0.03);
-  t.set_leaf_demands(d);
-  const Hierarchy h = Hierarchy::uniform(1, 8, {2.0, 0.0});
-
-  TreeDpOptions opt;
-  opt.units_override = 2;
-  opt.pool = &pool;
-  const TreeDpResult nested =
-      pool.submit([&] { return solve_rhgpt(t, h, opt); }).get();
-  EXPECT_EQ(nested.stats.subtree_tasks, 0u);
-  const TreeDpResult outer = solve_rhgpt(t, h, opt);
-  EXPECT_EQ(nested.cost, outer.cost);
 }
 
 }  // namespace

@@ -221,43 +221,11 @@ TEST(Race, ScopedDisarmIsKeyLocal) {
   EXPECT_THROW(FaultInjector::instance().on_site("race_outer", 5), SolveError);
 }
 
-// The parallel subtree DP phase: pool workers concurrently read the shared
-// arena-backed signature interner (merge/lift walk its prefix-key and
-// pack tables) while each bumps its own task-local workspace arena.  A
-// stray shared mutable member in SignatureSpace, Arena or DenseTablePool
-// would race here; the result must also be bit-identical to the
-// sequential sweep.
-TEST(Race, ConcurrentSubtreeDpSharesSignatureArena) {
-  Rng rng(13);
-  const Graph g = gen::random_tree(400, rng, gen::WeightRange{1.0, 6.0});
-  Tree t = Tree::from_graph(g, 0);
-  std::vector<double> d(static_cast<std::size_t>(t.leaf_count()));
-  for (double& x : d) x = rng.next_double(0.005, 0.02);
-  t.set_leaf_demands(d);
-  const Hierarchy& h = hier();
-
-  ThreadPool pool(4);
-  TreeDpOptions opt;
-  opt.units_override = 3;
-  opt.pool = &pool;
-  opt.min_parallel_nodes = 8;
-  const TreeDpResult par = solve_rhgpt(t, h, opt);
-  EXPECT_GT(par.stats.subtree_tasks, 1u);
-
-  TreeDpOptions seq = opt;
-  seq.pool = nullptr;
-  const TreeDpResult ref = solve_rhgpt(t, h, seq);
-  EXPECT_EQ(par.cost, ref.cost);
-  EXPECT_EQ(par.stats.merge_operations, ref.stats.merge_operations);
-  EXPECT_EQ(par.stats.feasible_states, ref.stats.feasible_states);
-}
-
-// Two outer threads fan subtree tasks of DIFFERENT solves into the SAME
-// pool at once: tasks from both solves interleave on the workers, the
-// queue-depth-gauge fan-out sizing reads racing gauge updates, and each
-// solve must still reproduce its own sequential result.
-TEST(Race, CompetingParallelSubtreeSolvesShareOnePool) {
-  ThreadPool pool(4);
+// Two DP solves of DIFFERENT trees on two threads at once: the DP's only
+// process-global state (the HGP_DP_PRUNE cache and the metrics that
+// publish_dp_metrics feeds) is touched from both, and each solve must
+// still reproduce its own single-thread result.
+TEST(Race, CompetingDpSolvesShareProcessGlobals) {
   auto make_tree = [](std::uint64_t seed) {
     Rng rng(seed);
     const Graph g = gen::random_tree(250, rng, gen::WeightRange{1.0, 6.0});
@@ -273,18 +241,14 @@ TEST(Race, CompetingParallelSubtreeSolvesShareOnePool) {
 
   TreeDpOptions opt;
   opt.units_override = 3;
-  opt.pool = &pool;
-  opt.min_parallel_nodes = 8;
   double c1 = -1, c2 = -1;
   std::thread s1([&] { c1 = solve_rhgpt(t1, h, opt).cost; });
   std::thread s2([&] { c2 = solve_rhgpt(t2, h, opt).cost; });
   s1.join();
   s2.join();
 
-  TreeDpOptions seq = opt;
-  seq.pool = nullptr;
-  EXPECT_EQ(c1, solve_rhgpt(t1, h, seq).cost);
-  EXPECT_EQ(c2, solve_rhgpt(t2, h, seq).cost);
+  EXPECT_EQ(c1, solve_rhgpt(t1, h, opt).cost);
+  EXPECT_EQ(c2, solve_rhgpt(t2, h, opt).cost);
 }
 
 // Concurrent end-to-end solves of the SAME instance: the second wave is

@@ -99,17 +99,30 @@ TEST(Solver, DeterministicInSeed) {
 }
 
 TEST(Solver, ParallelMatchesSequential) {
-  const Graph g = workload(9);
+  // The pool only spreads the forest's trees across workers.  A one-tree
+  // forest runs its tree inline on the caller, so the pool must change
+  // nothing there either, down to the DP workspace it reserves.
+  struct Input {
+    Graph g;
+    int num_trees;
+    DemandUnits units;
+  };
+  const Input inputs[] = {{workload(9), 3, 0}, {workload(12, 96), 1, 4}};
   ThreadPool pool(2);
-  SolverOptions seq;
-  seq.num_trees = 3;
-  seq.seed = 5;
-  SolverOptions par = seq;
-  par.pool = &pool;
-  const HgpResult a = solve_hgp(g, hier(), seq);
-  const HgpResult b = solve_hgp(g, hier(), par);
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.placement.leaf_of, b.placement.leaf_of);
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(::testing::Message() << "num_trees=" << in.num_trees);
+    SolverOptions seq;
+    seq.num_trees = in.num_trees;
+    seq.units_override = in.units;
+    seq.seed = 5;
+    SolverOptions par = seq;
+    par.pool = &pool;
+    const HgpResult a = solve_hgp(in.g, hier(), seq);
+    const HgpResult b = solve_hgp(in.g, hier(), par);
+    EXPECT_EQ(a.cost, b.cost);
+    EXPECT_EQ(a.placement.leaf_of, b.placement.leaf_of);
+    EXPECT_EQ(a.stats.arena_bytes, b.stats.arena_bytes);
+  }
 }
 
 TEST(Solver, MoreTreesNeverHurt) {

@@ -42,6 +42,7 @@
 #include "hierarchy/placement_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "runtime/coordinator.hpp"
 #include "runtime/forest_cache.hpp"
 #include "runtime/service.hpp"
@@ -372,6 +373,9 @@ int main(int argc, char** argv) {
       opt.seed = seed;
       opt.timeout_ms = timeout_ms;
       opt.fallback = fallback;
+      // The forest's trees run concurrently; the answer is the one a
+      // single-thread solve gives.
+      opt.pool = &ThreadPool::shared();
       if (retries > 0) {
         RetryOptions ro;
         ro.max_retries = retries;
