@@ -10,18 +10,10 @@
 #include "obs/obs.hpp"
 #include "util/arena.hpp"
 #include "util/contracts.hpp"
-#include "util/env.hpp"
 
 namespace hgp {
 
 namespace {
-
-/// Process-wide A/B switch for dominance pruning (HGP_DP_PRUNE, default
-/// ON).  Read once; the differential harness and CI flip it per process.
-bool dp_prune_env_enabled() {
-  static const bool enabled = env_flag("HGP_DP_PRUNE", true);
-  return enabled;
-}
 
 /// Publishes one solve's locally-counted DP work into the shared metrics
 /// registry (counters `dp.*` and the demand-rounding bucket histogram).
@@ -262,8 +254,8 @@ void relax(NodeTable& table, std::size_t sig, double cost, const Back& back) {
 // dispatches through process() instead of build_node().
 //
 // Bit-identity: stored entries were compacted+pruned exactly as a fresh
-// build would compact+prune them (the store pins the effective prune flag
-// and units_per_capacity).  When the demand *total* differs between solves
+// build would compact+prune them (the store pins the prune flag and
+// units_per_capacity).  When the demand *total* differs between solves
 // the signature spaces differ only in their per-level bounds; stored ids
 // are translated by decoding against the capturing space and re-interning
 // (translation is monotone in the lex enumeration, so sorted feasible
@@ -665,8 +657,7 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
   // 3. Bottom-up DP: one children-before-parents sweep over one pool.
   //    The pool outlives step 4: the root's cost span is read there.
   std::vector<NodeTable> tables(static_cast<std::size_t>(bt.node_count()));
-  const bool prune =
-      opt.force_prune || (opt.prune_dominated && dp_prune_env_enabled());
+  const bool prune = opt.prune_dominated;
   std::optional<ReusePlan> reuse_plan;
   std::vector<DpSubtreeEntry> capture_slots;
   if (opt.reuse_in != nullptr || opt.reuse_out != nullptr) {

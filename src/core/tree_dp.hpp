@@ -76,8 +76,10 @@ struct DpSubtreeEntry {
 /// path (src/runtime/incremental.hpp) is built on.
 ///
 /// The capturing solve's space parameters are recorded so a consuming
-/// solve can check compatibility: height, effective pruning flag and
-/// units_per_capacity must match exactly (otherwise the store is ignored);
+/// solve can check compatibility: height, pruning flag and
+/// units_per_capacity must match exactly (otherwise the store is ignored;
+/// production always prunes, but a direct solve_rhgpt caller may mix
+/// modes, and pruned tables must never reach an unpruned solve);
 /// a different demand *total* only shifts the per-level signature bounds,
 /// which solve_rhgpt handles by translating stored ids between spaces —
 /// clean-subtree signatures always survive translation because their
@@ -107,15 +109,10 @@ struct TreeDpOptions {
   /// units = faster + larger rounding violation).
   DemandUnits units_override = 0;
   /// Pareto dominance pruning of DP states (same presence, componentwise
-  /// ≥ demand, ≥ cost ⇒ dropped).  Provably lossless; off only for the
-  /// pruning ablation benchmark.  The HGP_DP_PRUNE environment knob
-  /// (default ON) additionally gates this process-wide, so A/B validation
-  /// can disable pruning without touching call sites.
+  /// ≥ demand, ≥ cost ⇒ dropped).  Provably lossless, so every production
+  /// path prunes; this API-only switch exists for the pruning ablation
+  /// benchmarks (A3, e7) and the unpruned test oracles.
   bool prune_dominated = true;
-  /// Forces dominance pruning ON even when HGP_DP_PRUNE turned it off —
-  /// the service layer's memory-pressure degradation must be able to shed
-  /// DP state regardless of the A/B knob.
-  bool force_prune = false;
   /// Cooperative deadline/cancellation; checked every few thousand merge
   /// relaxations.  nullptr = unconstrained.  Must outlive the call.
   const ExecContext* exec = nullptr;

@@ -23,7 +23,6 @@ TreeHgpSolution solve_hgpt(const Tree& t, const Hierarchy& h,
   dp_opt.epsilon = opt.epsilon;
   dp_opt.units_override = opt.units_override;
   dp_opt.exec = opt.exec;
-  dp_opt.force_prune = opt.force_prune;
   dp_opt.reuse_in = opt.reuse_in;
   dp_opt.reuse_out = opt.reuse_out;
   TreeDpResult dp = solve_rhgpt(t, h, dp_opt);

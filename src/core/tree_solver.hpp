@@ -16,8 +16,6 @@ struct TreeSolverOptions {
   DemandUnits units_override = 0;
   /// Cooperative deadline/cancellation, forwarded to the DP.
   const ExecContext* exec = nullptr;
-  /// Forwarded to TreeDpOptions::force_prune (memory-pressure degrade).
-  bool force_prune = false;
   /// Clean-subtree reuse across solves, forwarded to
   /// TreeDpOptions::reuse_in / reuse_out (incremental re-solve path).
   const DpReuseStore* reuse_in = nullptr;

@@ -36,7 +36,6 @@ std::vector<std::byte> encode_job(const JobMsg& msg) {
   w.i64(msg.units_override);
   w.u64(msg.seed);
   w.i32(msg.num_trees);
-  w.u8(msg.force_prune);
   w.f64(msg.heartbeat_ms);
   w.blob(msg.snapshot_blob);
   return w.take();
@@ -49,7 +48,6 @@ JobMsg decode_job(std::span<const std::byte> payload) {
   msg.units_override = r.i64();
   msg.seed = r.u64();
   msg.num_trees = r.i32();
-  msg.force_prune = r.u8();
   msg.heartbeat_ms = r.f64();
   msg.snapshot_blob = r.blob();
   r.expect_exhausted();

@@ -50,7 +50,6 @@ struct JobMsg {
   std::int64_t units_override = 0;
   std::uint64_t seed = 0;
   std::int32_t num_trees = 0;
-  std::uint8_t force_prune = 0;
   /// Heartbeat cadence the coordinator expects, in ms.
   double heartbeat_ms = 0;
   /// Snapshot container: graph sections, hierarchy sections, forest

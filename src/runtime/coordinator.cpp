@@ -147,7 +147,6 @@ struct ShardCoordinator::Impl {
     job.units_override = opt.units_override;
     job.seed = opt.seed;
     job.num_trees = opt.num_trees;
-    job.force_prune = opt.force_prune ? 1 : 0;
     job.heartbeat_ms = copt.heartbeat_ms;
     job.snapshot_blob = w.serialize();
     job_payload = net::encode_job(job);

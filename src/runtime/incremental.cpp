@@ -48,7 +48,6 @@ IncrementalSolver::IncrementalSolver(std::shared_ptr<const Graph> base,
   fo.pool = opt_.pool;
   fo.timeout_ms = opt_.timeout_ms;
   fo.cancel = opt_.cancel;
-  fo.force_prune = opt_.force_prune;
   fo.reuse_out = &stores_;
   last_ = solve_on_forest(*graph_, h, *forest_, fo);
   HGP_COUNTER_ADD("incremental.sessions", 1);
@@ -96,7 +95,6 @@ HgpResult IncrementalSolver::resolve(const MutationLog& log,
   fo.timeout_ms = ro.timeout_ms;
   fo.cancel = ro.cancel;
   fo.checkpoint = ro.checkpoint;
-  fo.force_prune = opt_.force_prune || ro.force_prune;
   fo.reuse_in = &stores_;
   fo.reuse_out = &fresh;
 

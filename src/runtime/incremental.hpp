@@ -64,9 +64,6 @@ struct IncrementalOptions {
   const Cutter* cutter = nullptr;
   /// Pool for tree/DP parallelism (base solve and every resolve).
   ThreadPool* pool = nullptr;
-  /// Forces DP dominance pruning for the base solve AND every resolve
-  /// (per-resolve toggling would defeat reuse; see ForestSolveOptions).
-  bool force_prune = false;
   /// Budget/cancel for the base solve only.
   double timeout_ms = 0;
   const CancelToken* cancel = nullptr;
@@ -79,8 +76,6 @@ struct ResolveOptions {
   const CancelToken* cancel = nullptr;
   /// Carries completed trees across retries of one resolve request.
   SolveCheckpoint* checkpoint = nullptr;
-  /// Degrade hook; see the force_prune caveat on ForestSolveOptions.
-  bool force_prune = false;
 };
 
 /// Diagnostics of one resolve.

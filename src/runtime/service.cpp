@@ -69,8 +69,9 @@ double backoff_for_retry(const RetryOptions& ro, int retry_number,
 namespace {
 
 /// The loop is generic over what an "attempt" does: a full solve_hgp for
-/// plain requests, a session resolve for incremental ones.  Retry,
-/// degradation, backoff and journaling behave identically for both.
+/// plain requests, a session resolve for incremental ones.  Retry, backoff
+/// and journaling behave identically for both; SolverService::run_request
+/// turns the degradation ladder off for resolves.
 RetrySolveReport run_retry_loop(
     const std::function<HgpResult(const SolverOptions&)>& solve,
     SolverOptions opt, const RetryOptions& ro, const RetryHooks& hooks,
@@ -140,17 +141,12 @@ RetrySolveReport run_retry_loop(
 
     if (hooks.on_attempt_failed) hooks.on_attempt_failed(failure);
 
-    // Resource pressure degrades before it burns retries: each ladder step
-    // strictly shrinks the footprint (forced DP pruning, then half the
-    // trees), so stepping is free.
+    // Resource pressure degrades before it burns retries: the one ladder
+    // step halves the trees, which strictly shrinks the footprint, so
+    // stepping is free.
     if (failure.code == StatusCode::kResourceExhausted &&
-        ro.degrade_on_resource_exhausted &&
-        (!opt.force_prune || opt.num_trees > ro.min_trees)) {
-      if (!opt.force_prune) {
-        opt.force_prune = true;
-      } else {
-        opt.num_trees = std::max(ro.min_trees, opt.num_trees / 2);
-      }
+        ro.degrade_on_resource_exhausted && opt.num_trees > ro.min_trees) {
+      opt.num_trees = std::max(ro.min_trees, opt.num_trees / 2);
       ++rep.degrades;
       HGP_JOURNAL(kDegrade, request_id, attempt_no, opt.num_trees,
                   failure.code);
@@ -231,10 +227,6 @@ HgpResult IncrementalSession::run_attempt(const MutationLog& log,
   ro.timeout_ms = opt.timeout_ms;
   ro.cancel = opt.cancel;
   ro.checkpoint = opt.checkpoint;
-  // Of the degradation ladder only the force_prune rung applies to a
-  // resolve — the forest is fixed, so the tree-halving rung (num_trees) is
-  // deliberately ignored.
-  ro.force_prune = opt.force_prune;
   return solver_->resolve(log, ro);
 }
 
@@ -718,6 +710,10 @@ void SolverService::run_request(const std::shared_ptr<ServiceRequest>& req) {
   if (!opt_.spill_dir.empty() && !is_resolve) try_recover(*req, opt);
 
   RetryOptions retry = opt_.retry;
+  // The ladder's one step halves num_trees, which a session's pinned
+  // forest ignores: a resolve's kResourceExhausted goes straight to the
+  // retry budget instead of re-running the same resolve for free.
+  if (is_resolve) retry.degrade_on_resource_exhausted = false;
   // Decorrelate jitter across requests while staying deterministic in
   // (service seed, request id).
   retry.jitter_seed = SplitMix64(retry.jitter_seed ^ (req->id() + 1)).next();

@@ -11,12 +11,13 @@
 //     classified failures (status_is_transient) are re-attempted within a
 //     per-request retry budget; the spend is surfaced on
 //     HgpResult::retries_used.
-//   * degradation ladder — kResourceExhausted degrades the request before
-//     burning retries: dominance pruning is forced on, then the tree count
-//     is halved toward RetryOptions::min_trees; the fallback chain inside
-//     solve_hgp (multilevel → greedy) is the final rung.  Ladder steps are
-//     free (not counted against the retry budget) because each strictly
-//     shrinks the footprint.
+//   * degradation ladder — kResourceExhausted degrades a plain request
+//     before burning retries: the tree count is halved toward
+//     RetryOptions::min_trees; the fallback chain inside solve_hgp
+//     (multilevel → greedy) is the final rung.  Ladder steps are free (not
+//     counted against the retry budget) because each strictly shrinks the
+//     footprint.  A resolve has no ladder step (its session pins the
+//     forest), so its kResourceExhausted spends the retry budget.
 //   * checkpoint/resume — every retry of a request shares one
 //     SolveCheckpoint (runtime/checkpoint.hpp), so an attempt killed after
 //     some trees completed resumes from the survivors.
@@ -66,7 +67,8 @@ struct RetryOptions {
   double jitter_fraction = 0.5;
   /// Seed of the jitter stream (deterministic per request).
   std::uint64_t jitter_seed = 1;
-  /// Enables the resource-pressure degradation ladder.
+  /// Enables the resource-pressure degradation ladder (plain requests
+  /// only; a resolve never degrades).
   bool degrade_on_resource_exhausted = true;
   /// The ladder never reduces num_trees below this.
   int min_trees = 1;
@@ -81,7 +83,8 @@ struct RetrySolveReport {
   bool has_result = false;
   HgpResult result;
   int retries_used = 0;
-  /// Degradation-ladder steps applied (fewer trees / forced pruning).
+  /// Degradation-ladder steps applied (each halves num_trees; always 0
+  /// for a resolve).
   int degrades = 0;
   /// The final failure was transient but the retry budget was spent.
   bool retry_budget_exhausted = false;
@@ -292,13 +295,13 @@ class SolverService {
   /// Submits an incremental re-solve applying `log` (authored via
   /// session->begin_batch()) to the session.  Admission-controlled like
   /// submit() and run by the same retry/watchdog machinery; `opt` supplies
-  /// the per-request knobs (timeout, retries via ServiceOptions, cancel,
-  /// force_prune) — its structural fields (num_trees, epsilon, seed) are
-  /// ignored, the session pins them.  A log whose base graph is no longer
-  /// the session's current snapshot fails terminally with kInvalidInput
-  /// when it runs (optimistic concurrency: losers of a commit race rebase
-  /// and resubmit).  Throws SolveError(kInvalidInput) only for null
-  /// session/log.
+  /// the per-request knobs (timeout, retries via ServiceOptions, cancel) —
+  /// its structural fields (num_trees, epsilon, seed) are ignored, the
+  /// session pins them, so the degradation ladder does not apply.  A log
+  /// whose base graph is no longer the session's current snapshot fails
+  /// terminally with kInvalidInput when it runs (optimistic concurrency:
+  /// losers of a commit race rebase and resubmit).  Throws
+  /// SolveError(kInvalidInput) only for null session/log.
   std::shared_ptr<ServiceRequest> submit_resolve(
       std::shared_ptr<IncrementalSession> session,
       std::shared_ptr<const MutationLog> log, SolverOptions opt = {})

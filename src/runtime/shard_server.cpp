@@ -90,7 +90,6 @@ ShardServerReport run_shard_server(net::FrameChannel& ch,
     TreeSolverOptions tree_opt;
     tree_opt.epsilon = job.epsilon;
     tree_opt.units_override = job.units_override;
-    tree_opt.force_prune = job.force_prune != 0;
 
     const double beat_ms = opt.heartbeat_ms > 0  ? opt.heartbeat_ms
                            : job.heartbeat_ms > 0 ? job.heartbeat_ms

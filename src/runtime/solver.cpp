@@ -101,7 +101,6 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
   base_opt.epsilon = opt.epsilon;
   base_opt.units_override = opt.units_override;
   base_opt.exec = &exec;
-  base_opt.force_prune = opt.force_prune;
 
   // Isolated per-tree solves.  Theorem 7's arg-min is over whatever
   // survives, so nothing a single tree does — throw, stall past the
@@ -391,7 +390,6 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
   fo.units_override = opt.units_override;
   fo.pool = opt.pool;
   fo.checkpoint = opt.checkpoint;
-  fo.force_prune = opt.force_prune;
   Status reason = solve_forest_trees(g, h, *forest_ptr, fo, exec,
                                      forest_status, "solve_hgp", result);
   if (reason.ok()) {

@@ -86,9 +86,6 @@ struct SolverOptions {
   /// restarting.  solve_hgp (re)binds it to this solve's parameters;
   /// nullptr = no checkpointing.  Must outlive the call.
   SolveCheckpoint* checkpoint = nullptr;
-  /// Forces DP dominance pruning ON regardless of HGP_DP_PRUNE — the
-  /// memory-pressure degradation ladder sheds DP state with this.
-  bool force_prune = false;
 };
 
 /// Outcome of one tree's isolated solve attempt.
@@ -165,10 +162,6 @@ struct ForestSolveOptions {
   /// (same validation + bind semantics as solve_hgp).  Must outlive the
   /// call.
   SolveCheckpoint* checkpoint = nullptr;
-  /// Forces DP dominance pruning ON (memory-pressure degrade).  NOTE: the
-  /// pruning flag is part of DpReuseStore compatibility, so toggling it
-  /// between solves turns reuse off for that solve.
-  bool force_prune = false;
   /// Clean-subtree stores, parallel to the forest (reuse_in->size() ==
   /// forest.size() when non-null).  reuse_out is resized to the forest and
   /// receives the tables of every tree whose DP actually ran; trees served

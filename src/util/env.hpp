@@ -1,32 +1,13 @@
-// Environment-variable runtime knobs (HGP_DP_PRUNE, HGP_FOREST_CACHE, …).
+// Environment-variable runtime knobs (HGP_FOREST_CACHE).
 //
-// Knobs gate optimizations for A/B validation without recompiling: the
-// differential harness and CI run the same binary with a knob flipped and
-// assert identical results.  Parsing is deliberately forgiving — an
-// unrecognized value falls back to the default rather than failing a
-// production solve over a typo'd environment.
+// Parsing is deliberately forgiving: an unrecognized value falls back to
+// the default rather than failing a production solve over a typo'd
+// environment.
 #pragma once
 
-#include <cctype>
 #include <cstdlib>
-#include <string>
 
 namespace hgp {
-
-/// Boolean knob: "0", "off", "false", "no" (any case) disable; "1", "on",
-/// "true", "yes" enable; unset, empty, or unrecognized yields
-/// `default_value`.
-inline bool env_flag(const char* name, bool default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_value;
-  std::string v(raw);
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (v == "0" || v == "off" || v == "false" || v == "no") return false;
-  if (v == "1" || v == "on" || v == "true" || v == "yes") return true;
-  return default_value;
-}
 
 /// Non-negative integer knob; unset, empty, or unparsable yields
 /// `default_value`.

@@ -231,25 +231,6 @@ TEST(ChurnDifferential, StaleLogIsRejectedWithoutStateDamage) {
   EXPECT_NO_THROW(solver.resolve(*fresh));
 }
 
-TEST(ChurnDifferential, ReusePinsPruneFlagCompatibility) {
-  // A resolve that flips force_prune must still be exact — the store is
-  // ignored (prune flag mismatch) and every node rebuilt, never mixed.
-  const ChurnInstance inst = make_churn_instance(12);
-  IncrementalSolver solver(inst.graph, inst.hierarchy, inst.opt);
-  const std::shared_ptr<MutationLog> log = solver.begin_batch();
-  testchurn::apply_schedule(*log, inst);
-  if (log->empty()) GTEST_SKIP();
-  ResolveOptions ro;
-  ro.force_prune = true;
-  const HgpResult inc = solver.resolve(*log, ro);
-  ForestSolveOptions fo = scratch_options(solver);
-  fo.force_prune = true;
-  const HgpResult scratch =
-      solve_on_forest(*solver.graph(), inst.hierarchy, solver.forest(), fo);
-  ASSERT_EQ(inc.cost, scratch.cost);
-  ASSERT_EQ(inc.placement.leaf_of, scratch.placement.leaf_of);
-}
-
 FaultInjector::Fault fault_of(FaultInjector::Action action) {
   FaultInjector::Fault f;
   f.action = action;

@@ -7,11 +7,12 @@
 //   * DP vs the exhaustive brute-force oracle on instances small enough to
 //     enumerate (dp_reference.hpp);
 //   * the projected merge vs the pair-loop reference kernel
-//     (dp_reference.hpp): the same feasible signatures at every node.
+//     (dp_reference.hpp): the same feasible signatures at every node, with
+//     pruning on and off;
+//   * a pruned reuse store fed to an unpruned solve: never rehydrated.
 // Any mismatch prints the seed so the instance can be replayed in
-// isolation.  The HGP_DP_PRUNE environment knob is read once per process;
-// CI runs this whole binary under both HGP_DP_PRUNE=1 and =0, which drags
-// every in-process configuration through both global modes.
+// isolation.  Both pruning modes run in the one process: pruning is a
+// per-call option (TreeDpOptions::prune_dominated), not a global.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,48 +135,66 @@ TEST(DpDifferential, ProjectedMergeMatchesPairLoopReference) {
   // order differs, hence the relative tolerance) and so prune the same
   // states.  Which equal-cost back-pointer it keeps may differ, so the
   // traceback is checked on its own: a valid Definition-4 solution whose
-  // cost is the DP optimum.
+  // cost is the DP optimum.  Each seed runs pruned, then unpruned; the
+  // pruned run's store then goes into an unpruned solve, where the
+  // reuse-store prune key must keep pruned tables out.
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Instance inst = make_instance(seed);
     SCOPED_TRACE(::testing::Message()
                  << "seed=" << seed << " leaves=" << inst.tree.leaf_count()
                  << " h=" << inst.hierarchy.height()
                  << " units=" << inst.units);
-    DpReuseStore tables;
-    TreeDpOptions opt;
-    opt.units_override = inst.units;
-    opt.reuse_out = &tables;
-    const TreeDpResult got = solve_rhgpt(inst.tree, inst.hierarchy, opt);
-
     const BinarizedTree bin = binarize(inst.tree);
-    const ScaledDemands sd = scale_demands(bin.tree, inst.hierarchy,
-                                           opt.epsilon, opt.units_override);
-    // tables.prune is the effective flag: option AND HGP_DP_PRUNE.
-    const testref::RefDpResult ref = testref::reference_pair_loop_dp(
-        bin.tree, inst.hierarchy, sd, tables.prune);
+    DpReuseStore pruned_tables;
+    for (const bool prune : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "prune=" << prune);
+      DpReuseStore tables;
+      TreeDpOptions opt;
+      opt.units_override = inst.units;
+      opt.prune_dominated = prune;
+      opt.reuse_out = &tables;
+      const TreeDpResult got = solve_rhgpt(inst.tree, inst.hierarchy, opt);
 
-    const std::vector<std::uint64_t> hash = dp_subtree_hashes(bin.tree, sd);
-    for (Vertex v = 0; v < bin.tree.node_count(); ++v) {
-      const auto it = tables.entries.find(hash[static_cast<std::size_t>(v)]);
-      ASSERT_NE(it, tables.entries.end()) << "node " << v;
-      const testref::RefNodeTable& want =
-          ref.nodes[static_cast<std::size_t>(v)];
-      ASSERT_EQ(it->second.feasible, want.feasible) << "node " << v;
-      for (std::size_t i = 0; i < want.cost.size(); ++i) {
-        ASSERT_NEAR(it->second.cost[i], want.cost[i],
-                    1e-9 * std::max(1.0, std::abs(want.cost[i])))
-            << "node " << v << " signature " << want.feasible[i];
+      const ScaledDemands sd = scale_demands(bin.tree, inst.hierarchy,
+                                             opt.epsilon, opt.units_override);
+      const testref::RefDpResult ref =
+          testref::reference_pair_loop_dp(bin.tree, inst.hierarchy, sd, prune);
+
+      const std::vector<std::uint64_t> hash = dp_subtree_hashes(bin.tree, sd);
+      for (Vertex v = 0; v < bin.tree.node_count(); ++v) {
+        const auto it = tables.entries.find(hash[static_cast<std::size_t>(v)]);
+        ASSERT_NE(it, tables.entries.end()) << "node " << v;
+        const testref::RefNodeTable& want =
+            ref.nodes[static_cast<std::size_t>(v)];
+        ASSERT_EQ(it->second.feasible, want.feasible) << "node " << v;
+        for (std::size_t i = 0; i < want.cost.size(); ++i) {
+          ASSERT_NEAR(it->second.cost[i], want.cost[i],
+                      1e-9 * std::max(1.0, std::abs(want.cost[i])))
+              << "node " << v << " signature " << want.feasible[i];
+        }
       }
-    }
-    ASSERT_EQ(got.stats.feasible_states, ref.feasible_states);
-    ASSERT_EQ(got.stats.states_pruned, ref.states_pruned);
-    ASSERT_LE(got.stats.merge_operations, ref.merge_operations);
-    ASSERT_NEAR(got.cost, ref.cost, 1e-9 * std::max(1.0, std::abs(ref.cost)));
+      ASSERT_EQ(got.stats.feasible_states, ref.feasible_states);
+      ASSERT_EQ(got.stats.states_pruned, ref.states_pruned);
+      ASSERT_LE(got.stats.merge_operations, ref.merge_operations);
+      ASSERT_NEAR(got.cost, ref.cost, 1e-9 * std::max(1.0, std::abs(ref.cost)));
 
-    ASSERT_NO_THROW(
-        validate_rhgpt(inst.tree, inst.hierarchy, got.scaled, got.solution));
-    ASSERT_NEAR(rhgpt_cost(inst.tree, inst.hierarchy, got.solution), got.cost,
-                1e-9 * std::max(1.0, std::abs(got.cost)));
+      ASSERT_NO_THROW(
+          validate_rhgpt(inst.tree, inst.hierarchy, got.scaled, got.solution));
+      ASSERT_NEAR(rhgpt_cost(inst.tree, inst.hierarchy, got.solution), got.cost,
+                  1e-9 * std::max(1.0, std::abs(got.cost)));
+
+      if (prune) {
+        pruned_tables = std::move(tables);
+        continue;
+      }
+      ASSERT_FALSE(pruned_tables.empty());
+      TreeDpOptions mixed = opt;
+      mixed.reuse_in = &pruned_tables;
+      mixed.reuse_out = nullptr;
+      const TreeDpResult fed = solve_rhgpt(inst.tree, inst.hierarchy, mixed);
+      ASSERT_EQ(fed.stats.nodes_reused, 0u);
+      ASSERT_EQ(fed.stats.feasible_states, got.stats.feasible_states);
+    }
   }
 }
 

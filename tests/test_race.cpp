@@ -222,9 +222,9 @@ TEST(Race, ScopedDisarmIsKeyLocal) {
 }
 
 // Two DP solves of DIFFERENT trees on two threads at once: the DP's only
-// process-global state (the HGP_DP_PRUNE cache and the metrics that
-// publish_dp_metrics feeds) is touched from both, and each solve must
-// still reproduce its own single-thread result.
+// process-global state (the metrics that publish_dp_metrics feeds) is
+// touched from both, and each solve must still reproduce its own
+// single-thread result.
 TEST(Race, CompetingDpSolvesShareProcessGlobals) {
   auto make_tree = [](std::uint64_t seed) {
     Rng rng(seed);

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <thread>
 
 #include "graph/generators.hpp"
@@ -188,8 +190,33 @@ TEST(MemoryBudget, LadderStepsAreFreeAndBounded) {
   retry.max_retries = 0;  // ladder steps must not need the retry budget
   const RetrySolveReport rep = solve_with_retry(g, hier(), opt, retry);
   EXPECT_EQ(rep.retries_used, 0);
-  // force_prune + log2(trees) halvings bounds the ladder.
-  EXPECT_LE(rep.degrades, 1 + 4);
+  // The one ladder step halves the trees: 8 → 4 → 2 → 1.
+  EXPECT_EQ(rep.degrades, 3);
+}
+
+TEST(MemoryBudget, ResolveUnderPressureTakesNoLadderStep) {
+  // A session pins its forest, so halving num_trees cannot shrink a
+  // resolve: its kResourceExhausted goes to the retry budget instead of
+  // re-running the same resolve as free ladder steps.
+  const auto base = std::make_shared<const Graph>(workload(37, 32));
+  BudgetGuard guard;
+  ServiceOptions sopt;
+  sopt.workers = 1;
+  sopt.retry.max_retries = 0;
+  // Cached forests may already sit above the tiny limit; admit anyway.
+  sopt.admission_max_utilization = std::numeric_limits<double>::infinity();
+  SolverService service(sopt);
+  const auto session = service.open_incremental(base, hier());
+  const std::shared_ptr<MutationLog> log = session->begin_batch();
+  log->set_demand(0, 0.05);
+  MemoryBudget::global().set_limit(16 << 10);
+  const auto req = service.submit_resolve(session, log);
+  const RetrySolveReport& rep = req->wait();
+  EXPECT_EQ(rep.status.code, StatusCode::kResourceExhausted)
+      << rep.status.to_string();
+  EXPECT_EQ(rep.degrades, 0);
+  EXPECT_EQ(rep.retries_used, 0);
+  EXPECT_EQ(service.stats().degrades, 0u);
 }
 
 TEST(MemoryBudget, ReserveOrThrowReportsResourceExhausted) {

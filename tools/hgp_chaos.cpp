@@ -548,8 +548,8 @@ int main(int argc, char** argv) {
       SolverService wd(wopt);
 
       // (a) leave the solve less headroom than one arena chunk, so every
-      // attempt throws kResourceExhausted and the ladder steps (forced
-      // pruning, then halved trees) before burning retries.
+      // attempt throws kResourceExhausted and the ladder halves the trees
+      // before burning retries.
       const std::size_t limit = MemoryBudget::global().limit();
       const std::size_t used = MemoryBudget::global().used();
       const std::size_t squeeze =
