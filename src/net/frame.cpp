@@ -112,11 +112,6 @@ void WireWriter::i64_span(std::span<const std::int64_t> values) {
   if (!values.empty()) append(values.data(), values.size_bytes());
 }
 
-void WireWriter::i32_span(std::span<const std::int32_t> values) {
-  u32(static_cast<std::uint32_t>(values.size()));
-  if (!values.empty()) append(values.data(), values.size_bytes());
-}
-
 void WireReader::fail(const std::string& why) const {
   throw SolveError(StatusCode::kDataLoss, std::string(what_) + ": " + why);
 }
@@ -196,13 +191,6 @@ std::vector<std::int64_t> WireReader::i64_span() {
   const std::size_t count = read_count(sizeof(std::int64_t));
   std::vector<std::int64_t> out(count);
   if (count > 0) read(out.data(), count * sizeof(std::int64_t));
-  return out;
-}
-
-std::vector<std::int32_t> WireReader::i32_span() {
-  const std::size_t count = read_count(sizeof(std::int32_t));
-  std::vector<std::int32_t> out(count);
-  if (count > 0) read(out.data(), count * sizeof(std::int32_t));
   return out;
 }
 

@@ -38,7 +38,7 @@ static_assert(std::endian::native == std::endian::little,
 /// Bumped on any frame- or message-layout change; both the frame header
 /// and the Hello handshake carry it, so skew is caught before any typed
 /// payload is trusted.
-constexpr std::uint16_t kProtocolVersion = 3;
+constexpr std::uint16_t kProtocolVersion = 4;
 
 /// Upper bound on one frame's payload: large enough for a job frame
 /// embedding a graph+forest snapshot blob, small enough that a hostile
@@ -103,8 +103,6 @@ class WireWriter {
   void str(const std::string& s);
   /// u32 count prefix + count little-endian i64 values.
   void i64_span(std::span<const std::int64_t> values);
-  /// u32 count prefix + count little-endian i32 values.
-  void i32_span(std::span<const std::int32_t> values);
 
   std::span<const std::byte> bytes() const { return bytes_; }
   std::vector<std::byte> take() { return std::move(bytes_); }
@@ -136,7 +134,6 @@ class WireReader {
   std::vector<std::byte> blob();
   std::string str();
   std::vector<std::int64_t> i64_span();
-  std::vector<std::int32_t> i32_span();
 
   std::size_t remaining() const { return payload_.size() - cursor_; }
 

@@ -76,8 +76,7 @@ JobAckMsg decode_job_ack(std::span<const std::byte> payload) {
 std::vector<std::byte> encode_assign(const AssignMsg& msg) {
   WireWriter w;
   w.u64(msg.epoch);
-  w.u32(msg.batch_id);
-  w.i32_span(msg.tree_indices);
+  w.i32(msg.tree_index);
   return w.take();
 }
 
@@ -85,74 +84,34 @@ AssignMsg decode_assign(std::span<const std::byte> payload) {
   WireReader r(payload, "Assign");
   AssignMsg msg;
   msg.epoch = r.u64();
-  msg.batch_id = r.u32();
-  msg.tree_indices = r.i32_span();
+  msg.tree_index = r.i32();
   r.expect_exhausted();
-  if (msg.epoch == 0 || msg.tree_indices.empty()) {
-    r.fail("empty assignment");
-  }
+  if (msg.epoch == 0) r.fail("zero epoch");
   return msg;
 }
 
-std::vector<std::byte> encode_heartbeat(const HeartbeatMsg& msg) {
+std::vector<std::byte> encode_tree_result(const TreeResultMsg& msg) {
   WireWriter w;
   w.u64(msg.epoch);
-  w.u32(msg.batch_id);
-  w.u64(msg.trees_done);
-  w.u8(msg.idle);
+  w.i32(msg.tree_index);
+  w.u8(msg.status);
+  w.str(msg.error);
+  w.f64(msg.cost);
+  write_stats(w, msg.stats);
+  w.i64_span(msg.leaf_of);
   return w.take();
 }
 
-HeartbeatMsg decode_heartbeat(std::span<const std::byte> payload) {
-  WireReader r(payload, "Heartbeat");
-  HeartbeatMsg msg;
+TreeResultMsg decode_tree_result(std::span<const std::byte> payload) {
+  WireReader r(payload, "TreeResult");
+  TreeResultMsg msg;
   msg.epoch = r.u64();
-  msg.batch_id = r.u32();
-  msg.trees_done = r.u64();
-  msg.idle = r.u8();
-  r.expect_exhausted();
-  return msg;
-}
-
-std::vector<std::byte> encode_batch_result(const BatchResultMsg& msg) {
-  WireWriter w;
-  w.u64(msg.epoch);
-  w.u32(msg.batch_id);
-  w.u32(static_cast<std::uint32_t>(msg.trees.size()));
-  for (const TreeResultWire& t : msg.trees) {
-    w.i32(t.tree_index);
-    w.u8(t.status);
-    w.str(t.error);
-    w.f64(t.cost);
-    write_stats(w, t.stats);
-    w.i64_span(t.leaf_of);
-  }
-  return w.take();
-}
-
-BatchResultMsg decode_batch_result(std::span<const std::byte> payload) {
-  WireReader r(payload, "BatchResult");
-  BatchResultMsg msg;
-  msg.epoch = r.u64();
-  msg.batch_id = r.u32();
-  const std::uint32_t count = r.u32();
-  // Each tree result occupies ≥ the fixed scalar footprint, so a hostile
-  // count is bounded by the remaining payload before anything is reserved.
-  constexpr std::size_t kMinTreeBytes = 4 + 1 + 4 + 8 + 9 * 8 + 4;
-  if (count > r.remaining() / kMinTreeBytes) {
-    r.fail("tree-result count exceeds the remaining payload");
-  }
-  msg.trees.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    TreeResultWire t;
-    t.tree_index = r.i32();
-    t.status = r.u8();
-    t.error = r.str();
-    t.cost = r.f64();
-    t.stats = read_stats(r);
-    t.leaf_of = r.i64_span();
-    msg.trees.push_back(std::move(t));
-  }
+  msg.tree_index = r.i32();
+  msg.status = r.u8();
+  msg.error = r.str();
+  msg.cost = r.f64();
+  msg.stats = read_stats(r);
+  msg.leaf_of = r.i64_span();
   r.expect_exhausted();
   return msg;
 }

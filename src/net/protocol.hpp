@@ -6,18 +6,22 @@
 //   coord → shard   HelloAck{version}
 //   coord → shard   Job{solve params, snapshot blob}
 //   shard → coord   JobAck{graph fingerprint, num trees}
-//   coord → shard   Assign{epoch, batch, tree indices}     (repeated)
-//   shard → coord   Heartbeat{epoch, batch, progress}      (streamed)
-//   shard → coord   BatchResult{epoch, batch, per-tree results}
+//   coord → shard   Assign{epoch, tree index}              (one per lease)
+//   shard → coord   Heartbeat{}                            (streamed, empty)
+//   shard → coord   TreeResult{epoch, tree index, result}
 //   coord → shard   Shutdown{}
+//
+// A lease is one tree: the tree index is the lease id, so the result has
+// no second index that could disagree with the lease it answers.  The
+// heartbeat is a bare liveness ping; a non-empty one is malformed.
 //
 // The Job's instance payload is a PR-6 snapshot container blob (graph +
 // hierarchy + forest sections, src/io/snapshot.hpp) embedded whole: the
 // shard re-runs the full snapshot validation stack — CRCs, fingerprint,
 // semantic invariants — before trusting a single byte of the instance.
-// Epochs implement zombie fencing: every Assign carries the batch's
+// Epochs implement zombie fencing: every Assign carries the lease's
 // current epoch, every result echoes it, and the coordinator discards any
-// result whose epoch is stale (the batch was reassigned after this shard
+// result whose epoch is stale (the tree was reassigned after this shard
 // was declared dead).
 //
 // Decode functions throw SolveError{kDataLoss} on any malformed payload,
@@ -39,7 +43,7 @@ constexpr std::uint16_t kMsgJob = 3;
 constexpr std::uint16_t kMsgJobAck = 4;
 constexpr std::uint16_t kMsgAssign = 5;
 constexpr std::uint16_t kMsgHeartbeat = 6;
-constexpr std::uint16_t kMsgBatchResult = 7;
+constexpr std::uint16_t kMsgTreeResult = 7;
 constexpr std::uint16_t kMsgShutdown = 8;
 
 /// Everything a shard needs to solve assigned trees bit-identically to the
@@ -64,33 +68,20 @@ struct JobAckMsg {
 
 struct AssignMsg {
   std::uint64_t epoch = 0;
-  std::uint32_t batch_id = 0;
-  std::vector<std::int32_t> tree_indices;
+  std::int32_t tree_index = 0;
 };
 
-struct HeartbeatMsg {
-  std::uint64_t epoch = 0;       ///< 0 when idle
-  std::uint32_t batch_id = 0;
-  /// Trees finished within the current batch (progress counter).
-  std::uint64_t trees_done = 0;
-  std::uint8_t idle = 0;
-};
-
-/// One tree's result.  `leaf_of` is present only when status == kOk; the
-/// stats travel so resumed telemetry stays honest (checkpoint.hpp).
-struct TreeResultWire {
+/// One leased tree's result, echoing the lease's epoch.  `leaf_of` is
+/// present only when status == kOk; the stats travel so resumed telemetry
+/// stays honest (checkpoint.hpp).
+struct TreeResultMsg {
+  std::uint64_t epoch = 0;
   std::int32_t tree_index = 0;
   std::uint8_t status = 0;  ///< StatusCode
   std::string error;
   double cost = 0;
   TreeDpStats stats;
   std::vector<std::int64_t> leaf_of;
-};
-
-struct BatchResultMsg {
-  std::uint64_t epoch = 0;
-  std::uint32_t batch_id = 0;
-  std::vector<TreeResultWire> trees;
 };
 
 std::vector<std::byte> encode_job(const JobMsg& msg);
@@ -102,10 +93,7 @@ JobAckMsg decode_job_ack(std::span<const std::byte> payload);
 std::vector<std::byte> encode_assign(const AssignMsg& msg);
 AssignMsg decode_assign(std::span<const std::byte> payload);
 
-std::vector<std::byte> encode_heartbeat(const HeartbeatMsg& msg);
-HeartbeatMsg decode_heartbeat(std::span<const std::byte> payload);
-
-std::vector<std::byte> encode_batch_result(const BatchResultMsg& msg);
-BatchResultMsg decode_batch_result(std::span<const std::byte> payload);
+std::vector<std::byte> encode_tree_result(const TreeResultMsg& msg);
+TreeResultMsg decode_tree_result(std::span<const std::byte> payload);
 
 }  // namespace hgp::net

@@ -58,11 +58,11 @@ enum class EventKind : std::uint8_t {
   kShardUp = 16,          ///< shard handshake + job load done (arg: shard id)
   kShardLost = 17,        ///< shard declared dead — socket error or missed
                           ///< heartbeats past its lease (arg: shard id)
-  kLeaseExpire = 18,      ///< a leased batch's shard missed heartbeats past
-                          ///< the lease (arg: batch id)
-  kBatchReassign = 19,    ///< batch re-queued under a bumped epoch (arg:
-                          ///< batch id)
-  kZombieFenced = 20,     ///< stale-epoch result discarded (arg: batch id)
+  kLeaseExpire = 18,      ///< a leased tree's shard missed heartbeats past
+                          ///< the lease (arg: tree index)
+  kBatchReassign = 19,    ///< leased tree re-queued under a bumped epoch
+                          ///< (arg: tree index)
+  kZombieFenced = 20,     ///< stale-epoch result discarded (arg: tree index)
   kCount                  // number of kinds; keep last
 };
 

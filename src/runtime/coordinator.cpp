@@ -47,12 +47,11 @@ std::string default_socket_dir() {
 struct ShardCoordinator::Impl {
   // ------------------------------------------------------------------ types
 
-  struct Batch {
-    std::uint32_t id = 0;
-    std::vector<std::int32_t> trees;
+  /// One tree's lease; its index in `leases` is the tree index.
+  struct Lease {
     /// Fencing token.  Starts at 1 (Assign decode rejects epoch 0) and is
     /// bumped on every reassignment; a result echoing an older epoch came
-    /// from a shard that was declared dead after this batch moved on.
+    /// from a shard that was declared dead after this tree moved on.
     std::uint64_t epoch = 1;
     enum class State { kPending, kLeased, kDone } state = State::kPending;
     int owner = -1;  ///< shard id while leased
@@ -73,7 +72,7 @@ struct ShardCoordinator::Impl {
     enum class State { kConnecting, kIdle, kBusy, kDead } state =
         State::kConnecting;
     Clock::time_point last_beat = Clock::now();
-    int outstanding = -1;  ///< leased batch id, -1 when idle
+    int outstanding = -1;  ///< leased tree index, -1 when idle
   };
 
   // ----------------------------------------------------------------- fields
@@ -86,8 +85,8 @@ struct ShardCoordinator::Impl {
   Mutex mu;
   CondVar cv;
   std::vector<std::unique_ptr<Shard>> shards HGP_GUARDED_BY(mu);
-  std::vector<Batch> batches HGP_GUARDED_BY(mu);
-  std::size_t batches_done HGP_GUARDED_BY(mu) = 0;
+  std::vector<Lease> leases HGP_GUARDED_BY(mu);
+  std::size_t leases_done HGP_GUARDED_BY(mu) = 0;
   /// Set at teardown: reader exits stop being "shard lost" events.
   bool stopping HGP_GUARDED_BY(mu) = false;
   CoordinatorReport report;  // counters mutated under mu until solve() ends
@@ -151,19 +150,8 @@ struct ShardCoordinator::Impl {
     job.snapshot_blob = w.serialize();
     job_payload = net::encode_job(job);
 
-    const int batch_size = std::max(1, copt.batch_size);
     const MutexLock lock(mu);
-    for (std::size_t lo = 0; lo < forest->size();
-         lo += static_cast<std::size_t>(batch_size)) {
-      Batch b;
-      b.id = static_cast<std::uint32_t>(batches.size());
-      const std::size_t hi =
-          std::min(forest->size(), lo + static_cast<std::size_t>(batch_size));
-      for (std::size_t i = lo; i < hi; ++i) {
-        b.trees.push_back(static_cast<std::int32_t>(i));
-      }
-      batches.push_back(std::move(b));
-    }
+    leases.resize(forest->size());
   }
 
   // --------------------------------------------------------- shard plumbing
@@ -225,12 +213,15 @@ struct ShardCoordinator::Impl {
         std::optional<net::Frame> frame = s->channel.recv(Deadline::never());
         if (!frame.has_value()) break;  // peer departed
         if (frame->type == net::kMsgHeartbeat) {
-          (void)net::decode_heartbeat(frame->payload);
+          if (!frame->payload.empty()) {
+            throw SolveError(StatusCode::kDataLoss,
+                             "heartbeat carries a payload");
+          }
           const MutexLock lock(mu);
           s->last_beat = Clock::now();
           HGP_COUNTER_ADD("shard.heartbeats", 1);
-        } else if (frame->type == net::kMsgBatchResult) {
-          accept_result(s, net::decode_batch_result(frame->payload));
+        } else if (frame->type == net::kMsgTreeResult) {
+          accept_result(s, net::decode_tree_result(frame->payload));
         } else {
           throw SolveError(StatusCode::kDataLoss,
                            "unexpected frame type " +
@@ -251,52 +242,51 @@ struct ShardCoordinator::Impl {
     cv.notify_all();
   }
 
-  /// Exactly-once admission of a shard's batch result.  Anything that is
-  /// not the *currently leased* (batch, epoch, owner) triple is a zombie:
-  /// the shard was declared dead and the batch reassigned (stale epoch), or
-  /// the batch already completed (double delivery).  Fenced results are
+  /// Exactly-once admission of a shard's tree result.  Anything that is
+  /// not the *currently leased* (tree, epoch, owner) triple is a zombie:
+  /// the shard was declared dead and the tree reassigned (stale epoch), or
+  /// the tree already completed (double delivery).  Fenced results are
   /// counted and dropped — never recorded.
-  void accept_result(Shard* s, net::BatchResultMsg res) {
+  void accept_result(Shard* s, net::TreeResultMsg res) {
     const MutexLock lock(mu);
-    const bool in_range = res.batch_id < batches.size();
-    Batch* b = in_range ? &batches[res.batch_id] : nullptr;
-    const bool current = b != nullptr && b->state == Batch::State::kLeased &&
-                         b->owner == s->id && b->epoch == res.epoch &&
+    const bool in_range =
+        res.tree_index >= 0 &&
+        static_cast<std::size_t>(res.tree_index) < leases.size();
+    Lease* l = in_range ? &leases[static_cast<std::size_t>(res.tree_index)]
+                        : nullptr;
+    const bool current = l != nullptr && l->state == Lease::State::kLeased &&
+                         l->owner == s->id && l->epoch == res.epoch &&
                          s->state == Shard::State::kBusy;
     if (!current) {
       ++report.zombies_fenced;
       HGP_COUNTER_ADD("shard.zombies_fenced", 1);
-      HGP_JOURNAL(kZombieFenced, rid, 0, res.batch_id, 0);
+      HGP_JOURNAL(kZombieFenced, rid, 0, res.tree_index, 0);
       return;
     }
-    for (net::TreeResultWire& tree : res.trees) {
-      if (tree.status != static_cast<std::uint8_t>(StatusCode::kOk)) {
-        // The tree failed remotely; leaving it out of the checkpoint makes
-        // the final solve_hgp re-attempt it in-process, which is exactly
-        // what per-tree fault isolation does locally.
-        HGP_COUNTER_ADD("shard.remote_tree_failures", 1);
-        continue;
-      }
+    if (res.status != static_cast<std::uint8_t>(StatusCode::kOk)) {
+      // The tree failed remotely; leaving it out of the checkpoint makes
+      // the final solve_hgp re-attempt it in-process, which is exactly
+      // what per-tree fault isolation does locally.
+      HGP_COUNTER_ADD("shard.remote_tree_failures", 1);
+    } else {
       // Wire results are untrusted until proven shaped like this instance,
       // by the same check the forest executor applies to recovered
-      // checkpoints, plus the tree index this path alone receives.
+      // checkpoints.
       CheckpointedTree ck;
-      ck.placement.leaf_of = std::move(tree.leaf_of);
-      ck.cost = tree.cost;
-      ck.stats = tree.stats;
-      if (tree.tree_index < 0 ||
-          static_cast<std::size_t>(tree.tree_index) >= forest->size() ||
-          !tree_result_fits(g, h, ck)) {
+      ck.placement.leaf_of = std::move(res.leaf_of);
+      ck.cost = res.cost;
+      ck.stats = res.stats;
+      if (tree_result_fits(g, h, ck)) {
+        checkpoint->record(res.tree_index, std::move(ck));
+        ++report.trees_from_shards;
+        HGP_COUNTER_ADD("shard.trees_from_shards", 1);
+      } else {
         HGP_COUNTER_ADD("shard.malformed_tree_results", 1);
-        continue;
       }
-      checkpoint->record(tree.tree_index, std::move(ck));
-      ++report.trees_from_shards;
-      HGP_COUNTER_ADD("shard.trees_from_shards", 1);
     }
-    b->state = Batch::State::kDone;
-    b->owner = -1;
-    ++batches_done;
+    l->state = Lease::State::kDone;
+    l->owner = -1;
+    ++leases_done;
     ++report.batches_completed;
     HGP_COUNTER_ADD("shard.batches_completed", 1);
     s->outstanding = -1;
@@ -316,14 +306,14 @@ struct ShardCoordinator::Impl {
     HGP_COUNTER_ADD("shard.lost", 1);
     HGP_JOURNAL(kShardLost, rid, 0, s.id, 0);
     if (s.outstanding >= 0) {
-      Batch& b = batches[static_cast<std::size_t>(s.outstanding)];
-      if (b.state == Batch::State::kLeased && b.owner == s.id) {
-        ++b.epoch;
-        b.state = Batch::State::kPending;
-        b.owner = -1;
+      Lease& l = leases[static_cast<std::size_t>(s.outstanding)];
+      if (l.state == Lease::State::kLeased && l.owner == s.id) {
+        ++l.epoch;
+        l.state = Lease::State::kPending;
+        l.owner = -1;
         ++report.batches_reassigned;
         HGP_COUNTER_ADD("shard.batches_reassigned", 1);
-        HGP_JOURNAL(kBatchReassign, rid, 0, b.id, 0);
+        HGP_JOURNAL(kBatchReassign, rid, 0, s.outstanding, 0);
       }
       s.outstanding = -1;
     }
@@ -379,7 +369,7 @@ struct ShardCoordinator::Impl {
     return opt.cancel != nullptr && opt.cancel->cancelled();
   }
 
-  /// The coordinator's main loop: assign pending batches to idle shards,
+  /// The coordinator's main loop: lease pending trees to idle shards,
   /// expire leases, respawn within budget, stop when the work is done, the
   /// deadline passed, or no shard can make progress (the final in-process
   /// aggregation covers whatever is left).
@@ -400,10 +390,10 @@ struct ShardCoordinator::Impl {
       bool need_respawn = false;
       {
         const MutexLock lock(mu);
-        if (batches_done == batches.size()) return;
+        if (leases_done == leases.size()) return;
 
         // Lease scan: a busy shard silent past the lease is dead and its
-        // batch goes back in the queue under a fresh epoch.
+        // tree goes back in the queue under a fresh epoch.
         for (const std::unique_ptr<Shard>& sp : shards) {
           Shard& s = *sp;
           if (s.state != Shard::State::kBusy) continue;
@@ -414,31 +404,24 @@ struct ShardCoordinator::Impl {
           declare_dead_locked(s);
         }
 
-        // Assignment: one outstanding batch per shard keeps reassignment
-        // loss bounded to a single lease per failure.
+        // Assignment: one outstanding tree per shard keeps reassignment
+        // loss bounded to a single tree per failure.
         for (const std::unique_ptr<Shard>& sp : shards) {
           Shard& s = *sp;
           if (s.state != Shard::State::kIdle) continue;
-          Batch* next = nullptr;
-          for (Batch& b : batches) {
-            if (b.state == Batch::State::kPending) {
-              next = &b;
-              break;
-            }
-          }
-          if (next == nullptr) break;
-          next->state = Batch::State::kLeased;
+          const auto next =
+              std::find_if(leases.begin(), leases.end(), [](const Lease& l) {
+                return l.state == Lease::State::kPending;
+              });
+          if (next == leases.end()) break;
+          next->state = Lease::State::kLeased;
           next->owner = s.id;
           s.state = Shard::State::kBusy;
-          s.outstanding = static_cast<int>(next->id);
+          s.outstanding = static_cast<int>(next - leases.begin());
           s.last_beat = Clock::now();  // a fresh lease starts a fresh clock
           ++report.batches_assigned;
           HGP_COUNTER_ADD("shard.batches_assigned", 1);
-          net::AssignMsg msg;
-          msg.epoch = next->epoch;
-          msg.batch_id = next->id;
-          msg.tree_indices = next->trees;
-          sends.push_back(PendingSend{&s, std::move(msg)});
+          sends.push_back(PendingSend{&s, {next->epoch, s.outstanding}});
         }
 
         const bool any_alive =
@@ -446,7 +429,7 @@ struct ShardCoordinator::Impl {
                         [](const std::unique_ptr<Shard>& sp) {
                           return sp->state != Shard::State::kDead;
                         });
-        const bool work_left = batches_done < batches.size();
+        const bool work_left = leases_done < leases.size();
         if (!any_alive && work_left && sends.empty()) {
           const bool can_respawn = listener.valid() &&
                                    report.respawns < copt.respawn_limit;

@@ -6,10 +6,11 @@
 // until the final comparison), so the coordinator's only hard job is
 // failure handling:
 //
-//   * every Assign carries a lease — a shard that misses heartbeats past
-//     CoordinatorOptions::lease_ms is declared dead and its leased batches
-//     are reassigned to survivors;
-//   * every batch carries an epoch, bumped on reassignment — a zombie
+//   * every Assign leases exactly one tree, and the tree index is the
+//     lease id — a shard that misses heartbeats past
+//     CoordinatorOptions::lease_ms is declared dead and its leased tree is
+//     reassigned to a survivor;
+//   * every lease carries an epoch, bumped on reassignment — a zombie
 //     shard (declared dead but still running) delivers results under a
 //     stale epoch and they are fenced and discarded, so each tree is
 //     accounted exactly once;
@@ -56,13 +57,11 @@ struct CoordinatorOptions {
   /// Directory for the coordinator's unix listening socket (spawn-local);
   /// empty uses TMPDIR (or /tmp).
   std::string socket_dir;
-  /// A leased batch whose shard sends no heartbeat for this long is
+  /// A leased tree whose shard sends no heartbeat for this long is
   /// reassigned and the shard declared dead.
   double lease_ms = 2000;
   /// Heartbeat cadence requested from shards (carried in the Job).
   double heartbeat_ms = 25;
-  /// Trees per assigned batch.
-  int batch_size = 1;
   /// Budget for one shard's handshake + job load.
   double handshake_timeout_ms = 10000;
   /// Total replacement spawns allowed across the solve (spawn-local).
@@ -73,11 +72,11 @@ struct CoordinatorOptions {
 };
 
 /// Shard-level accounting for one coordinated solve (the chaos storm's
-/// assertions read these).
+/// assertions read these).  A "batch" is one leased tree.
 struct CoordinatorReport {
   int shards_up = 0;          ///< handshake + job load completed
   int shards_lost = 0;        ///< socket death or lease expiry
-  int lease_expiries = 0;     ///< batches whose lease ran out
+  int lease_expiries = 0;     ///< leases that ran out
   int batches_assigned = 0;   ///< Assign frames sent (reassigns included)
   int batches_completed = 0;  ///< accepted exactly-once results
   int batches_reassigned = 0; ///< re-queued under a bumped epoch

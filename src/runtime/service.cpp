@@ -70,12 +70,13 @@ namespace {
 
 /// The loop is generic over what an "attempt" does: a full solve_hgp for
 /// plain requests, a session resolve for incremental ones.  Retry, backoff
-/// and journaling behave identically for both; SolverService::run_request
-/// turns the degradation ladder off for resolves.
+/// and journaling behave identically for both; `ladder` is false for
+/// resolves, whose session pins the forest, so halving num_trees would
+/// re-run the same resolve for free.
 RetrySolveReport run_retry_loop(
     const std::function<HgpResult(const SolverOptions&)>& solve,
-    SolverOptions opt, const RetryOptions& ro, const RetryHooks& hooks,
-    std::uint64_t request_id) {
+    SolverOptions opt, const RetryOptions& ro, bool ladder,
+    const RetryHooks& hooks, std::uint64_t request_id) {
   RetrySolveReport rep;
   // Attempts of one logical request share a checkpoint, so trees completed
   // by a killed attempt are served, not re-solved, on the retry.
@@ -142,11 +143,11 @@ RetrySolveReport run_retry_loop(
     if (hooks.on_attempt_failed) hooks.on_attempt_failed(failure);
 
     // Resource pressure degrades before it burns retries: the one ladder
-    // step halves the trees, which strictly shrinks the footprint, so
-    // stepping is free.
-    if (failure.code == StatusCode::kResourceExhausted &&
-        ro.degrade_on_resource_exhausted && opt.num_trees > ro.min_trees) {
-      opt.num_trees = std::max(ro.min_trees, opt.num_trees / 2);
+    // step halves the trees (down to one), which strictly shrinks the
+    // footprint, so stepping is free.
+    if (failure.code == StatusCode::kResourceExhausted && ladder &&
+        opt.num_trees > 1) {
+      opt.num_trees /= 2;
       ++rep.degrades;
       HGP_JOURNAL(kDegrade, request_id, attempt_no, opt.num_trees,
                   failure.code);
@@ -193,7 +194,8 @@ RetrySolveReport solve_with_retry(const Graph& g, const Hierarchy& h,
   // from service request ids.
   return run_retry_loop(
       [&g, &h](const SolverOptions& o) { return solve_hgp(g, h, o); },
-      std::move(opt), retry, RetryHooks{}, obs::next_library_request_id());
+      std::move(opt), retry, /*ladder=*/true, RetryHooks{},
+      obs::next_library_request_id());
 }
 
 // ---------------------------------------------------------------------------
@@ -348,43 +350,41 @@ SolverService::~SolverService() {
   if (watchdog_.joinable()) watchdog_.join();
 }
 
-std::shared_ptr<ServiceRequest> SolverService::reject(
-    std::shared_ptr<ServiceRequest> req, const char* why, int reason_index) {
-  HGP_JOURNAL(kReject, req->id(), 0, reason_index, 0);
+void SolverService::reject(ServiceRequest& req, const char* why,
+                           int reason_index) {
+  HGP_JOURNAL(kReject, req.id(), 0, reason_index, 0);
   RetrySolveReport rep;
   rep.status = Status(StatusCode::kResourceExhausted, why);
-  req->finish(std::move(rep));
+  req.finish(std::move(rep));
   HGP_COUNTER_ADD("service.admission_rejects", 1);
-  return req;
 }
 
-std::shared_ptr<ServiceRequest> SolverService::submit(const Graph& g,
-                                                      const Hierarchy& h,
-                                                      SolverOptions opt) {
+bool SolverService::admit(
+    const std::function<ServiceRequest*(std::uint64_t)>& make,
+    std::shared_ptr<ServiceRequest>& req) {
   stats_.submitted.fetch_add(1, std::memory_order_relaxed);
   HGP_COUNTER_ADD("service.submitted", 1);
-  std::shared_ptr<ServiceRequest> req;
   {
     const MutexLock lock(mutex_);
-    req.reset(new ServiceRequest(next_id_++, g, h, std::move(opt)));
+    req.reset(make(next_id_++));
     HGP_JOURNAL(kSubmit, req->id(), 0, 0, 0);
     if (draining_ || stopping_) {
       stats_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-      return reject(std::move(req), "service is draining; request rejected",
-                    kRejectDraining);
+      reject(*req, "service is draining; request rejected", kRejectDraining);
+      return false;
     }
     if (queue_.size() >= opt_.max_queue) {
       stats_.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
-      return reject(std::move(req), "admission queue is full",
-                    kRejectQueueFull);
+      reject(*req, "admission queue is full", kRejectQueueFull);
+      return false;
     }
     const MemoryBudget& budget = MemoryBudget::global();
     if (budget.limit() > 0 &&
         budget.utilization() > opt_.admission_max_utilization) {
       stats_.rejected_budget.fetch_add(1, std::memory_order_relaxed);
-      return reject(std::move(req),
-                    "memory budget utilization above the admission threshold",
-                    kRejectBudget);
+      reject(*req, "memory budget utilization above the admission threshold",
+             kRejectBudget);
+      return false;
     }
     queue_.push_back(req);
     stats_.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -394,6 +394,18 @@ std::shared_ptr<ServiceRequest> SolverService::submit(const Graph& g,
   }
   work_cv_.notify_one();
   HGP_COUNTER_ADD("service.admitted", 1);
+  return true;
+}
+
+std::shared_ptr<ServiceRequest> SolverService::submit(const Graph& g,
+                                                      const Hierarchy& h,
+                                                      SolverOptions opt) {
+  std::shared_ptr<ServiceRequest> req;
+  admit(
+      [&](std::uint64_t id) {
+        return new ServiceRequest(id, g, h, std::move(opt));
+      },
+      req);
   return req;
 }
 
@@ -415,42 +427,16 @@ std::shared_ptr<ServiceRequest> SolverService::submit_resolve(
     throw SolveError(StatusCode::kInvalidInput,
                      "submit_resolve requires a session and a mutation log");
   }
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  HGP_COUNTER_ADD("service.submitted", 1);
   std::shared_ptr<ServiceRequest> req;
-  {
-    const MutexLock lock(mutex_);
-    req.reset(new ServiceRequest(next_id_++, std::move(session),
-                                 std::move(log), std::move(opt)));
-    HGP_JOURNAL(kSubmit, req->id(), 0, 0, 0);
-    if (draining_ || stopping_) {
-      stats_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-      return reject(std::move(req), "service is draining; request rejected",
-                    kRejectDraining);
-    }
-    if (queue_.size() >= opt_.max_queue) {
-      stats_.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
-      return reject(std::move(req), "admission queue is full",
-                    kRejectQueueFull);
-    }
-    const MemoryBudget& budget = MemoryBudget::global();
-    if (budget.limit() > 0 &&
-        budget.utilization() > opt_.admission_max_utilization) {
-      stats_.rejected_budget.fetch_add(1, std::memory_order_relaxed);
-      return reject(std::move(req),
-                    "memory budget utilization above the admission threshold",
-                    kRejectBudget);
-    }
-    queue_.push_back(req);
-    stats_.admitted.fetch_add(1, std::memory_order_relaxed);
+  if (admit(
+          [&](std::uint64_t id) {
+            return new ServiceRequest(id, std::move(session), std::move(log),
+                                      std::move(opt));
+          },
+          req)) {
     stats_.resolves.fetch_add(1, std::memory_order_relaxed);
-    HGP_JOURNAL(kAdmit, req->id(), 0,
-                static_cast<std::int64_t>(queue_.size()), 0);
-    HGP_GAUGE_SET("service.queue_depth", queue_.size());
+    HGP_COUNTER_ADD("service.resolves", 1);
   }
-  work_cv_.notify_one();
-  HGP_COUNTER_ADD("service.admitted", 1);
-  HGP_COUNTER_ADD("service.resolves", 1);
   return req;
 }
 
@@ -710,10 +696,6 @@ void SolverService::run_request(const std::shared_ptr<ServiceRequest>& req) {
   if (!opt_.spill_dir.empty() && !is_resolve) try_recover(*req, opt);
 
   RetryOptions retry = opt_.retry;
-  // The ladder's one step halves num_trees, which a session's pinned
-  // forest ignores: a resolve's kResourceExhausted goes straight to the
-  // retry budget instead of re-running the same resolve for free.
-  if (is_resolve) retry.degrade_on_resource_exhausted = false;
   // Decorrelate jitter across requests while staying deterministic in
   // (service seed, request id).
   retry.jitter_seed = SplitMix64(retry.jitter_seed ^ (req->id() + 1)).next();
@@ -782,8 +764,11 @@ void SolverService::run_request(const std::shared_ptr<ServiceRequest>& req) {
     if (is_resolve) return req->session_->run_attempt(*req->log_, o);
     return solve_hgp(*req->graph_, *req->hierarchy_, o);
   };
-  RetrySolveReport rep =
-      run_retry_loop(solve, std::move(opt), retry, hooks, req->id());
+  // A resolve takes no ladder step: its kResourceExhausted goes straight to
+  // the retry budget.
+  RetrySolveReport rep = run_retry_loop(solve, std::move(opt), retry,
+                                        /*ladder=*/!is_resolve, hooks,
+                                        req->id());
   if (!opt_.spill_dir.empty() && rep.status.ok() && req->checkpoint_.bound()) {
     // Terminal success: the durable state served its purpose; remove the
     // spill so the directory only holds work worth resuming.

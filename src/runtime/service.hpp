@@ -12,8 +12,8 @@
 //     per-request retry budget; the spend is surfaced on
 //     HgpResult::retries_used.
 //   * degradation ladder — kResourceExhausted degrades a plain request
-//     before burning retries: the tree count is halved toward
-//     RetryOptions::min_trees; the fallback chain inside solve_hgp
+//     before burning retries: the tree count is halved, down to one
+//     tree; the fallback chain inside solve_hgp
 //     (multilevel → greedy) is the final rung.  Ladder steps are free (not
 //     counted against the retry budget) because each strictly shrinks the
 //     footprint.  A resolve has no ladder step (its session pins the
@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -67,11 +68,6 @@ struct RetryOptions {
   double jitter_fraction = 0.5;
   /// Seed of the jitter stream (deterministic per request).
   std::uint64_t jitter_seed = 1;
-  /// Enables the resource-pressure degradation ladder (plain requests
-  /// only; a resolve never degrades).
-  bool degrade_on_resource_exhausted = true;
-  /// The ladder never reduces num_trees below this.
-  int min_trees = 1;
 };
 
 /// Terminal outcome of one request after admission, retries and
@@ -356,8 +352,13 @@ class SolverService {
   void watchdog_loop() HGP_EXCLUDES(mutex_);
   void run_request(const std::shared_ptr<ServiceRequest>& req)
       HGP_EXCLUDES(mutex_);
-  std::shared_ptr<ServiceRequest> reject(std::shared_ptr<ServiceRequest> req,
-                                         const char* why, int reason_index);
+  /// The one admission path of submit() and submit_resolve(): builds the
+  /// request under the service lock (`make` receives its id), then rejects
+  /// it (draining, queue full, memory budget) or queues it.  Returns true
+  /// when admitted; `req` is the caller's handle either way.
+  bool admit(const std::function<ServiceRequest*(std::uint64_t)>& make,
+             std::shared_ptr<ServiceRequest>& req) HGP_EXCLUDES(mutex_);
+  void reject(ServiceRequest& req, const char* why, int reason_index);
   /// Best-effort flight-recorder dump to opt_.flight_dump_path (no-op when
   /// the path is empty or HGP_OBS is compiled out).
   void maybe_flight_dump(const char* reason) const;

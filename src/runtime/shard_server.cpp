@@ -1,6 +1,5 @@
 #include "runtime/shard_server.hpp"
 
-#include <atomic>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,16 +15,11 @@ namespace hgp {
 
 namespace {
 
-/// Shared coordinates of the in-flight batch, read by the heartbeat
-/// thread while the main loop solves.
+/// Wakes and stops the heartbeat thread.
 struct HeartbeatState {
   Mutex mu;
   CondVar cv;
   bool stop HGP_GUARDED_BY(mu) = false;
-  std::uint64_t epoch HGP_GUARDED_BY(mu) = 0;
-  std::uint32_t batch_id HGP_GUARDED_BY(mu) = 0;
-  std::uint64_t trees_done HGP_GUARDED_BY(mu) = 0;
-  bool idle HGP_GUARDED_BY(mu) = true;
 };
 
 Deadline idle_deadline(const ShardServerOptions& opt) {
@@ -35,14 +29,12 @@ Deadline idle_deadline(const ShardServerOptions& opt) {
 
 }  // namespace
 
-ShardServerReport run_shard_server(net::FrameChannel& ch,
-                                   const ShardServerOptions& opt) {
-  ShardServerReport report;
+Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
+  Status exit_status;
   HeartbeatState hb_state;
-  /// Serializes channel sends: the heartbeat thread and the batch-result
+  /// Serializes channel sends: the heartbeat thread and the tree-result
   /// path share one stream and frames must never interleave.
   Mutex send_mu;
-  std::atomic<std::uint64_t> heartbeats{0};
   // Long-lived beat thread, not a pool task: it must keep beating while
   // every worker thread is busy inside a tree solve.
   // hgp-lint: allow(naked-thread)
@@ -53,16 +45,13 @@ ShardServerReport run_shard_server(net::FrameChannel& ch,
 
     std::optional<net::Frame> job_frame = ch.recv(idle_deadline(opt));
     if (!job_frame.has_value()) {
-      report.exit_status = Status(StatusCode::kUnavailable,
-                                  "coordinator closed before sending a job");
-      return report;
+      return Status(StatusCode::kUnavailable,
+                    "coordinator closed before sending a job");
     }
     if (job_frame->type != net::kMsgJob) {
-      report.exit_status =
-          Status(StatusCode::kDataLoss,
-                 "expected Job, got frame type " +
-                     std::to_string(job_frame->type));
-      return report;
+      return Status(StatusCode::kDataLoss,
+                    "expected Job, got frame type " +
+                        std::to_string(job_frame->type));
     }
     net::JobMsg job = net::decode_job(job_frame->payload);
 
@@ -97,28 +86,19 @@ ShardServerReport run_shard_server(net::FrameChannel& ch,
     // The beater must keep beating while a tree solve hogs the pool — a
     // dedicated thread is the point (liveness independent of solve work).
     // hgp-lint: allow(naked-thread)
-    beater = std::thread([&ch, &hb_state, &send_mu, &heartbeats, beat_ms] {
+    beater = std::thread([&ch, &hb_state, &send_mu, beat_ms] {
       for (;;) {
-        net::HeartbeatMsg msg;
-        bool stop = false;
         {
           const MutexLock lock(hb_state.mu);
           hb_state.cv.wait_for_ms(hb_state.mu, beat_ms);
-          stop = hb_state.stop;
-          msg.epoch = hb_state.epoch;
-          msg.batch_id = hb_state.batch_id;
-          msg.trees_done = hb_state.trees_done;
-          msg.idle = hb_state.idle ? 1 : 0;
+          if (hb_state.stop) break;
         }
-        if (stop) break;
         // The distributed chaos storm stalls THIS site to fake a hung
         // shard: the solve continues, the beats stop, the lease expires.
         FaultInjector::instance().poll_io("shardd.heartbeat", 0);
         try {
           const MutexLock lock(send_mu);
-          ch.send(net::kMsgHeartbeat, net::encode_heartbeat(msg),
-                  Deadline::after_ms(10000));
-          heartbeats.fetch_add(1, std::memory_order_relaxed);
+          ch.send(net::kMsgHeartbeat, {}, Deadline::after_ms(10000));
         } catch (...) {
           break;  // coordinator gone; the main loop will see it too
         }
@@ -128,78 +108,50 @@ ShardServerReport run_shard_server(net::FrameChannel& ch,
     for (;;) {
       std::optional<net::Frame> frame = ch.recv(idle_deadline(opt));
       if (!frame.has_value()) {
-        report.exit_status =
-            Status(StatusCode::kUnavailable, "coordinator closed");
+        exit_status = Status(StatusCode::kUnavailable, "coordinator closed");
         break;
       }
-      if (frame->type == net::kMsgShutdown) {
-        report.exit_status = Status();
-        break;
-      }
+      if (frame->type == net::kMsgShutdown) break;
       if (frame->type != net::kMsgAssign) {
-        report.exit_status =
-            Status(StatusCode::kDataLoss,
-                   "expected Assign/Shutdown, got frame type " +
-                       std::to_string(frame->type));
+        exit_status = Status(StatusCode::kDataLoss,
+                             "expected Assign/Shutdown, got frame type " +
+                                 std::to_string(frame->type));
         break;
       }
       const net::AssignMsg assign = net::decode_assign(frame->payload);
-      {
-        const MutexLock lock(hb_state.mu);
-        hb_state.epoch = assign.epoch;
-        hb_state.batch_id = assign.batch_id;
-        hb_state.trees_done = 0;
-        hb_state.idle = false;
-      }
-
-      net::BatchResultMsg result;
+      const std::int32_t ti = assign.tree_index;
+      net::TreeResultMsg result;
       result.epoch = assign.epoch;
-      result.batch_id = assign.batch_id;
-      result.trees.reserve(assign.tree_indices.size());
-      for (const std::int32_t ti : assign.tree_indices) {
-        net::TreeResultWire tree;
-        tree.tree_index = ti;
-        try {
-          if (ti < 0 || static_cast<std::size_t>(ti) >= forest.size()) {
-            throw SolveError(StatusCode::kInvalidInput,
-                             "assigned tree index " + std::to_string(ti) +
-                                 " outside the forest");
-          }
-          if (opt.on_tree_start) opt.on_tree_start(ti);
-          FaultInjector::instance().on_site("shardd.tree", ti);
-          ForestTreeResult r =
-              solve_forest_tree(g, h, forest[static_cast<std::size_t>(ti)],
-                                tree_opt);
-          tree.status = static_cast<std::uint8_t>(StatusCode::kOk);
-          tree.cost = r.cost;
-          tree.stats = r.stats;
-          tree.leaf_of = std::move(r.placement.leaf_of);
-          ++report.trees_solved;
-          HGP_COUNTER_ADD("shard.trees_solved", 1);
-        } catch (...) {
-          // Same per-tree isolation as solve_hgp: one tree's failure is a
-          // typed record in the result, never the worker's death.
-          const Status s = status_from_current_exception();
-          tree.status = static_cast<std::uint8_t>(s.code);
-          tree.error = s.message;
-          ++report.trees_failed;
-          HGP_COUNTER_ADD("shard.tree_failures", 1);
+      result.tree_index = ti;
+      try {
+        if (ti < 0 || static_cast<std::size_t>(ti) >= forest.size()) {
+          throw SolveError(StatusCode::kInvalidInput,
+                           "assigned tree index " + std::to_string(ti) +
+                               " outside the forest");
         }
-        result.trees.push_back(std::move(tree));
-        const MutexLock lock(hb_state.mu);
-        ++hb_state.trees_done;
+        if (opt.on_tree_start) opt.on_tree_start(ti);
+        FaultInjector::instance().on_site("shardd.tree", ti);
+        ForestTreeResult r = solve_forest_tree(
+            g, h, forest[static_cast<std::size_t>(ti)], tree_opt);
+        result.status = static_cast<std::uint8_t>(StatusCode::kOk);
+        result.cost = r.cost;
+        result.stats = r.stats;
+        result.leaf_of = std::move(r.placement.leaf_of);
+        HGP_COUNTER_ADD("shard.trees_solved", 1);
+      } catch (...) {
+        // Same per-tree isolation as solve_hgp: one tree's failure is a
+        // typed record in the result, never the worker's death.
+        const Status s = status_from_current_exception();
+        result.status = static_cast<std::uint8_t>(s.code);
+        result.error = s.message;
+        HGP_COUNTER_ADD("shard.tree_failures", 1);
       }
-      {
-        const MutexLock lock(send_mu);
-        ch.send(net::kMsgBatchResult, net::encode_batch_result(result),
-                Deadline::after_ms(30000));
-      }
-      ++report.batches_assigned;
-      const MutexLock lock(hb_state.mu);
-      hb_state.idle = true;
+      const MutexLock lock(send_mu);
+      ch.send(net::kMsgTreeResult, net::encode_tree_result(result),
+              Deadline::after_ms(30000));
     }
   } catch (...) {
-    report.exit_status = status_from_current_exception();
+    exit_status = status_from_current_exception();
   }
 
   if (beater.joinable()) {
@@ -210,8 +162,7 @@ ShardServerReport run_shard_server(net::FrameChannel& ch,
     hb_state.cv.notify_all();
     beater.join();
   }
-  report.heartbeats_sent = heartbeats.load(std::memory_order_relaxed);
-  return report;
+  return exit_status;
 }
 
 }  // namespace hgp

@@ -9,10 +9,10 @@
 //
 // Protocol (src/net/protocol.hpp): after the version handshake the server
 // expects a Job (instance snapshot blob + solve params), acks it, then
-// loops on Assign → solve each tree with solve_forest_tree (the SAME
-// per-tree path solve_hgp uses — bit-identity is by shared code, not by
-// re-implementation) → BatchResult.  A heartbeat thread streams progress
-// counters at the coordinator's requested cadence the whole time.
+// loops on Assign → solve the one leased tree with solve_forest_tree (the
+// SAME per-tree path solve_hgp uses — bit-identity is by shared code, not
+// by re-implementation) → TreeResult.  A heartbeat thread sends empty
+// liveness pings at the coordinator's requested cadence the whole time.
 //
 // FaultInjector sites (the distributed chaos storm arms these in the
 // worker process; tools/hgp_shardd --fault):
@@ -23,7 +23,6 @@
 //                    the lease — a hung-but-alive shard.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 
 #include "net/channel.hpp"
@@ -42,19 +41,11 @@ struct ShardServerOptions {
   std::function<void(int)> on_tree_start;
 };
 
-struct ShardServerReport {
-  std::uint64_t batches_assigned = 0;
-  std::uint64_t trees_solved = 0;
-  std::uint64_t trees_failed = 0;
-  std::uint64_t heartbeats_sent = 0;
-  /// Why the loop ended (kOk = clean Shutdown from the coordinator).
-  Status exit_status;
-};
-
 /// Serves one coordinator on `ch` until Shutdown, peer close, or a fatal
 /// channel error.  Performs the server half of the handshake first.
-/// Never throws: every exit path is summarized in the report.
-ShardServerReport run_shard_server(net::FrameChannel& ch,
-                                   const ShardServerOptions& opt = {});
+/// Never throws: returns why the loop ended (kOk = clean Shutdown from the
+/// coordinator).
+Status run_shard_server(net::FrameChannel& ch,
+                        const ShardServerOptions& opt = {});
 
 }  // namespace hgp

@@ -73,7 +73,6 @@ void expect_bit_identical(const HgpResult& got, const HgpResult& want) {
 /// adopts the other end of the socket pair.
 struct ShardThread {
   std::thread thread;
-  ShardServerReport report;
 
   ~ShardThread() {
     if (thread.joinable()) thread.join();
@@ -84,16 +83,16 @@ net::Socket start_shard(std::deque<ShardThread>& pool,
                         ShardServerOptions opt = {}) {
   auto [mine, theirs] = net::socket_pair();
   ShardThread& sh = pool.emplace_back();
-  sh.thread = std::thread([&sh, sock = std::move(theirs), opt]() mutable {
+  sh.thread = std::thread([sock = std::move(theirs), opt]() mutable {
     net::FrameChannel ch(std::move(sock));
-    sh.report = run_shard_server(ch, opt);
+    run_shard_server(ch, opt);
   });
   return std::move(mine);
 }
 
 /// Opens once a faulty shard has taken its first lease.  An honest shard
 /// beside it holds its first tree until then (held_by), so it cannot
-/// finish every batch before the faulty shard is up; on a loaded host that
+/// finish every tree before the faulty shard is up; on a loaded host that
 /// left the scripted fault unfired.
 class LeaseGate {
  public:
@@ -127,7 +126,7 @@ net::Socket start_scripted_shard(
   const std::uint64_t fp = graph_fingerprint(g);
   ShardThread& sh = pool.emplace_back();
   sh.thread = std::thread(
-      [&sh, sock = std::move(theirs), fp, script = std::move(script)]() mutable {
+      [sock = std::move(theirs), fp, script = std::move(script)]() mutable {
         try {
           net::FrameChannel ch(std::move(sock));
           const Deadline d = Deadline::after_ms(20000);
@@ -168,20 +167,22 @@ TEST(Coordinator, MatchesSingleProcessBitForBit) {
   EXPECT_EQ(coord.report().batches_completed, 4);
 }
 
-TEST(Coordinator, BatchSizeGroupsTrees) {
+TEST(Coordinator, OneShardServesEachTreeAsItsOwnLease) {
   const Graph g = workload(12);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(12, 5));
 
   std::deque<ShardThread> pool;
   CoordinatorOptions copt;
-  copt.batch_size = 2;  // 5 trees -> batches {0,1},{2,3},{4}
   ShardCoordinator coord(g, hier(), base_options(12, 5), copt);
   coord.adopt_shard(start_shard(pool));
   const HgpResult got = coord.solve();
 
+  // 5 trees over one connection: 5 consecutive one-tree leases.
   expect_bit_identical(got, baseline);
-  EXPECT_EQ(coord.report().batches_completed, 3);
+  EXPECT_EQ(coord.report().batches_assigned, 5);
+  EXPECT_EQ(coord.report().batches_completed, 5);
   EXPECT_EQ(coord.report().trees_from_shards, 5);
+  EXPECT_FALSE(coord.report().degraded_inprocess);
 }
 
 TEST(Coordinator, CrashedShardIsDetectedAndWorkReassigned) {
@@ -221,7 +222,7 @@ TEST(Coordinator, HungShardLeaseExpires) {
   CoordinatorOptions copt;
   copt.lease_ms = 150;
   ShardCoordinator coord(g, hier(), base_options(14), copt);
-  // Shard 0 accepts the batch, then goes silent (no heartbeats, no result,
+  // Shard 0 accepts the tree, then goes silent (no heartbeats, no result,
   // socket held open) until the test releases it — a hang, not a crash.
   coord.adopt_shard(start_scripted_shard(pool, g, [&](net::FrameChannel& ch) {
     (void)ch.recv(Deadline::after_ms(20000));
@@ -256,7 +257,6 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
 
   CoordinatorOptions copt;
   copt.lease_ms = 150;
-  copt.batch_size = 1;
   ShardCoordinator coord(g, hier(), base_options(15), copt);
 
   // Shard 0 (honest, gated): its first tree solve blocks until the test
@@ -270,8 +270,8 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
   };
   coord.adopt_shard(start_shard(pool, gated));
 
-  // Shard 1 (zombie): takes a batch, goes silent past the lease so the
-  // batch is reassigned under a bumped epoch, then "wakes up" and delivers
+  // Shard 1 (zombie): takes a tree, goes silent past the lease so the
+  // tree is reassigned under a bumped epoch, then "wakes up" and delivers
   // the result under the ORIGINAL epoch — which must be fenced, not
   // double-counted.
   coord.adopt_shard(start_scripted_shard(pool, g, [&](net::FrameChannel& ch) {
@@ -279,18 +279,13 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
     ASSERT_TRUE(assign_frame.has_value());
     const net::AssignMsg assign = net::decode_assign(assign_frame->payload);
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
-    net::BatchResultMsg stale;
+    net::TreeResultMsg stale;
     stale.epoch = assign.epoch;  // stale by now: the lease expired long ago
-    stale.batch_id = assign.batch_id;
-    for (std::int32_t ti : assign.tree_indices) {
-      net::TreeResultWire tree;
-      tree.tree_index = ti;
-      tree.status = static_cast<std::uint8_t>(StatusCode::kOk);
-      tree.cost = 0.0;  // hostile: would win any arg-min if not fenced
-      tree.leaf_of.assign(static_cast<std::size_t>(20), 0);
-      stale.trees.push_back(std::move(tree));
-    }
-    ch.send(net::kMsgBatchResult, net::encode_batch_result(stale),
+    stale.tree_index = assign.tree_index;
+    stale.status = static_cast<std::uint8_t>(StatusCode::kOk);
+    stale.cost = 0.0;  // hostile: would win any arg-min if not fenced
+    stale.leaf_of.assign(static_cast<std::size_t>(20), 0);
+    ch.send(net::kMsgTreeResult, net::encode_tree_result(stale),
             Deadline::after_ms(20000));
     {
       MutexLock lock(mu);
@@ -329,6 +324,36 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
   EXPECT_TRUE(saw_lease);
   EXPECT_TRUE(saw_reassign);
 #endif
+}
+
+TEST(Coordinator, HeartbeatWithPayloadDeclaresShardDead) {
+  const Graph g = workload(22);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(22));
+
+  LeaseGate gate;  // outlives the shard threads, which pool joins
+  std::deque<ShardThread> pool;
+  CoordinatorOptions copt;
+  ShardCoordinator coord(g, hier(), base_options(22), copt);
+  // Shard 0 takes a lease, then sends a heartbeat carrying one byte.  A
+  // heartbeat is an empty ping, so the frame is malformed (kDataLoss) and
+  // the shard is dead even though its socket stays open.
+  coord.adopt_shard(
+      start_scripted_shard(pool, g, [&gate](net::FrameChannel& ch) {
+        (void)ch.recv(Deadline::after_ms(20000));  // the Assign
+        const std::vector<std::byte> one_byte(1);
+        ch.send(net::kMsgHeartbeat, one_byte, Deadline::after_ms(20000));
+        gate.open();
+        (void)ch.recv(Deadline::after_ms(20000));  // held until teardown
+      }));
+  coord.adopt_shard(start_shard(pool, held_by(gate)));
+  const HgpResult got = coord.solve();
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(coord.report().shards_lost, 1);
+  EXPECT_EQ(coord.report().batches_reassigned, 1);
+  EXPECT_EQ(coord.report().zombies_fenced, 0);
+  EXPECT_EQ(coord.report().trees_from_shards, 4);
+  EXPECT_FALSE(coord.report().degraded_inprocess);
 }
 
 TEST(Coordinator, AllShardsLostDegradesToInProcess) {
@@ -378,18 +403,13 @@ TEST(Coordinator, MalformedRemoteResultIsRejectedNotTrusted) {
       auto frame = ch.recv(Deadline::after_ms(20000));
       if (!frame.has_value() || frame->type != net::kMsgAssign) return;
       const net::AssignMsg assign = net::decode_assign(frame->payload);
-      net::BatchResultMsg res;
+      net::TreeResultMsg res;
       res.epoch = assign.epoch;
-      res.batch_id = assign.batch_id;
-      for (std::int32_t ti : assign.tree_indices) {
-        net::TreeResultWire tree;
-        tree.tree_index = ti;
-        tree.status = static_cast<std::uint8_t>(StatusCode::kOk);
-        tree.cost = 0.0;
-        tree.leaf_of = {0};  // wrong size for a 20-vertex instance
-        res.trees.push_back(std::move(tree));
-      }
-      ch.send(net::kMsgBatchResult, net::encode_batch_result(res),
+      res.tree_index = assign.tree_index;
+      res.status = static_cast<std::uint8_t>(StatusCode::kOk);
+      res.cost = 0.0;
+      res.leaf_of = {0};  // wrong size for a 20-vertex instance
+      ch.send(net::kMsgTreeResult, net::encode_tree_result(res),
               Deadline::after_ms(20000));
     }
   }));

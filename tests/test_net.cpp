@@ -161,49 +161,54 @@ TEST(WireReader, TrailingBytesRejected) {
 
 // --------------------------------------------------------------- protocol
 
-TEST(Protocol, AssignRejectsZeroEpochAndEmptyBatch) {
+TEST(Protocol, AssignRoundTripsAndRejectsZeroEpoch) {
   AssignMsg ok;
   ok.epoch = 3;
-  ok.batch_id = 1;
-  ok.tree_indices = {0, 1};
+  ok.tree_index = 2;
   const AssignMsg round = decode_assign(encode_assign(ok));
   EXPECT_EQ(round.epoch, 3u);
-  EXPECT_EQ(round.tree_indices, ok.tree_indices);
+  EXPECT_EQ(round.tree_index, 2);
 
   AssignMsg zero_epoch = ok;
   zero_epoch.epoch = 0;
   EXPECT_EQ(thrown_code([&] { decode_assign(encode_assign(zero_epoch)); }),
             StatusCode::kDataLoss);
-
-  AssignMsg empty = ok;
-  empty.tree_indices.clear();
-  EXPECT_EQ(thrown_code([&] { decode_assign(encode_assign(empty)); }),
-            StatusCode::kDataLoss);
 }
 
-TEST(Protocol, BatchResultRoundTrips) {
-  BatchResultMsg msg;
+TEST(Protocol, TreeResultRoundTripsOkTree) {
+  TreeResultMsg msg;
   msg.epoch = 9;
-  msg.batch_id = 4;
-  TreeResultWire good;
-  good.tree_index = 2;
-  good.status = static_cast<std::uint8_t>(StatusCode::kOk);
-  good.cost = 12.5;
-  good.stats.signature_count = 11;
-  good.leaf_of = {0, 1, 2, 1};
-  TreeResultWire bad;
-  bad.tree_index = 3;
-  bad.status = static_cast<std::uint8_t>(StatusCode::kInfeasible);
-  bad.error = "tree cannot fit";
-  msg.trees = {good, bad};
+  msg.tree_index = 2;
+  msg.status = static_cast<std::uint8_t>(StatusCode::kOk);
+  msg.cost = 12.5;
+  msg.stats.signature_count = 11;
+  msg.stats.nodes_reused = 4;
+  msg.leaf_of = {0, 1, 2, 1};
 
-  const BatchResultMsg round = decode_batch_result(encode_batch_result(msg));
-  ASSERT_EQ(round.trees.size(), 2u);
+  const TreeResultMsg round = decode_tree_result(encode_tree_result(msg));
   EXPECT_EQ(round.epoch, 9u);
-  EXPECT_EQ(round.trees[0].leaf_of, good.leaf_of);
-  EXPECT_EQ(round.trees[0].stats.signature_count, 11u);
-  EXPECT_EQ(round.trees[1].error, "tree cannot fit");
-  EXPECT_TRUE(round.trees[1].leaf_of.empty());
+  EXPECT_EQ(round.tree_index, 2);
+  EXPECT_EQ(round.status, msg.status);
+  EXPECT_TRUE(round.error.empty());
+  EXPECT_EQ(round.cost, 12.5);
+  EXPECT_EQ(round.stats.signature_count, 11u);
+  EXPECT_EQ(round.stats.nodes_reused, 4u);
+  EXPECT_EQ(round.leaf_of, msg.leaf_of);
+}
+
+TEST(Protocol, TreeResultRoundTripsFailedTree) {
+  TreeResultMsg msg;
+  msg.epoch = 7;
+  msg.tree_index = 3;
+  msg.status = static_cast<std::uint8_t>(StatusCode::kInfeasible);
+  msg.error = "tree cannot fit";
+
+  const TreeResultMsg round = decode_tree_result(encode_tree_result(msg));
+  EXPECT_EQ(round.epoch, 7u);
+  EXPECT_EQ(round.tree_index, 3);
+  EXPECT_EQ(round.status, msg.status);
+  EXPECT_EQ(round.error, "tree cannot fit");
+  EXPECT_TRUE(round.leaf_of.empty());
 }
 
 // ---------------------------------------------------------------- channel
@@ -306,21 +311,26 @@ TEST(Handshake, CompletesAndReportsRole) {
 }
 
 TEST(Handshake, VersionMismatchRejected) {
-  auto [a, b] = socket_pair();
-  FrameChannel client{std::move(a)}, server{std::move(b)};
-  StatusCode server_code = StatusCode::kOk;
-  std::thread t([&] {
-    server_code = thrown_code(
-        [&] { (void)handshake_server(server, Deadline::after_ms(5000)); });
-  });
-  // A Hello claiming a future protocol version: the frame itself is valid
-  // (frame versions match), the handshake payload is what skews.
-  WireWriter hello;
-  hello.u32(kProtocolVersion + 7);
-  hello.u32(kRoleCoordinator);
-  client.send(kMsgHello, hello.bytes(), Deadline::after_ms(5000));
-  t.join();
-  EXPECT_EQ(server_code, StatusCode::kDataLoss);
+  // A stale worker from the previous protocol (v3 against v4) and one from
+  // a future protocol.  The frame itself is valid (frame versions match),
+  // the handshake payload is what skews.
+  const std::uint32_t ours = kProtocolVersion;
+  for (const std::uint32_t peer_version : {ours - 1, ours + 7}) {
+    SCOPED_TRACE(peer_version);
+    auto [a, b] = socket_pair();
+    FrameChannel client{std::move(a)}, server{std::move(b)};
+    StatusCode server_code = StatusCode::kOk;
+    std::thread t([&] {
+      server_code = thrown_code(
+          [&] { (void)handshake_server(server, Deadline::after_ms(5000)); });
+    });
+    WireWriter hello;
+    hello.u32(peer_version);
+    hello.u32(kRoleCoordinator);
+    client.send(kMsgHello, hello.bytes(), Deadline::after_ms(5000));
+    t.join();
+    EXPECT_EQ(server_code, StatusCode::kDataLoss);
+  }
 }
 
 TEST(Handshake, NonHelloFirstFrameRejected) {

@@ -852,13 +852,12 @@ TEST(Race, IntrospectScrapeDuringServiceStorm) {
 
 // ---------------------------------------------------------------------------
 // Sharded-coordinator bookkeeping under TSan.  The coordinator's mutable
-// state (shard states, batch epochs, lease clocks, the report) is touched by
+// state (shard states, lease epochs, lease clocks, the report) is touched by
 // one reader thread per shard, the supervision loop, and the caller — these
 // tests drive all of them at once so any missing lock shows up as a report.
 
 struct RaceShardThread {
   std::thread thread;
-  ShardServerReport report;
   ~RaceShardThread() {
     if (thread.joinable()) thread.join();
   }
@@ -868,14 +867,14 @@ net::Socket race_start_shard(std::deque<RaceShardThread>& pool,
                              ShardServerOptions opt = {}) {
   auto [mine, theirs] = net::socket_pair();
   RaceShardThread& sh = pool.emplace_back();
-  sh.thread = std::thread([&sh, sock = std::move(theirs), opt]() mutable {
+  sh.thread = std::thread([sock = std::move(theirs), opt]() mutable {
     net::FrameChannel ch(std::move(sock));
-    sh.report = run_shard_server(ch, opt);
+    run_shard_server(ch, opt);
   });
   return std::move(mine);
 }
 
-// Many shards beating fast while batches flow: reader threads update lease
+// Many shards beating fast while trees flow: reader threads update lease
 // clocks and accept results concurrently with the supervision loop's lease
 // scan and assignment pass.
 TEST(Race, CoordinatorConcurrentHeartbeatsAndResults) {
@@ -914,7 +913,7 @@ TEST(Race, CoordinatorReassignmentRacesResultDelivery) {
 
   // Half the fleet heartbeats normally; the other half stalls each tree
   // past the lease WITHOUT beating (heartbeat thread suppressed by a huge
-  // interval), so their batches are reassigned and their eventual results
+  // interval), so their trees are reassigned and their eventual results
   // arrive as zombies.
   ShardServerOptions honest;
   honest.heartbeat_ms = 5;
@@ -961,7 +960,7 @@ TEST(Race, CoordinatorCancelRacesShardTraffic) {
   });
   try {
     (void)coord.solve();
-    // Legal: every batch may have finished before the cancel landed.
+    // Legal: every tree may have finished before the cancel landed.
   } catch (const SolveError& e) {
     EXPECT_EQ(e.code(), StatusCode::kCancelled);
   }

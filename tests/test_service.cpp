@@ -391,6 +391,32 @@ TEST(SolverService, ZeroQueueRejectsEverythingImmediately) {
   EXPECT_EQ(req->wait().status.code, StatusCode::kResourceExhausted);
 }
 
+TEST(SolverService, ResolveArrivalsPassTheSameAdmission) {
+  // submit_resolve shares submit's admission path: a full queue and a
+  // draining service reject a resolve the same way, and a rejected resolve
+  // is not counted as a resolve.
+  const auto base = std::make_shared<const Graph>(workload(59));
+  for (const bool drained : {false, true}) {
+    SCOPED_TRACE(drained ? "drained" : "max_queue = 0");
+    ServiceOptions sopt;
+    sopt.workers = 1;
+    if (!drained) sopt.max_queue = 0;
+    SolverService service(sopt);
+    const auto session = service.open_incremental(base, hier());
+    if (drained) service.drain();
+    const std::shared_ptr<MutationLog> log = session->begin_batch();
+    log->set_demand(0, 0.05);
+    const auto req = service.submit_resolve(session, log);
+    EXPECT_TRUE(req->done());
+    EXPECT_EQ(req->wait().status.code, StatusCode::kResourceExhausted);
+    const SolverService::Stats st = service.stats();
+    EXPECT_EQ(st.rejected_queue_full, drained ? 0u : 1u);
+    EXPECT_EQ(st.rejected_draining, drained ? 1u : 0u);
+    EXPECT_EQ(st.admitted, 0u);
+    EXPECT_EQ(st.resolves, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Durable spills (ServiceOptions::spill_dir, docs/RESILIENCE.md)
 

@@ -29,7 +29,6 @@ namespace {
 
 struct ShardThread {
   std::thread thread;
-  ShardServerReport report;
   ~ShardThread() {
     if (thread.joinable()) thread.join();
   }
@@ -39,16 +38,16 @@ net::Socket start_shard(std::deque<ShardThread>& pool,
                         ShardServerOptions opt = {}) {
   auto [mine, theirs] = net::socket_pair();
   ShardThread& sh = pool.emplace_back();
-  sh.thread = std::thread([&sh, sock = std::move(theirs), opt]() mutable {
+  sh.thread = std::thread([sock = std::move(theirs), opt]() mutable {
     net::FrameChannel ch(std::move(sock));
-    sh.report = run_shard_server(ch, opt);
+    run_shard_server(ch, opt);
   });
   return std::move(mine);
 }
 
 /// Opens once the faulty shard of a schedule has taken its first lease.
 /// The honest shard beside it holds its first tree until then, so it
-/// cannot finish every batch before the faulty shard is up (which, on a
+/// cannot finish every tree before the faulty shard is up (which, on a
 /// loaded host, left the scheduled fault unfired).
 class LeaseGate {
  public:
@@ -80,7 +79,7 @@ net::Socket start_scripted_shard(
   const std::uint64_t fp = graph_fingerprint(g);
   ShardThread& sh = pool.emplace_back();
   sh.thread = std::thread(
-      [&sh, sock = std::move(theirs), fp, script = std::move(script)]() mutable {
+      [sock = std::move(theirs), fp, script = std::move(script)]() mutable {
         try {
           net::FrameChannel ch(std::move(sock));
           const Deadline d = Deadline::after_ms(20000);
@@ -103,7 +102,7 @@ net::Socket start_scripted_shard(
 enum class Schedule {
   kClean,        // honest shards only
   kCrash,        // one shard dies the moment it is assigned work
-  kHang,         // one shard accepts a batch then goes silent past the lease
+  kHang,         // one shard accepts a tree then goes silent past the lease
   kZombie,       // one shard replies AFTER its lease expired (stale epoch)
   kAllLost,      // every shard crashes -> in-process degradation
 };
@@ -152,19 +151,14 @@ net::Socket zombie_on_assign(std::deque<ShardThread>& pool, const Graph& g,
     // Outlive the 120ms lease, then deliver a hostile zero-cost result
     // under the original epoch.  The fence must discard it.
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    net::BatchResultMsg stale;
+    net::TreeResultMsg stale;
     stale.epoch = assign.epoch;
-    stale.batch_id = assign.batch_id;
-    for (std::int32_t ti : assign.tree_indices) {
-      net::TreeResultWire tree;
-      tree.tree_index = ti;
-      tree.status = static_cast<std::uint8_t>(StatusCode::kOk);
-      tree.cost = 0.0;
-      tree.leaf_of.assign(n, 0);
-      stale.trees.push_back(std::move(tree));
-    }
+    stale.tree_index = assign.tree_index;
+    stale.status = static_cast<std::uint8_t>(StatusCode::kOk);
+    stale.cost = 0.0;
+    stale.leaf_of.assign(n, 0);
     try {
-      ch.send(net::kMsgBatchResult, net::encode_batch_result(stale),
+      ch.send(net::kMsgTreeResult, net::encode_tree_result(stale),
               Deadline::after_ms(5000));
     } catch (...) {
       // The coordinator may already have shut the socket; either way the

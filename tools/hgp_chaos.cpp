@@ -762,7 +762,7 @@ int main(int argc, char** argv) {
   // stale-epoch result.  Invariants: every request reaches a terminal
   // state, every placement validates, every coordinated result is
   // BIT-identical to the single-process baseline, and across the storm at
-  // least one lease expired, one batch was reassigned, and one zombie was
+  // least one lease expired, one tree was reassigned, and one zombie was
   // fenced — with zero lost or double-counted trees.
   if (!shardd_path.empty()) {
     // Mask the in-process storm schedules: phase 6's baseline and its
@@ -815,10 +815,10 @@ int main(int argc, char** argv) {
                        e.what());
         }
         const CoordinatorReport& rep = coord.report();
-        // Exactly-once accounting: a batch completes remotely at most once
-        // (trees the fleet lost are re-solved in-process, which does not
-        // count here), so remote completions can never exceed the batch
-        // count — a double-counted batch would push it over.  A hostile or
+        // Exactly-once accounting: a leased tree completes remotely at most
+        // once (trees the fleet lost are re-solved in-process, which does
+        // not count here), so remote completions can never exceed the tree
+        // count — a double-counted lease would push it over.  A hostile or
         // duplicate result that slipped the fence would also have broken
         // the bit-identity checked above.
         CHAOS_EXPECT(rep.batches_completed <= p6.num_trees,
@@ -852,7 +852,6 @@ int main(int argc, char** argv) {
       CoordinatorOptions copt;
       copt.num_shards = shards;
       copt.shardd_path = shardd_path;
-      copt.batch_size = 1;
       return copt;
     };
 
@@ -865,7 +864,7 @@ int main(int argc, char** argv) {
     }
 
     // (b) SIGKILL mid-solve: every worker is armed to die the moment it
-    // starts tree 3, so whoever the batch lands on is killed; the respawn
+    // starts tree 3, so whoever the tree lands on is killed; the respawn
     // budget burns down and the survivors (or the in-process fallback)
     // finish.  Seeded and deterministic per worker.
     {
@@ -910,7 +909,7 @@ int main(int argc, char** argv) {
 
     // (e) Zombie: an adopted scripted peer answers its first assignment
     // with a hostile zero-cost result under a WRONG epoch — the fence must
-    // discard it — then crashes so its lease's batch is reassigned to the
+    // discard it — then crashes so its leased tree is reassigned to the
     // one honest spawned worker.
     {
       CoordinatorOptions copt = spawn_opts(1);
@@ -932,19 +931,14 @@ int main(int argc, char** argv) {
             auto assign = ch.recv(d);
             if (!assign.has_value() || assign->type != net::kMsgAssign) return;
             const net::AssignMsg a = net::decode_assign(assign->payload);
-            net::BatchResultMsg stale;
+            net::TreeResultMsg stale;
             stale.epoch = a.epoch + 7;  // a previous life's lease
-            stale.batch_id = a.batch_id;
-            for (std::int32_t ti : a.tree_indices) {
-              net::TreeResultWire tr;
-              tr.tree_index = ti;
-              tr.status = static_cast<std::uint8_t>(StatusCode::kOk);
-              tr.cost = 0.0;  // would win any arg-min if not fenced
-              tr.leaf_of.assign(n, 0);
-              stale.trees.push_back(std::move(tr));
-            }
-            ch.send(net::kMsgBatchResult, net::encode_batch_result(stale), d);
-            ch.close();  // crash: the fenced batch must be reassigned
+            stale.tree_index = a.tree_index;
+            stale.status = static_cast<std::uint8_t>(StatusCode::kOk);
+            stale.cost = 0.0;  // would win any arg-min if not fenced
+            stale.leaf_of.assign(n, 0);
+            ch.send(net::kMsgTreeResult, net::encode_tree_result(stale), d);
+            ch.close();  // crash: the fenced tree must be reassigned
           } catch (...) {
           }
         }).detach();  // hgp-lint: allow(naked-thread)

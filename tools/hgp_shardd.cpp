@@ -6,7 +6,8 @@
 //
 // Connects to the coordinator (src/runtime/coordinator.hpp), then hands
 // the connection to run_shard_server: handshake, Job load from the
-// embedded snapshot blob, Assign → solve → BatchResult until Shutdown.
+// embedded snapshot blob, then one tree per lease (Assign → solve →
+// TreeResult) until Shutdown.
 // All solving runs through solve_forest_tree, so every result is
 // bit-identical to the coordinator's in-process path.
 //
@@ -184,7 +185,7 @@ int main(int argc, char** argv) {
 
   // The chaos storm's crash schedule: a kKillProcess armed at shardd.kill
   // takes the whole process down right before tree `index`'s solve — from
-  // the coordinator's side, a machine that died mid-batch.
+  // the coordinator's side, a machine that died mid-lease.
   opt.on_tree_start = [](int tree_index) {
     if (FaultInjector::instance().poll_io("shardd.kill", tree_index) ==
         FaultInjector::Action::kKillProcess) {
@@ -198,12 +199,11 @@ int main(int argc, char** argv) {
                            ? net::connect_tcp_loopback(tcp_port, connect_deadline)
                            : net::connect_unix(unix_path, connect_deadline);
     net::FrameChannel channel(std::move(sock));
-    const ShardServerReport report = run_shard_server(channel, opt);
-    if (!report.exit_status.ok()) {
-      std::fprintf(stderr, "hgp_shardd: %s\n",
-                   report.exit_status.to_string().c_str());
+    const Status exit_status = run_shard_server(channel, opt);
+    if (!exit_status.ok()) {
+      std::fprintf(stderr, "hgp_shardd: %s\n", exit_status.to_string().c_str());
     }
-    return exit_code_for(report.exit_status.code);
+    return exit_code_for(exit_status.code);
   } catch (const SolveError& e) {
     std::fprintf(stderr, "hgp_shardd: %s\n", e.what());
     return exit_code_for(e.code());
