@@ -3,10 +3,11 @@
 #
 # Runs `hgp_snapfuzz` — seeded random and CRC-consistent corruptions over a
 # pristine image of every persisted snapshot kind (graph, hierarchy,
-# forest, checkpoint spill; see docs/FORMATS.md).  The harness asserts the
-# durability contract: raw corruption is always rejected with a typed
-# kDataLoss, CRC-consistent corruption is either rejected or yields a valid
-# parse, and nothing ever crashes or reads out of bounds — which is only a
+# forest, checkpoint spill; see docs/FORMATS.md), plus seeded mutations of
+# the shard wire messages.  The harness asserts the durability contract:
+# raw corruption is always rejected with a typed kDataLoss, CRC-consistent
+# corruption and wire mutations are either rejected or yield a valid parse,
+# and nothing ever crashes or reads out of bounds — which is only a
 # real guarantee when the binary is built under ASan/UBSan, so CI points
 # this script at the sanitizer build.
 #

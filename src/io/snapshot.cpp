@@ -151,12 +151,14 @@ void PayloadBuilder::append_bytes(const void* data, std::size_t size) {
   bytes_.insert(bytes_.end(), p, p + size);
 }
 
+void SectionView::fail(const std::string& why) const {
+  throw SolveError(StatusCode::kDataLoss, std::string(what_) + ": " + why);
+}
+
 void SectionView::read_bytes(void* out, std::size_t size) {
-  if (size > payload_.size() - cursor_) {
-    data_loss(std::string("section ") + section_type_name(type_) +
-              " payload over-read (" + std::to_string(size) +
-              " bytes wanted, " + std::to_string(payload_.size() - cursor_) +
-              " left)");
+  if (size > remaining()) {
+    fail("payload over-read (" + std::to_string(size) + " bytes wanted, " +
+         std::to_string(remaining()) + " left)");
   }
   std::memcpy(out, payload_.data() + cursor_, size);
   cursor_ += size;
@@ -165,17 +167,15 @@ void SectionView::read_bytes(void* out, std::size_t size) {
 void SectionView::check_count(std::size_t count, std::size_t elem_size) const {
   // Divide before multiplying: a hostile length field cannot overflow the
   // bound or drive an allocation larger than the payload itself.
-  if (count > (payload_.size() - cursor_) / elem_size) {
-    data_loss(std::string("section ") + section_type_name(type_) +
-              " claims " + std::to_string(count) +
-              " elements but the payload cannot hold them");
+  if (count > remaining() / elem_size) {
+    fail("claims " + std::to_string(count) +
+         " elements but the payload cannot hold them");
   }
 }
 
 void SectionView::expect_exhausted() const {
-  if (cursor_ != payload_.size()) {
-    data_loss(std::string("section ") + section_type_name(type_) + " has " +
-              std::to_string(payload_.size() - cursor_) + " trailing bytes");
+  if (remaining() != 0) {
+    fail(std::to_string(remaining()) + " trailing bytes");
   }
 }
 
@@ -395,15 +395,16 @@ SectionView SnapshotReader::section(std::size_t i) const {
   }
   const SectionIndex& s = sections_[i];
   return SectionView(
-      s.type, std::span<const std::byte>(blob_.data() + s.offset, s.size));
+      section_type_name(s.type),
+      std::span<const std::byte>(blob_.data() + s.offset, s.size));
 }
 
 SectionView SnapshotReader::expect(std::size_t i, SectionType type) const {
   SectionView v = section(i);
-  if (v.type() != type) {
+  if (sections_[i].type != type) {
     data_loss(std::string("expected section ") + section_type_name(type) +
               " at index " + std::to_string(i) + ", found " +
-              section_type_name(v.type()));
+              section_type_name(sections_[i].type));
   }
   return v;
 }

@@ -148,9 +148,10 @@ static_assert(sizeof(CheckpointTreeRecord) == 24 &&
               is_snapshot_pod_v<CheckpointTreeRecord>);
 
 // ---------------------------------------------------------------------------
-// Payload assembly / extraction.
+// Payload assembly / extraction: the one codec for snapshot sections and
+// shard wire messages (src/net/protocol.hpp).
 
-/// Accumulates one section's payload from PODs and POD spans.
+/// Accumulates one payload from PODs, POD spans and u32-counted spans.
 class PayloadBuilder {
  public:
   template <typename T>
@@ -165,7 +166,15 @@ class PayloadBuilder {
     append_bytes(values.data(), values.size_bytes());
   }
 
+  /// A u32 element count, then the elements (SectionView::read_counted).
+  template <typename T>
+  void append_counted(std::span<const T> values) {
+    append_pod(static_cast<std::uint32_t>(values.size()));
+    append_span(values);
+  }
+
   std::span<const std::byte> bytes() const { return bytes_; }
+  std::vector<std::byte> take() { return std::move(bytes_); }
 
  private:
   void append_bytes(const void* data, std::size_t size);
@@ -173,16 +182,15 @@ class PayloadBuilder {
   std::vector<std::byte> bytes_;
 };
 
-/// Read-only cursor over one section's payload.  Every extraction is
-/// bounds-checked; over-reads and trailing garbage throw
-/// SolveError{kDataLoss} naming the section.
+/// Read-only cursor over one payload.  Every extraction is bounds-checked;
+/// over-reads, hostile counts and trailing garbage throw
+/// SolveError{kDataLoss} naming `what` (the section or message decoded),
+/// which must outlive the view.
 class SectionView {
  public:
-  SectionView(SectionType type, std::span<const std::byte> payload)
-      : type_(type), payload_(payload) {}
+  SectionView(const char* what, std::span<const std::byte> payload)
+      : what_(what), payload_(payload) {}
 
-  SectionType type() const { return type_; }
-  std::span<const std::byte> payload() const { return payload_; }
   std::size_t remaining() const { return payload_.size() - cursor_; }
 
   template <typename T>
@@ -205,15 +213,24 @@ class SectionView {
     return out;
   }
 
-  /// A codec that consumed its section must land exactly at the end;
+  /// Reads what PayloadBuilder::append_counted wrote.
+  template <typename T>
+  std::vector<T> read_counted() {
+    return read_span<T>(read_pod<std::uint32_t>());
+  }
+
+  /// A codec that consumed its payload must land exactly at the end;
   /// trailing bytes mean the payload is not what the type claims.
   void expect_exhausted() const;
+
+  /// Throws SolveError{kDataLoss} naming `what`.
+  [[noreturn]] void fail(const std::string& why) const;
 
  private:
   void read_bytes(void* out, std::size_t size);
   void check_count(std::size_t count, std::size_t elem_size) const;
 
-  SectionType type_;
+  const char* what_;
   std::span<const std::byte> payload_;
   std::size_t cursor_ = 0;
 };

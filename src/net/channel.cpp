@@ -1,5 +1,6 @@
 #include "net/channel.hpp"
 
+#include "io/snapshot.hpp"
 #include "util/fault_injector.hpp"
 
 namespace hgp::net {
@@ -45,9 +46,9 @@ namespace {
 /// frame the old version still understands.
 std::vector<std::byte> hello_payload(std::uint32_t version,
                                      std::uint32_t role) {
-  WireWriter w;
-  w.u32(version);
-  w.u32(role);
+  io::PayloadBuilder w;
+  w.append_pod(version);
+  w.append_pod(role);
   return w.take();
 }
 
@@ -66,8 +67,8 @@ void handshake_client(FrameChannel& ch, std::uint32_t role,
                      "handshake expected HelloAck, got frame type " +
                          std::to_string(ack->type));
   }
-  WireReader r(ack->payload, "HelloAck");
-  const std::uint32_t peer_version = r.u32();
+  io::SectionView r("HelloAck", ack->payload);
+  const auto peer_version = r.read_pod<std::uint32_t>();
   r.expect_exhausted();
   if (peer_version != kProtocolVersion) {
     throw SolveError(StatusCode::kDataLoss,
@@ -89,9 +90,9 @@ std::uint32_t handshake_server(FrameChannel& ch, const Deadline& deadline) {
                      "handshake expected Hello, got frame type " +
                          std::to_string(hello->type));
   }
-  WireReader r(hello->payload, "Hello");
-  const std::uint32_t peer_version = r.u32();
-  const std::uint32_t role = r.u32();
+  io::SectionView r("Hello", hello->payload);
+  const auto peer_version = r.read_pod<std::uint32_t>();
+  const auto role = r.read_pod<std::uint32_t>();
   r.expect_exhausted();
   if (peer_version != kProtocolVersion) {
     throw SolveError(StatusCode::kDataLoss,
@@ -100,9 +101,9 @@ std::uint32_t handshake_server(FrameChannel& ch, const Deadline& deadline) {
                          ", this build speaks v" +
                          std::to_string(kProtocolVersion) + ")");
   }
-  WireWriter ack;
-  ack.u32(kProtocolVersion);
-  ch.send(kMsgHelloAck, ack.take(), deadline);
+  io::PayloadBuilder ack;
+  ack.append_pod(std::uint32_t{kProtocolVersion});
+  ch.send(kMsgHelloAck, ack.bytes(), deadline);
   return role;
 }
 

@@ -17,15 +17,13 @@
 // kUnavailable (see channel.hpp), keeping "bytes are wrong" (kDataLoss)
 // distinct from "peer is gone" (kUnavailable).
 //
-// WireWriter/WireReader are the payload codec primitives: bounds-checked
-// cursor reads in the SectionView idiom, with blob/string lengths
-// validated against the remaining payload BEFORE allocation.
+// Payloads are encoded with the snapshot's codec (io::PayloadBuilder /
+// io::SectionView): one bounds-checked cursor for disk and wire.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/status.hpp"
@@ -82,74 +80,5 @@ void check_frame_payload(const FrameHeader& header,
 /// tests in tests/test_net.cpp drive every truncation and bit flip
 /// through this).
 Frame decode_frame(std::span<const std::byte> bytes);
-
-// ---------------------------------------------------------------------------
-// Payload codec primitives.
-
-/// Accumulates one frame's payload from fixed-width scalars and
-/// length-prefixed blobs/strings.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { append(&v, 1); }
-  void u16(std::uint16_t v) { append(&v, sizeof v); }
-  void u32(std::uint32_t v) { append(&v, sizeof v); }
-  void u64(std::uint64_t v) { append(&v, sizeof v); }
-  void i32(std::int32_t v) { append(&v, sizeof v); }
-  void i64(std::int64_t v) { append(&v, sizeof v); }
-  void f64(double v) { append(&v, sizeof v); }
-
-  /// u32 length prefix + raw bytes.
-  void blob(std::span<const std::byte> bytes);
-  void str(const std::string& s);
-  /// u32 count prefix + count little-endian i64 values.
-  void i64_span(std::span<const std::int64_t> values);
-
-  std::span<const std::byte> bytes() const { return bytes_; }
-  std::vector<std::byte> take() { return std::move(bytes_); }
-
- private:
-  void append(const void* data, std::size_t size);
-
-  std::vector<std::byte> bytes_;
-};
-
-/// Bounds-checked cursor over one frame's payload.  Over-reads, hostile
-/// length prefixes and trailing garbage throw SolveError{kDataLoss}
-/// naming `what` (the message being decoded).
-class WireReader {
- public:
-  WireReader(std::span<const std::byte> payload, const char* what)
-      : payload_(payload), what_(what) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int32_t i32();
-  std::int64_t i64();
-  double f64();
-
-  /// Length-prefixed blob; the length is validated against the remaining
-  /// payload BEFORE any allocation.
-  std::vector<std::byte> blob();
-  std::string str();
-  std::vector<std::int64_t> i64_span();
-
-  std::size_t remaining() const { return payload_.size() - cursor_; }
-
-  /// A decoder that consumed its payload must land exactly at the end;
-  /// trailing bytes mean the payload is not what the type claims.
-  void expect_exhausted() const;
-
-  [[noreturn]] void fail(const std::string& why) const;
-
- private:
-  void read(void* out, std::size_t size);
-  std::size_t read_count(std::size_t elem_size);
-
-  std::span<const std::byte> payload_;
-  const char* what_;
-  std::size_t cursor_ = 0;
-};
 
 }  // namespace hgp::net

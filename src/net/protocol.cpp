@@ -1,55 +1,34 @@
 #include "net/protocol.hpp"
 
+#include "io/snapshot.hpp"
+
 namespace hgp::net {
 
-namespace {
-
-void write_stats(WireWriter& w, const TreeDpStats& s) {
-  w.u64(s.signature_count);
-  w.u64(s.feasible_states);
-  w.u64(s.merge_operations);
-  w.u64(s.merges_rejected);
-  w.u64(s.states_pruned);
-  w.u64(s.arena_bytes);
-  w.u64(s.nodes_built);
-  w.u64(s.nodes_reused);
-}
-
-TreeDpStats read_stats(WireReader& r) {
-  TreeDpStats s;
-  s.signature_count = r.u64();
-  s.feasible_states = r.u64();
-  s.merge_operations = r.u64();
-  s.merges_rejected = r.u64();
-  s.states_pruned = r.u64();
-  s.arena_bytes = r.u64();
-  s.nodes_built = r.u64();
-  s.nodes_reused = r.u64();
-  return s;
-}
-
-}  // namespace
+// TreeDpStats crosses the wire as one record of eight u64 counters, in
+// declaration order; the assert locks that layout like every snapshot
+// record's.
+static_assert(sizeof(TreeDpStats) == 64 && io::is_snapshot_pod_v<TreeDpStats>);
 
 std::vector<std::byte> encode_job(const JobMsg& msg) {
-  WireWriter w;
-  w.f64(msg.epsilon);
-  w.i64(msg.units_override);
-  w.u64(msg.seed);
-  w.i32(msg.num_trees);
-  w.f64(msg.heartbeat_ms);
-  w.blob(msg.snapshot_blob);
+  io::PayloadBuilder w;
+  w.append_pod(msg.epsilon);
+  w.append_pod(msg.units_override);
+  w.append_pod(msg.seed);
+  w.append_pod(msg.num_trees);
+  w.append_pod(msg.heartbeat_ms);
+  w.append_counted<std::byte>(msg.snapshot_blob);
   return w.take();
 }
 
 JobMsg decode_job(std::span<const std::byte> payload) {
-  WireReader r(payload, "Job");
+  io::SectionView r("Job", payload);
   JobMsg msg;
-  msg.epsilon = r.f64();
-  msg.units_override = r.i64();
-  msg.seed = r.u64();
-  msg.num_trees = r.i32();
-  msg.heartbeat_ms = r.f64();
-  msg.snapshot_blob = r.blob();
+  msg.epsilon = r.read_pod<double>();
+  msg.units_override = r.read_pod<std::int64_t>();
+  msg.seed = r.read_pod<std::uint64_t>();
+  msg.num_trees = r.read_pod<std::int32_t>();
+  msg.heartbeat_ms = r.read_pod<double>();
+  msg.snapshot_blob = r.read_counted<std::byte>();
   r.expect_exhausted();
   if (!(msg.epsilon > 0) || msg.num_trees < 1) {
     r.fail("implausible solve parameters");
@@ -58,60 +37,61 @@ JobMsg decode_job(std::span<const std::byte> payload) {
 }
 
 std::vector<std::byte> encode_job_ack(const JobAckMsg& msg) {
-  WireWriter w;
-  w.u64(msg.graph_fingerprint);
-  w.i32(msg.num_trees);
+  io::PayloadBuilder w;
+  w.append_pod(msg.graph_fingerprint);
+  w.append_pod(msg.num_trees);
   return w.take();
 }
 
 JobAckMsg decode_job_ack(std::span<const std::byte> payload) {
-  WireReader r(payload, "JobAck");
+  io::SectionView r("JobAck", payload);
   JobAckMsg msg;
-  msg.graph_fingerprint = r.u64();
-  msg.num_trees = r.i32();
+  msg.graph_fingerprint = r.read_pod<std::uint64_t>();
+  msg.num_trees = r.read_pod<std::int32_t>();
   r.expect_exhausted();
   return msg;
 }
 
 std::vector<std::byte> encode_assign(const AssignMsg& msg) {
-  WireWriter w;
-  w.u64(msg.epoch);
-  w.i32(msg.tree_index);
+  io::PayloadBuilder w;
+  w.append_pod(msg.epoch);
+  w.append_pod(msg.tree_index);
   return w.take();
 }
 
 AssignMsg decode_assign(std::span<const std::byte> payload) {
-  WireReader r(payload, "Assign");
+  io::SectionView r("Assign", payload);
   AssignMsg msg;
-  msg.epoch = r.u64();
-  msg.tree_index = r.i32();
+  msg.epoch = r.read_pod<std::uint64_t>();
+  msg.tree_index = r.read_pod<std::int32_t>();
   r.expect_exhausted();
   if (msg.epoch == 0) r.fail("zero epoch");
   return msg;
 }
 
 std::vector<std::byte> encode_tree_result(const TreeResultMsg& msg) {
-  WireWriter w;
-  w.u64(msg.epoch);
-  w.i32(msg.tree_index);
-  w.u8(msg.status);
-  w.str(msg.error);
-  w.f64(msg.cost);
-  write_stats(w, msg.stats);
-  w.i64_span(msg.leaf_of);
+  io::PayloadBuilder w;
+  w.append_pod(msg.epoch);
+  w.append_pod(msg.tree_index);
+  w.append_pod(msg.status);
+  w.append_counted<char>(msg.error);
+  w.append_pod(msg.cost);
+  w.append_pod(msg.stats);
+  w.append_counted<std::int64_t>(msg.leaf_of);
   return w.take();
 }
 
 TreeResultMsg decode_tree_result(std::span<const std::byte> payload) {
-  WireReader r(payload, "TreeResult");
+  io::SectionView r("TreeResult", payload);
   TreeResultMsg msg;
-  msg.epoch = r.u64();
-  msg.tree_index = r.i32();
-  msg.status = r.u8();
-  msg.error = r.str();
-  msg.cost = r.f64();
-  msg.stats = read_stats(r);
-  msg.leaf_of = r.i64_span();
+  msg.epoch = r.read_pod<std::uint64_t>();
+  msg.tree_index = r.read_pod<std::int32_t>();
+  msg.status = r.read_pod<std::uint8_t>();
+  const std::vector<char> error = r.read_counted<char>();
+  msg.error.assign(error.begin(), error.end());
+  msg.cost = r.read_pod<double>();
+  msg.stats = r.read_pod<TreeDpStats>();
+  msg.leaf_of = r.read_counted<std::int64_t>();
   r.expect_exhausted();
   return msg;
 }

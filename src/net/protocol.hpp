@@ -2,8 +2,8 @@
 //
 // Conversation, in order:
 //
-//   shard → coord   Hello{version, role}          (channel.hpp handshake)
-//   coord → shard   HelloAck{version}
+//   coord → shard   Hello{version, role}          (channel.hpp handshake)
+//   shard → coord   HelloAck{version}
 //   coord → shard   Job{solve params, snapshot blob}
 //   shard → coord   JobAck{graph fingerprint, num trees}
 //   coord → shard   Assign{epoch, tree index}              (one per lease)
@@ -24,8 +24,10 @@
 // result whose epoch is stale (the tree was reassigned after this shard
 // was declared dead).
 //
-// Decode functions throw SolveError{kDataLoss} on any malformed payload,
-// with the WireReader's no-allocation-bomb validation discipline.
+// Payloads are encoded with io::PayloadBuilder and decoded with
+// io::SectionView, the snapshot sections' codec (layouts in
+// docs/FORMATS.md).  Decode functions throw SolveError{kDataLoss} on any
+// malformed payload; counts are validated before they size an allocation.
 #pragma once
 
 #include <cstdint>

@@ -95,7 +95,7 @@ struct ShardCoordinator::Impl {
   SolveCheckpoint* checkpoint = nullptr;
   std::vector<net::Socket> adopted;
   std::vector<std::byte> job_payload;
-  CachedForest forest;  ///< held so the final solve_hgp re-finds it cached
+  CachedForest forest;  ///< shipped to the shards, then solved on in-process
   std::uint64_t fingerprint = 0;
   std::uint64_t rid = 0;
   Deadline deadline;
@@ -596,7 +596,7 @@ struct ShardCoordinator::Impl {
     if (opt.timeout_ms > 0) {
       final_opt.timeout_ms = std::max(deadline.remaining_ms(), 0.001);
     }
-    return solve_hgp(g, h, final_opt);
+    return solve_hgp(g, h, final_opt, forest);
   }
 };
 

@@ -339,6 +339,11 @@ bool tree_result_fits(const Graph& g, const Hierarchy& h,
 
 HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
                     const SolverOptions& opt) {
+  return solve_hgp(g, h, opt, nullptr);
+}
+
+HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
+                    const SolverOptions& opt, CachedForest forest_ptr) {
   validate_solve_args(g, opt.num_trees, opt.timeout_ms, opt.epsilon);
   if (contracts_enabled()) validate_hierarchy(h);
 
@@ -354,10 +359,10 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
 
   HgpResult result;
 
-  // Stage 1: decomposition forest, from the cache or built.  A failure
-  // here leaves zero trees, which the executor classifies like "all trees
-  // failed".  The forest is held as a shared immutable snapshot either way.
-  CachedForest forest_ptr;
+  // Stage 1: decomposition forest, handed over, from the cache or built.
+  // A failure here leaves zero trees, which the executor classifies like
+  // "all trees failed".  The forest is held as a shared immutable snapshot
+  // either way.
   Status forest_status;
   {
     HGP_TRACE_SPAN_ARG("solve.forest", opt.num_trees);
@@ -370,10 +375,13 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
       opt.checkpoint->bind(CheckpointKey{fingerprint, opt.seed, opt.num_trees,
                                          opt.epsilon, opt.units_override});
     }
+    result.telemetry.forest_cache_hit = forest_ptr != nullptr;
     try {
-      forest_ptr = acquire_forest(g, fingerprint, opt.num_trees, opt.seed,
-                                  opt.cutter, opt.pool, &exec,
-                                  &result.telemetry.forest_cache_hit);
+      if (forest_ptr == nullptr) {
+        forest_ptr = acquire_forest(g, fingerprint, opt.num_trees, opt.seed,
+                                    opt.cutter, opt.pool, &exec,
+                                    &result.telemetry.forest_cache_hit);
+      }
     } catch (...) {
       forest_status = status_from_current_exception();
       if (forest_status.code == StatusCode::kCancelled) throw;

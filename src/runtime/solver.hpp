@@ -215,6 +215,14 @@ std::shared_ptr<const std::vector<DecompTree>> acquire_forest(
     std::uint64_t seed, const Cutter* cutter, ThreadPool* pool,
     const ExecContext* exec, bool* cache_hit = nullptr);
 
+/// solve_hgp with stage 1 already done: `forest` is the forest solve_hgp
+/// would acquire for (g, opt), handed over instead of acquired again (the
+/// shard coordinator's, which it built to ship).  nullptr = acquire it.
+/// A handed-over forest reports as a cache hit: this solve built nothing.
+HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
+                    const SolverOptions& opt,
+                    std::shared_ptr<const std::vector<DecompTree>> forest);
+
 /// True when a tree result that arrived from outside this solve (a
 /// recovered checkpoint spill, a shard's reply) fits the instance: one
 /// leaf per vertex of `g`, every leaf in [0, h.leaf_count()), and a

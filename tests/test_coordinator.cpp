@@ -4,6 +4,7 @@
 // peers (src/runtime/coordinator.hpp, docs/RESILIENCE.md).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -151,11 +152,21 @@ TEST(Coordinator, MatchesSingleProcessBitForBit) {
   const Graph g = workload(11);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(11));
 
+  // Each shard holds its first tree until the other shard has one too.
+  // On a loaded host one shard could otherwise solve all four trees
+  // before the other finished its handshake, and never count as up.
+  LeaseGate both_leased;  // outlive the shard threads, which pool joins
+  std::atomic<int> trees_started{0};
+  ShardServerOptions held;
+  held.on_tree_start = [&](int) {
+    if (trees_started.fetch_add(1) + 1 == 2) both_leased.open();
+    both_leased.wait();
+  };
   std::deque<ShardThread> pool;
   CoordinatorOptions copt;
   ShardCoordinator coord(g, hier(), base_options(11), copt);
-  coord.adopt_shard(start_shard(pool));
-  coord.adopt_shard(start_shard(pool));
+  coord.adopt_shard(start_shard(pool, held));
+  coord.adopt_shard(start_shard(pool, held));
   const HgpResult got = coord.solve();
 
   expect_bit_identical(got, baseline);

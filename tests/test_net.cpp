@@ -1,11 +1,14 @@
 // Wire-layer property suite: frame codec (round-trip, every-truncation and
-// every-bit-flip rejection, hostile lengths), WireReader allocation-bomb
-// discipline, FrameChannel deadlines and faults, and the protocol-version
-// handshake (src/net/, docs/FORMATS.md "shard wire format").
+// every-bit-flip rejection, hostile lengths), the message decoders'
+// allocation-bomb discipline and pinned encodings, FrameChannel deadlines
+// and faults, and the protocol-version handshake (src/net/,
+// docs/FORMATS.md "shard wire format").
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -124,42 +127,56 @@ TEST(Frame, WrongMagicRejected) {
             StatusCode::kDataLoss);
 }
 
-// ------------------------------------------------------------ wire codec
+// --------------------------------------------------------------- protocol
 
-TEST(WireReader, HostileCountRejectedBeforeAllocation) {
-  // A count prefix claiming ~4 billion elements inside a 4-byte payload
+TEST(Protocol, HostileCountRejectedBeforeAllocation) {
+  // A count prefix claiming ~4 billion elements inside a short payload
   // must die on the count-vs-remaining check, not in the allocator.
-  WireWriter w;
-  w.u32(0xffffffffu);
-  const std::vector<std::byte> payload = w.take();
-  WireReader r(payload, "test");
-  EXPECT_EQ(thrown_code([&] { (void)r.i64_span(); }), StatusCode::kDataLoss);
+  TreeResultMsg result;
+  result.epoch = 1;
+  result.leaf_of = {0, 1};
+  std::vector<std::byte> payload = encode_tree_result(result);
+  const std::uint32_t hostile = 0xffffffffu;
+  // leaf_of's count sits right before its two i64 elements.
+  std::memcpy(payload.data() + payload.size() - 16 - 4, &hostile, 4);
+  EXPECT_EQ(thrown_code([&] { (void)decode_tree_result(payload); }),
+            StatusCode::kDataLoss);
 
-  WireReader r2(payload, "test");
-  EXPECT_EQ(thrown_code([&] { (void)r2.blob(); }), StatusCode::kDataLoss);
-}
-
-TEST(WireReader, OverReadRejected) {
-  WireWriter w;
-  w.u16(7);
-  const std::vector<std::byte> payload = w.take();
-  WireReader r(payload, "test");
-  EXPECT_EQ(r.u16(), 7);
-  EXPECT_EQ(thrown_code([&] { (void)r.u32(); }), StatusCode::kDataLoss);
-}
-
-TEST(WireReader, TrailingBytesRejected) {
-  WireWriter w;
-  w.u32(1);
-  w.u8(0);
-  const std::vector<std::byte> payload = w.take();
-  WireReader r(payload, "test");
-  EXPECT_EQ(r.u32(), 1u);
-  EXPECT_EQ(thrown_code([&] { r.expect_exhausted(); }),
+  JobMsg job;
+  job.epsilon = 0.5;
+  job.num_trees = 1;
+  job.snapshot_blob = bytes_of({1, 2, 3});
+  std::vector<std::byte> job_payload = encode_job(job);
+  // The blob's count sits right before its three bytes.
+  std::memcpy(job_payload.data() + job_payload.size() - 3 - 4, &hostile, 4);
+  EXPECT_EQ(thrown_code([&] { (void)decode_job(job_payload); }),
             StatusCode::kDataLoss);
 }
 
-// --------------------------------------------------------------- protocol
+TEST(Protocol, OverReadRejected) {
+  AssignMsg assign;
+  assign.epoch = 5;
+  assign.tree_index = 1;
+  const std::vector<std::byte> payload = encode_assign(assign);
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_EQ(thrown_code([&] {
+                (void)decode_assign(std::span(payload.data(), len));
+              }),
+              StatusCode::kDataLoss)
+        << "Assign prefix of " << len << " bytes must not decode";
+  }
+}
+
+TEST(Protocol, TrailingBytesRejected) {
+  JobAckMsg ack;
+  ack.graph_fingerprint = 42;
+  ack.num_trees = 3;
+  std::vector<std::byte> payload = encode_job_ack(ack);
+  EXPECT_EQ(decode_job_ack(payload).num_trees, 3);
+  payload.push_back(std::byte{0});
+  EXPECT_EQ(thrown_code([&] { (void)decode_job_ack(payload); }),
+            StatusCode::kDataLoss);
+}
 
 TEST(Protocol, AssignRoundTripsAndRejectsZeroEpoch) {
   AssignMsg ok;
@@ -209,6 +226,140 @@ TEST(Protocol, TreeResultRoundTripsFailedTree) {
   EXPECT_EQ(round.status, msg.status);
   EXPECT_EQ(round.error, "tree cannot fit");
   EXPECT_TRUE(round.leaf_of.empty());
+}
+
+std::string hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte b : bytes) {
+    out += kDigits[std::to_integer<unsigned>(b) >> 4];
+    out += kDigits[std::to_integer<unsigned>(b) & 0xf];
+  }
+  return out;
+}
+
+std::vector<std::byte> unhex(const std::string& text) {
+  std::vector<std::byte> out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2) {
+    out.push_back(
+        static_cast<std::byte>(std::stoi(text.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(Protocol, EncodingsAreByteStable) {
+  // One fixed instance of every message, against the bytes protocol v4
+  // has always put on the wire (docs/FORMATS.md).  A codec change that
+  // moves a single byte fails here before it can strand a deployed
+  // hgp_shardd; a deliberate layout change bumps kProtocolVersion and
+  // regenerates these literals.
+  ASSERT_EQ(kProtocolVersion, 4);
+  const std::string kHello = "0400000001000000";
+  const std::string kHelloAck = "04000000";
+  const std::string kJob =
+      "000000000000d03fe80300000000000007000000000000000800000000000000"
+      "0000494005000000010203fffe";
+  const std::string kJobAck = "efcdab896745230108000000";
+  const std::string kAssign = "030000000000000002000000";
+  const std::string kTreeResultOk =
+      "0900000000000000020000000000000000000000000000294001000000000000"
+      "0002000000000000000300000000000000040000000000000005000000000000"
+      "0006000000000000000700000000000000080000000000000004000000000000"
+      "0000000000010000000000000002000000000000000100000000000000";
+  const std::string kTreeResultFailed =
+      "070000000000000003000000020f000000747265652063616e6e6f7420666974"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000";
+
+  JobMsg job;
+  job.epsilon = 0.25;
+  job.units_override = 1000;
+  job.seed = 7;
+  job.num_trees = 8;
+  job.heartbeat_ms = 50;
+  job.snapshot_blob = bytes_of({0x01, 0x02, 0x03, 0xff, 0xfe});
+  EXPECT_EQ(hex(encode_job(job)), kJob);
+  EXPECT_EQ(hex(encode_job(decode_job(unhex(kJob)))), kJob);
+
+  JobAckMsg ack;
+  ack.graph_fingerprint = 0x0123456789abcdefull;
+  ack.num_trees = 8;
+  EXPECT_EQ(hex(encode_job_ack(ack)), kJobAck);
+  EXPECT_EQ(hex(encode_job_ack(decode_job_ack(unhex(kJobAck)))), kJobAck);
+
+  AssignMsg assign;
+  assign.epoch = 3;
+  assign.tree_index = 2;
+  EXPECT_EQ(hex(encode_assign(assign)), kAssign);
+  EXPECT_EQ(hex(encode_assign(decode_assign(unhex(kAssign)))), kAssign);
+
+  TreeResultMsg ok;
+  ok.epoch = 9;
+  ok.tree_index = 2;
+  ok.status = static_cast<std::uint8_t>(StatusCode::kOk);
+  ok.cost = 12.5;
+  ok.stats.signature_count = 1;
+  ok.stats.feasible_states = 2;
+  ok.stats.merge_operations = 3;
+  ok.stats.merges_rejected = 4;
+  ok.stats.states_pruned = 5;
+  ok.stats.arena_bytes = 6;
+  ok.stats.nodes_built = 7;
+  ok.stats.nodes_reused = 8;
+  ok.leaf_of = {0, 1, 2, 1};
+  EXPECT_EQ(hex(encode_tree_result(ok)), kTreeResultOk);
+  EXPECT_EQ(hex(encode_tree_result(decode_tree_result(unhex(kTreeResultOk)))),
+            kTreeResultOk);
+
+  TreeResultMsg failed;
+  failed.epoch = 7;
+  failed.tree_index = 3;
+  failed.status = static_cast<std::uint8_t>(StatusCode::kInfeasible);
+  failed.error = "tree cannot fit";
+  EXPECT_EQ(hex(encode_tree_result(failed)), kTreeResultFailed);
+  EXPECT_EQ(
+      hex(encode_tree_result(decode_tree_result(unhex(kTreeResultFailed)))),
+      kTreeResultFailed);
+
+  // The handshake encodes inside channel.cpp, so its bytes are read off a
+  // socket pair: the client's Hello, then the server's HelloAck.
+  {
+    auto [a, b] = socket_pair();
+    FrameChannel client{std::move(a)}, server{std::move(b)};
+    StatusCode client_code = StatusCode::kInternal;
+    std::thread t([&] {
+      client_code = thrown_code([&] {
+        handshake_client(client, kRoleShard, Deadline::after_ms(5000));
+      });
+    });
+    const std::optional<Frame> hello = server.recv(Deadline::after_ms(5000));
+    server.send(kMsgHelloAck, unhex(kHelloAck), Deadline::after_ms(5000));
+    t.join();
+    EXPECT_EQ(client_code, StatusCode::kOk);
+    ASSERT_TRUE(hello.has_value());
+    EXPECT_EQ(hello->type, kMsgHello);
+    EXPECT_EQ(hex(hello->payload), kHello);
+  }
+  {
+    auto [a, b] = socket_pair();
+    FrameChannel client{std::move(a)}, server{std::move(b)};
+    std::uint32_t role = 0xff;
+    StatusCode server_code = StatusCode::kInternal;
+    std::thread t([&] {
+      server_code = thrown_code(
+          [&] { role = handshake_server(server, Deadline::after_ms(5000)); });
+    });
+    client.send(kMsgHello, unhex(kHello), Deadline::after_ms(5000));
+    const std::optional<Frame> hello_ack =
+        client.recv(Deadline::after_ms(5000));
+    t.join();
+    EXPECT_EQ(server_code, StatusCode::kOk);
+    EXPECT_EQ(role, kRoleShard);
+    ASSERT_TRUE(hello_ack.has_value());
+    EXPECT_EQ(hello_ack->type, kMsgHelloAck);
+    EXPECT_EQ(hex(hello_ack->payload), kHelloAck);
+  }
 }
 
 // ---------------------------------------------------------------- channel
@@ -324,9 +475,9 @@ TEST(Handshake, VersionMismatchRejected) {
       server_code = thrown_code(
           [&] { (void)handshake_server(server, Deadline::after_ms(5000)); });
     });
-    WireWriter hello;
-    hello.u32(peer_version);
-    hello.u32(kRoleCoordinator);
+    io::PayloadBuilder hello;
+    hello.append_pod(peer_version);
+    hello.append_pod(kRoleCoordinator);
     client.send(kMsgHello, hello.bytes(), Deadline::after_ms(5000));
     t.join();
     EXPECT_EQ(server_code, StatusCode::kDataLoss);

@@ -39,6 +39,7 @@
 // session state untouched (the same batch resubmits verbatim); and the
 // final committed placement must validate against the final committed
 // graph.
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -70,6 +71,7 @@
 #include "util/fault_injector.hpp"
 #include "util/memory_budget.hpp"
 #include "util/prng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -534,12 +536,24 @@ int main(int argc, char** argv) {
     CHAOS_EXPECT(!wd_spill_dir.empty(),
                  "mkdtemp failed for the watchdog spill dir\n");
     if (!wd_spill_dir.empty()) {
+      // The stuck threshold must outlast a healthy attempt of this
+      // instance on this build (a sanitizer build runs several times
+      // slower), or the watchdog cancels before the squeeze degrades or
+      // tree 0 is checkpointed.  So time the stalled request's solve
+      // unstalled first, and keep the stall well above the threshold.
+      SolverOptions stopt = base;
+      stopt.seed = seed + 6000;
+      Timer unstalled;
+      (void)solve_hgp(g, h, stopt);
+      const double stuck_after_ms = std::max(40.0, 3 * unstalled.millis());
+      const double stall_ms = std::max(400.0, 5 * stuck_after_ms);
+
       ServiceOptions wopt = sopt;
       wopt.workers = 1;
       wopt.retry.max_retries = 1;
       wopt.retry.backoff_base_ms = 1;
       wopt.retry.backoff_max_ms = 2;
-      wopt.stuck_after_ms = 40;
+      wopt.stuck_after_ms = stuck_after_ms;
       wopt.watchdog_poll_ms = 5;
       wopt.spill_dir = wd_spill_dir;
       wopt.flight_dump_path = flight_dump;
@@ -566,16 +580,14 @@ int main(int argc, char** argv) {
         CHAOS_EXPECT(false, "budget squeeze reservation failed\n");
       }
 
-      // (b) the stall: tree 1 sleeps 400 ms at its injection site against
-      // a 40 ms stuck-threshold.  Tree 0 completes and is checkpointed,
-      // so each watchdog cancel is followed by a non-empty spill.
+      // (b) the stall: tree 1 sleeps at its injection site far past the
+      // stuck-threshold.  Tree 0 completes and is checkpointed, so each
+      // watchdog cancel is followed by a non-empty spill.
       FaultInjector::Fault stall;
       stall.action = FaultInjector::Action::kStall;
       stall.probability = 1.0;
-      stall.stall_ms = 400;
+      stall.stall_ms = stall_ms;
       FaultScope stall_tree1("solve_one_tree", 1, stall);
-      SolverOptions stopt = base;
-      stopt.seed = seed + 6000;
       auto stuck = wd.submit(g, h, stopt);
       const RetrySolveReport& srep = stuck->wait();
       CHAOS_EXPECT(srep.status.code == StatusCode::kCancelled,

@@ -1,4 +1,5 @@
-// hgp_snapfuzz — seeded corruption harness for the snapshot container.
+// hgp_snapfuzz — seeded corruption harness for the snapshot container and
+// the shard wire messages.
 //
 //   hgp_snapfuzz [--iters N] [--seed S] [--verbose]
 //
@@ -24,6 +25,16 @@
 //
 // Hand-crafted adversarial images (bad magic, future version, unknown
 // section type, hostile length fields) round out the random coverage.
+//
+// A third regime fuzzes the shard wire messages, which share the
+// snapshot's payload codec: seeded flips, stomps, truncations and
+// extensions of valid Job, Assign, TreeResult and Hello payloads are fed
+// to their decoders.  A message has no CRC of its own (its frame's CRC
+// sits below it), so a flipped or stomped byte may decode to another
+// valid message; it must decode or be rejected with kDataLoss, never
+// crash or throw anything untyped.  A truncated or extended payload must
+// always be rejected: every message has to be consumed exactly.
+//
 // Exit 0 when every expectation held, 1 otherwise.  Deterministic in
 // --seed.
 #include <unistd.h>
@@ -46,6 +57,9 @@
 #include "hierarchy/hierarchy.hpp"
 #include "hierarchy/placement.hpp"
 #include "io/snapshot.hpp"
+#include "net/channel.hpp"
+#include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "runtime/checkpoint.hpp"
 #include "util/prng.hpp"
 #include "util/status.hpp"
@@ -72,8 +86,8 @@ enum class Parse { kOk, kDataLossRejected, kWrongError };
 /// Diagnostic trail for kWrongError: what actually escaped.
 std::string g_last_error;
 
-/// One snapshot kind under test: a pristine image plus the typed parse
-/// the production code would run over it.
+/// One snapshot kind or wire message under test: a pristine image plus
+/// the typed parse the production code would run over it.
 struct Corpus {
   std::string name;
   std::vector<std::byte> image;
@@ -304,6 +318,101 @@ void check_handcrafted(const Corpus& corpus) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Wire regime.
+
+Parse parse_job(const std::vector<std::byte>& payload) {
+  return classify_parse(
+      [](const std::vector<std::byte>& p) { (void)net::decode_job(p); },
+      payload);
+}
+
+Parse parse_assign(const std::vector<std::byte>& payload) {
+  return classify_parse(
+      [](const std::vector<std::byte>& p) { (void)net::decode_assign(p); },
+      payload);
+}
+
+Parse parse_tree_result(const std::vector<std::byte>& payload) {
+  return classify_parse(
+      [](const std::vector<std::byte>& p) {
+        (void)net::decode_tree_result(p);
+      },
+      payload);
+}
+
+/// The Hello decoder lives inside the handshake, so the payload goes
+/// through a real one over a socket pair (small enough to sit in the
+/// socket buffer, so one thread drives both ends).
+Parse parse_hello(const std::vector<std::byte>& payload) {
+  return classify_parse(
+      [](const std::vector<std::byte>& p) {
+        auto [a, b] = net::socket_pair();
+        net::FrameChannel client{std::move(a)}, server{std::move(b)};
+        const Deadline deadline = Deadline::after_ms(5000);
+        client.send(net::kMsgHello, p, deadline);
+        (void)net::handshake_server(server, deadline);
+      },
+      payload);
+}
+
+/// One seeded flip, stomp, truncation or extension.  Sets *must_reject
+/// for the length-changing kinds.
+std::vector<std::byte> mutate_wire(const std::vector<std::byte>& payload,
+                                   Rng& rng, bool* must_reject) {
+  std::vector<std::byte> out = payload;
+  const std::size_t at = static_cast<std::size_t>(
+      rng.next_double(0, static_cast<double>(out.size()) - 0.001));
+  const auto random_byte = [&] {
+    return static_cast<std::byte>(
+        static_cast<unsigned>(rng.next_double(0, 255.999)));
+  };
+  *must_reject = false;
+  switch (static_cast<int>(rng.next_double(0, 4))) {
+    case 0:  // bit flip
+      out[at] ^= static_cast<std::byte>(
+          1u << static_cast<int>(rng.next_double(0, 7.999)));
+      break;
+    case 1:  // byte stomp
+      out[at] = random_byte();
+      break;
+    case 2:  // truncation (possibly to empty)
+      out.resize(at);
+      *must_reject = true;
+      break;
+    default: {  // extension with random bytes
+      const std::size_t extra =
+          1 + static_cast<std::size_t>(rng.next_double(0, 63.999));
+      for (std::size_t i = 0; i < extra; ++i) out.push_back(random_byte());
+      *must_reject = true;
+      break;
+    }
+  }
+  return out;
+}
+
+void hammer_wire(const Corpus& corpus, Rng& rng, int iters) {
+  FUZZ_EXPECT(corpus.parse(corpus.image) == Parse::kOk,
+              "%s: pristine payload failed to decode\n", corpus.name.c_str());
+  int rejected = 0, decoded = 0;
+  for (int i = 0; i < iters; ++i) {
+    bool must_reject = false;
+    const std::vector<std::byte> mutated =
+        mutate_wire(corpus.image, rng, &must_reject);
+    const Parse p = corpus.parse(mutated);
+    FUZZ_EXPECT(p != Parse::kWrongError,
+                "%s: iter %d mutation escaped the kDataLoss contract (%s)\n",
+                corpus.name.c_str(), i, g_last_error.c_str());
+    FUZZ_EXPECT(!must_reject || p == Parse::kDataLossRejected,
+                "%s: iter %d resized payload (%zu of %zu bytes) decoded\n",
+                corpus.name.c_str(), i, mutated.size(), corpus.image.size());
+    rejected += p == Parse::kDataLossRejected ? 1 : 0;
+    decoded += p == Parse::kOk ? 1 : 0;
+  }
+  std::printf("%-10s %d wire (%d rejected, %d still valid)\n",
+              corpus.name.c_str(), iters, rejected, decoded);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -461,6 +570,45 @@ int main(int argc, char** argv) {
       std::printf("  image: %zu bytes, %d failures so far\n",
                   corpus.image.size(), g_failures);
     }
+  }
+
+  // ---- The wire hammer: one valid payload per message kind.
+  std::vector<Corpus> wire;
+  {
+    net::JobMsg job;
+    job.epsilon = 0.5;
+    job.seed = seed;
+    job.num_trees = static_cast<std::int32_t>(forest.size());
+    job.heartbeat_ms = 50;
+    job.snapshot_blob = corpora[2].image;  // the forest snapshot
+    wire.push_back({"job", net::encode_job(job), &parse_job});
+
+    net::AssignMsg assign;
+    assign.epoch = 3;
+    assign.tree_index = 1;
+    wire.push_back({"assign", net::encode_assign(assign), &parse_assign});
+
+    net::TreeResultMsg result;
+    result.epoch = 3;
+    result.tree_index = 1;
+    result.cost = 17.25;
+    result.stats.signature_count = 9;
+    result.stats.merge_operations = 120;
+    for (Vertex v = 0; v < g.vertex_count(); ++v) {
+      result.leaf_of.push_back(v % h.leaf_count());
+    }
+    wire.push_back(
+        {"result", net::encode_tree_result(result), &parse_tree_result});
+
+    io::PayloadBuilder hello;
+    hello.append_pod(std::uint32_t{net::kProtocolVersion});
+    hello.append_pod(net::kRoleCoordinator);
+    wire.push_back({"hello", hello.take(), &parse_hello});
+  }
+  for (const Corpus& corpus : wire) {
+    Rng rng = master.fork(static_cast<std::uint64_t>(
+        std::hash<std::string>{}("wire." + corpus.name)));
+    hammer_wire(corpus, rng, iters);
   }
 
   if (!g_checkpoint_tmp.empty()) std::remove(g_checkpoint_tmp.c_str());
