@@ -101,6 +101,10 @@ std::uint32_t handshake_server(FrameChannel& ch, const Deadline& deadline) {
                          ", this build speaks v" +
                          std::to_string(kProtocolVersion) + ")");
   }
+  if (role != kRoleCoordinator && role != kRoleShard) {
+    throw SolveError(StatusCode::kDataLoss,
+                     "handshake carries unknown role " + std::to_string(role));
+  }
   io::PayloadBuilder ack;
   ack.append_pod(std::uint32_t{kProtocolVersion});
   ch.send(kMsgHelloAck, ack.bytes(), deadline);

@@ -55,8 +55,9 @@ class FrameChannel {
 void handshake_client(FrameChannel& ch, std::uint32_t role,
                       const Deadline& deadline);
 
-/// Server half: expects Hello, validates the version, replies HelloAck.
-/// Returns the peer's role.  Throws kDataLoss on skew or a non-Hello
+/// Server half: expects Hello, validates the version and the role,
+/// replies HelloAck.  Returns the peer's role (kRoleCoordinator or
+/// kRoleShard).  Throws kDataLoss on skew, an unknown role or a non-Hello
 /// first frame.
 std::uint32_t handshake_server(FrameChannel& ch, const Deadline& deadline);
 

@@ -37,6 +37,12 @@ double ms_since(Clock::time_point t) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
 }
 
+/// Reaps `pid` if it has exited (or was already reaped elsewhere).
+bool reap_if_exited(pid_t pid) {
+  const pid_t r = ::waitpid(pid, nullptr, WNOHANG);
+  return r == pid || (r < 0 && errno == ECHILD);
+}
+
 std::string default_socket_dir() {
   const char* tmp = std::getenv("TMPDIR");
   return (tmp != nullptr && tmp[0] != '\0') ? tmp : "/tmp";
@@ -343,23 +349,60 @@ struct ShardCoordinator::Impl {
     return pid;
   }
 
-  void spawn_and_adopt() {
-    spawn_worker();
-    add_shard(listener.accept_connection(
-        Deadline::after_ms(copt.handshake_timeout_ms)));
+  /// Binds the listening socket and spawns the spawn-local workers.  Runs
+  /// before the forest build, so each worker's exec and connect overlap
+  /// it; the kernel queues the connections until accept_workers.
+  std::vector<pid_t> spawn_workers() {
+    std::vector<pid_t> spawned;
+    if (copt.shardd_path.empty() || copt.num_shards <= 0) return spawned;
+    const std::string dir =
+        copt.socket_dir.empty() ? default_socket_dir() : copt.socket_dir;
+    const std::string path = dir + "/hgp-coord-" +
+                             std::to_string(static_cast<long>(::getpid())) +
+                             "-" + std::to_string(rid & 0xffffffu) + ".sock";
+    listener = net::Listener::listen_unix(path);
+    for (int i = 0; i < copt.num_shards; ++i) spawned.push_back(spawn_worker());
+    return spawned;
   }
 
-  void start_shards() {
-    for (net::Socket& sock : adopted) add_shard(std::move(sock));
-    adopted.clear();
-    if (!copt.shardd_path.empty() && copt.num_shards > 0) {
-      const std::string dir =
-          copt.socket_dir.empty() ? default_socket_dir() : copt.socket_dir;
-      const std::string path = dir + "/hgp-coord-" +
-                               std::to_string(static_cast<long>(::getpid())) +
-                               "-" + std::to_string(rid & 0xffffffu) + ".sock";
-      listener = net::Listener::listen_unix(path);
-      for (int i = 0; i < copt.num_shards; ++i) spawn_and_adopt();
+  /// Accepts one connection per worker in `spawned` before
+  /// handshake_timeout_ms.  The accept runs in short slices with a reap
+  /// before each, so a worker that exits without connecting costs a slice,
+  /// not the whole budget.  It counts as a lost shard, as does a worker
+  /// still silent at the deadline, and supervise() then applies the
+  /// respawn budget and the in-process degrade.
+  ///
+  /// A worker connects before it exits, so an empty slice after a reap has
+  /// drained every connection an exited worker made.  One that connects
+  /// and dies before its accept is counted on both sides; the wait then
+  /// ends one connection early and the late worker stays queued until a
+  /// respawn accepts it or teardown closes the listener.
+  void accept_workers(std::vector<pid_t> spawned) {
+    constexpr double kSliceMs = 10;
+    const Deadline until = Deadline::after_ms(copt.handshake_timeout_ms);
+    const std::size_t want = spawned.size();
+    std::size_t accepted = 0;
+    std::size_t exited = 0;
+    while (accepted < want) {
+      exited += std::erase_if(spawned, [this](pid_t pid) {
+        if (!reap_if_exited(pid)) return false;
+        std::erase(children, pid);
+        return true;
+      });
+      try {
+        add_shard(listener.accept_connection(
+            Deadline::after_ms(std::min(kSliceMs, until.remaining_ms()))));
+        ++accepted;
+      } catch (const SolveError& e) {
+        if (e.code() != StatusCode::kDeadlineExceeded) throw;
+        if (accepted + exited >= want || until.expired()) break;
+      }
+    }
+    const MutexLock lock(mu);
+    for (std::size_t i = accepted; i < want; ++i) {
+      ++report.shards_lost;
+      HGP_COUNTER_ADD("shard.lost", 1);
+      HGP_JOURNAL(kShardLost, rid, 0, -1, 0);
     }
   }
 
@@ -476,7 +519,7 @@ struct ShardCoordinator::Impl {
         }
         HGP_COUNTER_ADD("shard.respawns", 1);
         try {
-          spawn_and_adopt();
+          accept_workers({spawn_worker()});
         } catch (...) {
           // Spawn or accept failed; budget was consumed, loop decides again.
         }
@@ -510,23 +553,24 @@ struct ShardCoordinator::Impl {
     }
     for (Shard* s : live) s->channel.close();
     listener.close();
-    for (const pid_t pid : children) {
-      int status = 0;
-      // Workers exit on Shutdown/EOF; give them a grace window, then make
-      // sure nothing outlives the solve.
-      const Deadline grace = Deadline::after_ms(2000);
-      for (;;) {
-        const pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == pid || (r < 0 && errno == ECHILD)) break;
-        if (grace.expired()) {
-          ::kill(pid, SIGKILL);
-          ::waitpid(pid, &status, 0);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Workers exit on Shutdown/EOF within about a millisecond: poll with a
+    // doubling nap rather than a fixed sleep, and give them one shared
+    // grace window before making sure nothing outlives the solve.
+    const Deadline grace = Deadline::after_ms(2000);
+    double nap_ms = 0.05;
+    for (;;) {
+      std::erase_if(children, reap_if_exited);
+      if (children.empty()) break;
+      if (grace.expired()) {
+        for (const pid_t pid : children) ::kill(pid, SIGKILL);
+        for (const pid_t pid : children) ::waitpid(pid, nullptr, 0);
+        children.clear();
+        break;
       }
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(nap_ms));
+      nap_ms = std::min(nap_ms * 2, 5.0);
     }
-    children.clear();
   }
 
   // ------------------------------------------------------------------ solve
@@ -553,30 +597,47 @@ struct ShardCoordinator::Impl {
                                    opt.epsilon, opt.units_override});
     checkpoint->set_request_context(rid, 0);
 
+    // The phase timeline in the report: one clock read per phase.
+    Clock::time_point mark = Clock::now();
+    const auto lap = [&mark] {
+      const Clock::time_point now = Clock::now();
+      const double ms =
+          std::chrono::duration<double, std::milli>(now - mark).count();
+      mark = now;
+      return ms;
+    };
+
     bool distributed = true;
     try {
-      build_job();
-    } catch (const SolveError& e) {
-      if (e.status().code == StatusCode::kCancelled ||
-          e.status().code == StatusCode::kInvalidInput) {
-        throw;
-      }
-      // Forest construction failed: there is nothing to distribute, and the
-      // final solve_hgp below will hit the identical failure and classify /
-      // degrade it exactly as a single-process solve would.
-      distributed = false;
-    }
-
-    if (distributed) {
+      std::vector<pid_t> spawned = spawn_workers();
+      report.connect_ms = lap();
       try {
-        start_shards();
-        supervise();
-      } catch (...) {
-        cleanup();
-        throw;
+        build_job();
+      } catch (const SolveError& e) {
+        if (e.code() == StatusCode::kCancelled ||
+            e.code() == StatusCode::kInvalidInput) {
+          throw;
+        }
+        // Forest construction failed: there is nothing to distribute, and
+        // the final solve_hgp below will hit the identical failure and
+        // classify / degrade it exactly as a single-process solve would.
+        distributed = false;
       }
+      report.forest_ms = lap();
+      if (distributed) {
+        for (net::Socket& sock : adopted) add_shard(std::move(sock));
+        adopted.clear();
+        accept_workers(std::move(spawned));
+        report.connect_ms += lap();
+        supervise();
+        report.trees_ms = lap();
+      }
+    } catch (...) {
+      cleanup();
+      throw;
     }
     cleanup();
+    report.teardown_ms = lap();
 
     {
       const MutexLock lock(mu);

@@ -15,8 +15,9 @@
 //     stale epoch and they are fenced and discarded, so each tree is
 //     accounted exactly once;
 //   * a shard whose socket resets is dead immediately (crash detection is
-//     faster than lease expiry); spawn-local shards are respawned within
-//     a budget, spaced by the retry loop's backoff-with-jitter policy;
+//     faster than lease expiry), and so is a spawn-local worker that exits
+//     before it connects; spawn-local shards are respawned within a
+//     budget, spaced by the retry loop's backoff-with-jitter policy;
 //   * when every shard is lost and the respawn budget is spent, the
 //     remaining trees are solved in-process — the PR-1 fallback-chain
 //     idiom one rung higher, so shard loss degrades throughput, never
@@ -62,7 +63,8 @@ struct CoordinatorOptions {
   double lease_ms = 2000;
   /// Heartbeat cadence requested from shards (carried in the Job).
   double heartbeat_ms = 25;
-  /// Budget for one shard's handshake + job load.
+  /// Budget for one shard's handshake + job load, and for the spawned
+  /// workers to connect (counted from the end of the forest build).
   double handshake_timeout_ms = 10000;
   /// Total replacement spawns allowed across the solve (spawn-local).
   int respawn_limit = 1;
@@ -86,6 +88,12 @@ struct CoordinatorReport {
   /// Some trees missed their shard window and were solved in-process by
   /// the final aggregation (true whenever every shard was lost).
   bool degraded_inprocess = false;
+  /// The phase timeline.  The four sum to at most the solve's wall time;
+  /// the final in-process aggregation is the rest.
+  double forest_ms = 0;    ///< forest build + Job encode
+  double connect_ms = 0;   ///< worker spawn (before the build) + accept
+  double trees_ms = 0;     ///< leasing trees out until they are delivered
+  double teardown_ms = 0;  ///< Shutdown, reader joins, worker reaping
 };
 
 /// One coordinated solve.  Construct, optionally adopt pre-connected

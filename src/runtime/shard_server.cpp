@@ -41,7 +41,10 @@ Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
   std::thread beater;
 
   try {
-    net::handshake_server(ch, idle_deadline(opt));
+    if (net::handshake_server(ch, idle_deadline(opt)) !=
+        net::kRoleCoordinator) {
+      return Status(StatusCode::kDataLoss, "peer is not a coordinator");
+    }
 
     std::optional<net::Frame> job_frame = ch.recv(idle_deadline(opt));
     if (!job_frame.has_value()) {

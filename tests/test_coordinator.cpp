@@ -3,14 +3,20 @@
 // with REAL shard servers on in-process threads plus scripted misbehaving
 // peers (src/runtime/coordinator.hpp, docs/RESILIENCE.md).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "graph/fingerprint.hpp"
@@ -485,6 +491,130 @@ TEST(Coordinator, SharedCheckpointKeepsShardTrees) {
   for (const TreeAttempt& a : resumed.attempts) {
     EXPECT_TRUE(a.from_checkpoint);
   }
+}
+
+// ------------------------------------------------------------ spawn-local
+//
+// The tests below spawn real hgp_shardd processes (HGP_SHARDD_PATH, set by
+// tests/CMakeLists.txt) through the coordinator's own listener.
+
+/// A fresh directory for the coordinator's socket, removed at scope exit.
+struct ScratchDir {
+  std::filesystem::path path;
+
+  ScratchDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "hgp-coord-test-XXXXXX")
+            .string();
+    EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+    path = tmpl;
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+
+  /// True when no socket file is left behind.
+  bool no_socket_left() const {
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      if (entry.path().extension() == ".sock") return false;
+    }
+    return true;
+  }
+};
+
+CoordinatorOptions spawn_local(const ScratchDir& dir, int shards,
+                               std::string shardd = HGP_SHARDD_PATH) {
+  CoordinatorOptions copt;
+  copt.num_shards = shards;
+  copt.shardd_path = std::move(shardd);
+  copt.socket_dir = dir.path.string();
+  return copt;
+}
+
+/// Every spawned worker was reaped: this process has no child left.
+void expect_no_child_left() {
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+double ms_between(std::chrono::steady_clock::time_point a,
+                  std::chrono::steady_clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+TEST(Coordinator, SpawnLocalMatchesSingleProcess) {
+  const Graph g = workload(22);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(22));
+
+  const ScratchDir dir;
+  CoordinatorReport rep;
+  const auto start = std::chrono::steady_clock::now();
+  const HgpResult got = solve_hgp_sharded(g, hier(), base_options(22),
+                                          spawn_local(dir, 2), &rep);
+  const double wall_ms = ms_between(start, std::chrono::steady_clock::now());
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(rep.trees_from_shards, 4);
+  EXPECT_EQ(rep.shards_lost, 0);
+  EXPECT_FALSE(rep.degraded_inprocess);
+  expect_no_child_left();
+  EXPECT_TRUE(dir.no_socket_left());
+  // The phase timeline fits in the wall time.
+  for (const double ms :
+       {rep.forest_ms, rep.connect_ms, rep.trees_ms, rep.teardown_ms}) {
+    EXPECT_GE(ms, 0.0);
+  }
+  EXPECT_LE(rep.forest_ms + rep.connect_ms + rep.trees_ms + rep.teardown_ms,
+            wall_ms);
+}
+
+TEST(Coordinator, SpawnLocalCancelBeforeForestReapsWorkers) {
+  const Graph g = workload(24);
+  CancelToken cancel;
+  cancel.request_cancel();
+  SolverOptions opt = base_options(24);
+  opt.cancel = &cancel;
+
+  const ScratchDir dir;
+  try {
+    (void)solve_hgp_sharded(g, hier(), opt, spawn_local(dir, 2));
+    FAIL() << "cancelled solve must throw";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+  }
+  expect_no_child_left();
+  EXPECT_TRUE(dir.no_socket_left());
+}
+
+TEST(Coordinator, SpawnLocalDeadWorkerDegrades) {
+  // Every worker, the respawned one included, exits before it connects.
+  // Each counts as a lost shard as soon as it is reaped, so the solve
+  // degrades to in-process well inside the accept budget.
+  const Graph g = workload(25);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(25));
+
+  const ScratchDir dir;
+  const std::filesystem::path dead = dir.path / "dead-worker.sh";
+  std::ofstream(dead) << "#!/bin/sh\nexit 1\n";
+  std::filesystem::permissions(dead, std::filesystem::perms::owner_all);
+  CoordinatorOptions copt = spawn_local(dir, 2, dead.string());
+  copt.handshake_timeout_ms = 5000;
+  copt.respawn_limit = 1;
+
+  CoordinatorReport rep;
+  const auto start = std::chrono::steady_clock::now();
+  const HgpResult got =
+      solve_hgp_sharded(g, hier(), base_options(25), copt, &rep);
+  const double wall_ms = ms_between(start, std::chrono::steady_clock::now());
+
+  expect_bit_identical(got, baseline);
+  EXPECT_LT(wall_ms, copt.handshake_timeout_ms);
+  EXPECT_EQ(rep.shards_up, 0);
+  EXPECT_EQ(rep.shards_lost, 3);  // two spawned, one respawned
+  EXPECT_EQ(rep.respawns, 1);
+  EXPECT_EQ(rep.trees_from_shards, 0);
+  EXPECT_TRUE(rep.degraded_inprocess);
+  expect_no_child_left();
+  EXPECT_TRUE(dir.no_socket_left());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "runtime/shard_server.hpp"
 #include "util/fault_injector.hpp"
 
 namespace hgp::net {
@@ -482,6 +483,39 @@ TEST(Handshake, VersionMismatchRejected) {
     t.join();
     EXPECT_EQ(server_code, StatusCode::kDataLoss);
   }
+}
+
+TEST(Handshake, UnknownRoleRejected) {
+  for (const std::uint32_t role : {2u, 0xffffffffu}) {
+    SCOPED_TRACE(role);
+    auto [a, b] = socket_pair();
+    FrameChannel client{std::move(a)}, server{std::move(b)};
+    StatusCode server_code = StatusCode::kOk;
+    std::thread t([&] {
+      server_code = thrown_code(
+          [&] { (void)handshake_server(server, Deadline::after_ms(5000)); });
+    });
+    io::PayloadBuilder hello;
+    hello.append_pod(std::uint32_t{kProtocolVersion});
+    hello.append_pod(role);
+    client.send(kMsgHello, hello.bytes(), Deadline::after_ms(5000));
+    t.join();
+    EXPECT_EQ(server_code, StatusCode::kDataLoss);
+  }
+}
+
+TEST(Handshake, ShardServerRefusesNonCoordinatorPeer) {
+  auto [a, b] = socket_pair();
+  FrameChannel client{std::move(a)}, server{std::move(b)};
+  Status served;
+  std::thread t([&] {
+    ShardServerOptions opt;
+    opt.idle_timeout_ms = 5000;
+    served = run_shard_server(server, opt);
+  });
+  handshake_client(client, kRoleShard, Deadline::after_ms(5000));
+  t.join();
+  EXPECT_EQ(served.code, StatusCode::kDataLoss);
 }
 
 TEST(Handshake, NonHelloFirstFrameRejected) {

@@ -364,6 +364,7 @@ int main(int argc, char** argv) {
     std::string solved_by = algo;
     HgpResult hgp_result;
     bool have_hgp = false;
+    CoordinatorReport crep;  // --shards only
     bool retries_exhausted = false;
     if (algo == "hgp") {
       SolverOptions opt;
@@ -397,7 +398,6 @@ int main(int argc, char** argv) {
         CoordinatorOptions copt;
         copt.num_shards = shards;
         copt.shardd_path = resolve_shardd(argv[0], shardd_path);
-        CoordinatorReport crep;
         hgp_result = solve_hgp_sharded(g, h, opt, copt, &crep);
         std::printf(
             "shards: %d up, %d lost, %d lease expiries, %d reassigned, "
@@ -518,6 +518,13 @@ int main(int argc, char** argv) {
                      "fallback %.1f (+ overhead)\n",
                      tm.total_ms, tm.forest_build_ms, tm.tree_solve_ms,
                      tm.fallback_ms);
+        if (shards > 0) {
+          std::fprintf(stderr,
+                       "coordinator: forest %.1f ms, connect %.1f ms, trees "
+                       "%.1f ms, teardown %.1f ms\n",
+                       crep.forest_ms, crep.connect_ms, crep.trees_ms,
+                       crep.teardown_ms);
+        }
         std::fprintf(stderr,
                      "trees: %d/%d succeeded; dp: %llu signatures, %llu "
                      "feasible states, %llu merges (%llu rejected), %llu "
