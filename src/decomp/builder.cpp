@@ -105,36 +105,37 @@ DecompTree build_decomp_tree(const Graph& g, Rng& rng, const Cutter& cutter,
   return DecompTree(std::move(tree), std::move(leaf_vertex), g);
 }
 
+std::vector<Rng> forest_tree_rngs(std::uint64_t seed, int count) {
+  HGP_CHECK(count >= 0);
+  Rng parent(seed);
+  std::vector<Rng> rngs;
+  rngs.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    rngs.push_back(parent.fork(static_cast<std::uint64_t>(i)));
+  }
+  return rngs;
+}
+
 std::vector<DecompTree> build_decomposition_forest(const Graph& g, int count,
                                                    std::uint64_t seed,
                                                    const Cutter& cutter,
                                                    ThreadPool* pool,
                                                    const ExecContext* exec) {
   HGP_CHECK(count >= 1);
-  std::vector<DecompTree> forest;
-  forest.reserve(static_cast<std::size_t>(count));
+  const std::vector<Rng> rngs = forest_tree_rngs(seed, count);
+  const auto build = [&](std::size_t i) {
+    Rng rng = rngs[i];
+    return build_decomp_tree(g, rng, cutter, exec);
+  };
   if (pool == nullptr) {
-    Rng rng(seed);
+    std::vector<DecompTree> forest;
+    forest.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
-      Rng child = rng.fork(static_cast<std::uint64_t>(i));
-      forest.push_back(build_decomp_tree(g, child, cutter, exec));
+      forest.push_back(build(static_cast<std::size_t>(i)));
     }
     return forest;
   }
-  Rng rng(seed);
-  std::vector<Rng> rngs;
-  for (int i = 0; i < count; ++i) {
-    rngs.push_back(rng.fork(static_cast<std::uint64_t>(i)));
-  }
-  auto built = parallel_map(
-      *pool, static_cast<std::size_t>(count),
-      [&](std::size_t i) {
-        Rng local = rngs[i];
-        return build_decomp_tree(g, local, cutter, exec);
-      },
-      exec);
-  for (auto& t : built) forest.push_back(std::move(t));
-  return forest;
+  return parallel_map(*pool, static_cast<std::size_t>(count), build, exec);
 }
 
 }  // namespace hgp

@@ -27,8 +27,15 @@ namespace hgp {
 DecompTree build_decomp_tree(const Graph& g, Rng& rng, const Cutter& cutter,
                              const ExecContext* exec = nullptr);
 
-/// Builds `count` independent trees (seeds forked from `seed`), in parallel
-/// when a pool is supplied.
+/// The random streams trees 0..count-1 of a forest sampled with `seed` are
+/// built from: the successive forks of Rng(seed).  Stream i does not depend
+/// on `count`, so tree i of build_decomposition_forest(g, count, seed,
+/// cutter) is build_decomp_tree(g, forest_tree_rngs(seed, i + 1)[i],
+/// cutter), and a shard worker builds the one tree it leases alone.
+std::vector<Rng> forest_tree_rngs(std::uint64_t seed, int count);
+
+/// Builds `count` independent trees (tree i from forest_tree_rngs(seed,
+/// count)[i]), in parallel when a pool is supplied.
 std::vector<DecompTree> build_decomposition_forest(
     const Graph& g, int count, std::uint64_t seed, const Cutter& cutter,
     ThreadPool* pool = nullptr, const ExecContext* exec = nullptr);

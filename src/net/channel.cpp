@@ -85,12 +85,17 @@ std::uint32_t handshake_server(FrameChannel& ch, const Deadline& deadline) {
     throw SolveError(StatusCode::kUnavailable,
                      "peer closed during the version handshake");
   }
-  if (hello->type != kMsgHello) {
+  return handshake_server(ch, *hello, deadline);
+}
+
+std::uint32_t handshake_server(FrameChannel& ch, const Frame& hello,
+                               const Deadline& deadline) {
+  if (hello.type != kMsgHello) {
     throw SolveError(StatusCode::kDataLoss,
                      "handshake expected Hello, got frame type " +
-                         std::to_string(hello->type));
+                         std::to_string(hello.type));
   }
-  io::SectionView r("Hello", hello->payload);
+  io::SectionView r("Hello", hello.payload);
   const auto peer_version = r.read_pod<std::uint32_t>();
   const auto role = r.read_pod<std::uint32_t>();
   r.expect_exhausted();

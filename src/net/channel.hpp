@@ -60,6 +60,10 @@ void handshake_client(FrameChannel& ch, std::uint32_t role,
 /// kRoleShard).  Throws kDataLoss on skew, an unknown role or a non-Hello
 /// first frame.
 std::uint32_t handshake_server(FrameChannel& ch, const Deadline& deadline);
+/// The same, for a server that has already read the peer's first frame
+/// (the shard worker, which also accepts Shutdown in its place).
+std::uint32_t handshake_server(FrameChannel& ch, const Frame& hello,
+                               const Deadline& deadline);
 
 /// Message types 1..15 are reserved for the handshake + shard protocol
 /// (protocol.hpp); tests use >= 100.

@@ -36,10 +36,10 @@ static_assert(std::endian::native == std::endian::little,
 /// Bumped on any frame- or message-layout change; both the frame header
 /// and the Hello handshake carry it, so skew is caught before any typed
 /// payload is trusted.
-constexpr std::uint16_t kProtocolVersion = 4;
+constexpr std::uint16_t kProtocolVersion = 5;
 
 /// Upper bound on one frame's payload: large enough for a job frame
-/// embedding a graph+forest snapshot blob, small enough that a hostile
+/// embedding a graph+hierarchy snapshot blob, small enough that a hostile
 /// length field cannot drive an allocation bomb.
 constexpr std::uint32_t kMaxFramePayload = 256u << 20;  // 256 MiB
 

@@ -16,9 +16,14 @@
 // heartbeat is a bare liveness ping; a non-empty one is malformed.
 //
 // The Job's instance payload is a PR-6 snapshot container blob (graph +
-// hierarchy + forest sections, src/io/snapshot.hpp) embedded whole: the
-// shard re-runs the full snapshot validation stack — CRCs, fingerprint,
+// hierarchy sections, src/io/snapshot.hpp) embedded whole: the shard
+// re-runs the full snapshot validation stack — CRCs, fingerprint,
 // semantic invariants — before trusting a single byte of the instance.
+// No forest travels (protocol v5): tree i is a function of (graph, seed,
+// i) under the default cutter, so the shard builds the tree each Assign
+// leases (decomp/builder.hpp's forest_tree_rngs).  Shutdown is a clean end
+// at any point the shard waits for the coordinator, Hello and Job
+// included.
 // Epochs implement zombie fencing: every Assign carries the lease's
 // current epoch, every result echoes it, and the coordinator discards any
 // result whose epoch is stale (the tree was reassigned after this shard
@@ -48,9 +53,10 @@ constexpr std::uint16_t kMsgHeartbeat = 6;
 constexpr std::uint16_t kMsgTreeResult = 7;
 constexpr std::uint16_t kMsgShutdown = 8;
 
-/// Everything a shard needs to solve assigned trees bit-identically to the
-/// coordinator's in-process path: the solve parameters plus the instance
-/// snapshot blob (graph + hierarchy + forest container).
+/// Everything a shard needs to build and solve assigned trees
+/// bit-identically to the coordinator's in-process path: the solve
+/// parameters (the seed and num_trees fix the forest) plus the instance
+/// snapshot blob (graph + hierarchy container).
 struct JobMsg {
   double epsilon = 0;
   std::int64_t units_override = 0;
@@ -58,8 +64,8 @@ struct JobMsg {
   std::int32_t num_trees = 0;
   /// Heartbeat cadence the coordinator expects, in ms.
   double heartbeat_ms = 0;
-  /// Snapshot container: graph sections, hierarchy sections, forest
-  /// sections (src/io/snapshot.hpp codecs, in that order).
+  /// Snapshot container: graph sections, then hierarchy sections
+  /// (src/io/snapshot.hpp codecs), and nothing else.
   std::vector<std::byte> snapshot_blob;
 };
 

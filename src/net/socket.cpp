@@ -1,8 +1,6 @@
 #include "net/socket.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -190,31 +188,6 @@ Socket connect_unix(const std::string& path, const Deadline& deadline) {
   throw_unavailable("net connect to " + path, err);
 }
 
-Socket connect_tcp_loopback(int port, const Deadline& deadline) {
-  const auto action = FaultInjector::instance().poll_io("net.connect", 0);
-  if (action == FaultInjector::Action::kNetConnectRefused) {
-    throw SolveError(StatusCode::kUnavailable,
-                     "injected connect refusal to loopback:" +
-                         std::to_string(port));
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_unavailable("net connect (socket)", errno);
-  set_cloexec_nonblock(fd);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-          0 ||
-      errno == EINPROGRESS) {
-    return finish_connect(fd, deadline, "net connect");
-  }
-  const int err = errno;
-  ::close(fd);
-  throw_unavailable("net connect to loopback:" + std::to_string(port), err);
-}
-
 Listener Listener::listen_unix(const std::string& path) {
   const sockaddr_un addr = unix_addr(path);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -235,39 +208,6 @@ Listener Listener::listen_unix(const std::string& path) {
   Listener out;
   out.socket_ = Socket(fd);
   out.path_ = path;
-  return out;
-}
-
-Listener Listener::listen_tcp_loopback(int port) {
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw SolveError(StatusCode::kInternal,
-                     std::string("net listen (socket): ") +
-                         std::strerror(errno));
-  }
-  set_cloexec_nonblock(fd);
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof bound;
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 16) != 0 ||
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-          0) {
-    const int err = errno;
-    ::close(fd);
-    throw SolveError(StatusCode::kInternal,
-                     std::string("net listen on loopback: ") +
-                         std::strerror(err));
-  }
-  Listener out;
-  out.socket_ = Socket(fd);
-  out.port_ = ntohs(bound.sin_port);
   return out;
 }
 

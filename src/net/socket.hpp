@@ -1,5 +1,5 @@
-// Stream sockets (unix-domain and TCP loopback) with cooperative
-// deadlines — the transport under the framed shard protocol.
+// Unix-domain stream sockets with cooperative deadlines — the transport
+// under the framed shard protocol.
 //
 // Every blocking operation takes a Deadline and polls toward it, so a
 // stalled peer can never wedge a caller past its budget: expiry throws
@@ -77,10 +77,6 @@ std::pair<Socket, Socket> socket_pair();
 /// past the deadline.
 Socket connect_unix(const std::string& path, const Deadline& deadline);
 
-/// Connects to TCP 127.0.0.1:`port` (loopback only — the wire protocol
-/// carries no auth, so cross-host deployments tunnel it).
-Socket connect_tcp_loopback(int port, const Deadline& deadline);
-
 /// A listening socket accepting shard connections.
 class Listener {
  public:
@@ -91,13 +87,8 @@ class Listener {
   /// Binds + listens on a unix-domain socket, unlinking a stale `path`
   /// first.  Throws SolveError{kInternal} on failure.
   static Listener listen_unix(const std::string& path);
-  /// Binds + listens on TCP 127.0.0.1; port 0 picks an ephemeral port
-  /// (read it back from port()).
-  static Listener listen_tcp_loopback(int port);
 
   bool valid() const { return socket_.valid(); }
-  /// Bound TCP port (0 for unix listeners).
-  int port() const { return port_; }
   const std::string& path() const { return path_; }
 
   /// Accepts one connection before `deadline`; kDeadlineExceeded past it.
@@ -109,7 +100,6 @@ class Listener {
 
  private:
   Socket socket_;
-  int port_ = 0;
   std::string path_;
 };
 

@@ -14,14 +14,12 @@
 #include <thread>
 #include <utility>
 
-#include "decomp/cutter.hpp"
 #include "graph/fingerprint.hpp"
 #include "io/snapshot.hpp"
 #include "net/channel.hpp"
 #include "net/protocol.hpp"
 #include "obs/event_journal.hpp"  // next_library_request_id under HGP_OBS=OFF
 #include "obs/obs.hpp"
-#include "runtime/forest_cache.hpp"
 #include "util/prng.hpp"
 #include "util/sync.hpp"
 
@@ -101,7 +99,6 @@ struct ShardCoordinator::Impl {
   SolveCheckpoint* checkpoint = nullptr;
   std::vector<net::Socket> adopted;
   std::vector<std::byte> job_payload;
-  CachedForest forest;  ///< shipped to the shards, then solved on in-process
   std::uint64_t fingerprint = 0;
   std::uint64_t rid = 0;
   Deadline deadline;
@@ -120,32 +117,13 @@ struct ShardCoordinator::Impl {
 
   // ------------------------------------------------------- stage 1: the job
 
-  /// Acquires the decomposition forest through solve_hgp's own
-  /// acquire_forest (same cache, same key) and serializes the instance into
-  /// the Job payload every shard receives.  Throws on forest failure — the
-  /// caller skips distribution and lets the final solve_hgp reproduce the
-  /// failure (or its fallback chain) so sharded and single-process
-  /// behaviour stay aligned.
+  /// Serializes the instance into the Job payload every shard receives:
+  /// the graph and the hierarchy.  The forest is not shipped; each shard
+  /// builds the tree it leases from the Job's seed.
   void build_job() {
-    ExecContext exec;
-    exec.deadline = deadline;
-    exec.cancel = opt.cancel;
-    forest = acquire_forest(g, fingerprint, opt.num_trees, opt.seed,
-                            opt.cutter, opt.pool, &exec);
-    if (forest->empty()) {
-      throw SolveError(StatusCode::kInternal, "forest sampling yielded no trees");
-    }
-
     io::SnapshotWriter w;
     io::append_graph_sections(w, g);
     io::append_hierarchy_sections(w, h);
-    io::ForestSnapshotMeta meta;
-    meta.graph_fingerprint = fingerprint;
-    meta.seed = opt.seed;
-    meta.num_trees = opt.num_trees;
-    meta.cutter =
-        opt.cutter != nullptr ? opt.cutter->name() : FmCutter().name();
-    io::append_forest_sections(w, meta, *forest);
 
     net::JobMsg job;
     job.epsilon = opt.epsilon;
@@ -157,7 +135,7 @@ struct ShardCoordinator::Impl {
     job_payload = net::encode_job(job);
 
     const MutexLock lock(mu);
-    leases.resize(forest->size());
+    leases.resize(static_cast<std::size_t>(opt.num_trees));
   }
 
   // --------------------------------------------------------- shard plumbing
@@ -350,8 +328,8 @@ struct ShardCoordinator::Impl {
   }
 
   /// Binds the listening socket and spawns the spawn-local workers.  Runs
-  /// before the forest build, so each worker's exec and connect overlap
-  /// it; the kernel queues the connections until accept_workers.
+  /// before the Job encode, so each worker's exec and connect overlap it;
+  /// the kernel queues the connections until accept_workers.
   std::vector<pid_t> spawn_workers() {
     std::vector<pid_t> spawned;
     if (copt.shardd_path.empty() || copt.num_shards <= 0) return spawned;
@@ -584,6 +562,12 @@ struct ShardCoordinator::Impl {
     // solve_hgp's own argument check, up front, so a bad request fails
     // before any process is spawned.
     validate_solve_args(g, opt.num_trees, opt.timeout_ms, opt.epsilon);
+    if (opt.cutter != nullptr) {
+      // Shards build their trees with the default cutter; a custom one
+      // would make their trees differ from this solve's forest.
+      throw SolveError(StatusCode::kInvalidInput,
+                       "sharded solves use the default cutter");
+    }
     if (copt.lease_ms <= 0) {
       throw SolveError(StatusCode::kInvalidInput, "lease_ms must be > 0");
     }
@@ -607,31 +591,17 @@ struct ShardCoordinator::Impl {
       return ms;
     };
 
-    bool distributed = true;
     try {
       std::vector<pid_t> spawned = spawn_workers();
       report.connect_ms = lap();
-      try {
-        build_job();
-      } catch (const SolveError& e) {
-        if (e.code() == StatusCode::kCancelled ||
-            e.code() == StatusCode::kInvalidInput) {
-          throw;
-        }
-        // Forest construction failed: there is nothing to distribute, and
-        // the final solve_hgp below will hit the identical failure and
-        // classify / degrade it exactly as a single-process solve would.
-        distributed = false;
-      }
-      report.forest_ms = lap();
-      if (distributed) {
-        for (net::Socket& sock : adopted) add_shard(std::move(sock));
-        adopted.clear();
-        accept_workers(std::move(spawned));
-        report.connect_ms += lap();
-        supervise();
-        report.trees_ms = lap();
-      }
+      build_job();
+      report.job_ms = lap();
+      for (net::Socket& sock : adopted) add_shard(std::move(sock));
+      adopted.clear();
+      accept_workers(std::move(spawned));
+      report.connect_ms += lap();
+      supervise();
+      report.trees_ms = lap();
     } catch (...) {
       cleanup();
       throw;
@@ -642,22 +612,21 @@ struct ShardCoordinator::Impl {
     {
       const MutexLock lock(mu);
       report.degraded_inprocess =
-          checkpoint->size() <
-          (forest != nullptr ? forest->size()
-                             : static_cast<std::size_t>(opt.num_trees));
+          checkpoint->size() < static_cast<std::size_t>(opt.num_trees);
     }
 
     // Final aggregation IS solve_hgp, so the one forest executor: every
     // shard-delivered tree is served from the checkpoint without re-running
     // its DP, every missing tree is solved in-process, and the arg-min,
     // failure classification and fallback chain run unmodified — which is
-    // the whole bit-identity argument.
+    // the whole bit-identity argument.  When the shards delivered every
+    // tree, solve_hgp builds no forest at all.
     SolverOptions final_opt = opt;
     final_opt.checkpoint = checkpoint;
     if (opt.timeout_ms > 0) {
       final_opt.timeout_ms = std::max(deadline.remaining_ms(), 0.001);
     }
-    return solve_hgp(g, h, final_opt, forest);
+    return solve_hgp(g, h, final_opt);
   }
 };
 

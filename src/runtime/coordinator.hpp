@@ -1,6 +1,13 @@
-// ShardCoordinator: fans the decomposition forest out to shard worker
-// processes under time-bounded leases, and survives their crashes, hangs
-// and partitions without losing a request.
+// ShardCoordinator: fans the trees of the decomposition forest out to
+// shard worker processes under time-bounded leases, and survives their
+// crashes, hangs and partitions without losing a request.
+//
+// The coordinator builds no forest.  Tree i is a pure function of (graph,
+// seed, i) under the default cutter (decomp/builder.hpp's
+// forest_tree_rngs), so the Job ships only the graph, the hierarchy and the
+// solve parameters, and each shard builds the tree it leases.  A custom
+// SolverOptions::cutter is rejected (kInvalidInput) before any worker is
+// spawned.
 //
 // The forest arg-min is embarrassingly shardable (trees are independent
 // until the final comparison), so the coordinator's only hard job is
@@ -27,12 +34,15 @@
 // coordinated result is bit-identical to single-process solve_hgp on the
 // same instance under ANY seeded kill/partition schedule.  The mechanism
 // is shared code, not matched re-implementation: accepted shard results
-// are recorded into a SolveCheckpoint (each computed remotely by
-// solve_forest_tree, the exact per-tree path solve_hgp runs), and the
-// final aggregation IS solve_hgp consuming that checkpoint — arg-min
-// tie-breaking, degradation classification and fallback chain included.
-// Trees the shards never delivered are simply absent from the checkpoint
-// and solve_hgp solves them in-process.
+// are recorded into a SolveCheckpoint (each built by build_decomp_tree on
+// the forest's per-index stream and solved by solve_forest_tree, the
+// exact per-tree path solve_hgp runs), and the final aggregation IS
+// solve_hgp consuming that checkpoint — arg-min tie-breaking, degradation
+// classification and fallback chain included.  When every tree arrived,
+// that solve_hgp builds nothing.  Trees the shards never delivered, or
+// that failed remotely, are absent from the checkpoint, and solve_hgp
+// builds the forest and solves them in-process, reproducing and
+// classifying any failure as a single-process solve would.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +74,7 @@ struct CoordinatorOptions {
   /// Heartbeat cadence requested from shards (carried in the Job).
   double heartbeat_ms = 25;
   /// Budget for one shard's handshake + job load, and for the spawned
-  /// workers to connect (counted from the end of the forest build).
+  /// workers to connect (counted from the end of the Job encode).
   double handshake_timeout_ms = 10000;
   /// Total replacement spawns allowed across the solve (spawn-local).
   int respawn_limit = 1;
@@ -90,8 +100,8 @@ struct CoordinatorReport {
   bool degraded_inprocess = false;
   /// The phase timeline.  The four sum to at most the solve's wall time;
   /// the final in-process aggregation is the rest.
-  double forest_ms = 0;    ///< forest build + Job encode
-  double connect_ms = 0;   ///< worker spawn (before the build) + accept
+  double job_ms = 0;       ///< Job encode (graph + hierarchy snapshot)
+  double connect_ms = 0;   ///< worker spawn (before the encode) + accept
   double trees_ms = 0;     ///< leasing trees out until they are delivered
   double teardown_ms = 0;  ///< Shutdown, reader joins, worker reaping
 };
@@ -112,9 +122,10 @@ class ShardCoordinator {
   /// Must be called before solve().
   void adopt_shard(net::Socket socket);
 
-  /// Distributes the forest, supervises leases, aggregates.  Returns
-  /// exactly what solve_hgp would (throws SolveError the same way:
+  /// Ships the instance, leases its trees, supervises, aggregates.
+  /// Returns exactly what solve_hgp would (throws SolveError the same way:
   /// kInvalidInput, kCancelled, or a fully exhausted fallback chain).
+  /// A non-null opt.cutter is kInvalidInput.
   HgpResult solve();
 
   /// Valid after solve() returns or throws.

@@ -1,13 +1,11 @@
 #include "runtime/forest_cache.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 
 #include "io/snapshot.hpp"
 #include "obs/obs.hpp"
 #include "util/env.hpp"
-#include "util/log.hpp"
 #include "util/memory_budget.hpp"
 
 namespace hgp {
@@ -109,24 +107,6 @@ Status ForestCache::warm_load_file(const std::string& path) {
                   std::move(snap.forest)));
   HGP_COUNTER_ADD("solver.forest_cache.warm_loads", 1);
   return Status();
-}
-
-std::size_t ForestCache::warm_load_dir(const std::string& dir) {
-  std::size_t loaded = 0;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".forest") {
-      continue;
-    }
-    const Status s = warm_load_file(entry.path().string());
-    if (s.ok()) {
-      ++loaded;
-    } else {
-      HGP_WARN("forest warm-load skipped " << entry.path().string() << ": "
-                                           << s.to_string());
-    }
-  }
-  return loaded;
 }
 
 Status ForestCache::save_entry(const ForestCacheKey& key, const Graph& g,

@@ -72,11 +72,6 @@ class ForestCache {
   /// cached; it never throws and never fails the caller's solve.
   Status warm_load_file(const std::string& path);
 
-  /// Warm-loads every `*.forest` file in `dir` (non-recursively); corrupt
-  /// files are skipped with a warning.  Returns the number of forests
-  /// actually inserted.
-  std::size_t warm_load_dir(const std::string& dir);
-
   /// Snapshots the cached forest for `key` to `path` (the warm_load
   /// counterpart).  `g` must be the graph the key fingerprints — the
   /// snapshot embeds it so warm loading needs nothing but the file.

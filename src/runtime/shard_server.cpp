@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "decomp/builder.hpp"
+#include "graph/fingerprint.hpp"
 #include "io/snapshot.hpp"
 #include "net/protocol.hpp"
 #include "obs/obs.hpp"
@@ -27,6 +29,16 @@ Deadline idle_deadline(const ShardServerOptions& opt) {
                                  : Deadline::never();
 }
 
+/// True when the coordinator's next frame, already queued, is Shutdown.
+bool shutdown_queued(net::FrameChannel& ch) {
+  try {
+    const std::optional<net::Frame> next = ch.recv(Deadline::after_ms(50));
+    return next.has_value() && next->type == net::kMsgShutdown;
+  } catch (...) {
+    return false;
+  }
+}
+
 }  // namespace
 
 Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
@@ -41,7 +53,15 @@ Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
   std::thread beater;
 
   try {
-    if (net::handshake_server(ch, idle_deadline(opt)) !=
+    // Shutdown is a clean end wherever the worker waits for the
+    // coordinator: teardown can reach a worker before its Hello or Job.
+    std::optional<net::Frame> hello = ch.recv(idle_deadline(opt));
+    if (!hello.has_value()) {
+      return Status(StatusCode::kUnavailable,
+                    "coordinator closed before the handshake");
+    }
+    if (hello->type == net::kMsgShutdown) return Status();
+    if (net::handshake_server(ch, *hello, idle_deadline(opt)) !=
         net::kRoleCoordinator) {
       return Status(StatusCode::kDataLoss, "peer is not a coordinator");
     }
@@ -51,6 +71,7 @@ Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
       return Status(StatusCode::kUnavailable,
                     "coordinator closed before sending a job");
     }
+    if (job_frame->type == net::kMsgShutdown) return Status();
     if (job_frame->type != net::kMsgJob) {
       return Status(StatusCode::kDataLoss,
                     "expected Job, got frame type " +
@@ -65,13 +86,14 @@ Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
     io::SectionCursor cursor;
     const Graph g = io::read_graph_sections(reader, cursor);
     const Hierarchy h = io::read_hierarchy_sections(reader, cursor);
-    io::ForestSnapshotMeta meta;
-    const std::vector<DecompTree> forest =
-        io::read_forest_sections(reader, cursor, g, &meta);
+    if (cursor.index != reader.section_count()) {
+      return Status(StatusCode::kDataLoss,
+                    "job snapshot carries sections past the hierarchy");
+    }
 
     net::JobAckMsg ack;
-    ack.graph_fingerprint = meta.graph_fingerprint;
-    ack.num_trees = static_cast<std::int32_t>(forest.size());
+    ack.graph_fingerprint = graph_fingerprint(g);
+    ack.num_trees = job.num_trees;
     {
       const MutexLock lock(send_mu);
       ch.send(net::kMsgJobAck, net::encode_job_ack(ack),
@@ -127,15 +149,18 @@ Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
       result.epoch = assign.epoch;
       result.tree_index = ti;
       try {
-        if (ti < 0 || static_cast<std::size_t>(ti) >= forest.size()) {
+        if (ti < 0 || ti >= job.num_trees) {
           throw SolveError(StatusCode::kInvalidInput,
                            "assigned tree index " + std::to_string(ti) +
                                " outside the forest");
         }
         if (opt.on_tree_start) opt.on_tree_start(ti);
         FaultInjector::instance().on_site("shardd.tree", ti);
-        ForestTreeResult r = solve_forest_tree(
-            g, h, forest[static_cast<std::size_t>(ti)], tree_opt);
+        // Tree ti exactly as the coordinator's forest would hold it: the
+        // default cutter on the forest's own per-index stream.
+        Rng rng = forest_tree_rngs(job.seed, ti + 1).back();
+        const DecompTree tree = build_decomp_tree(g, rng, FmCutter());
+        ForestTreeResult r = solve_forest_tree(g, h, tree, tree_opt);
         result.status = static_cast<std::uint8_t>(StatusCode::kOk);
         result.cost = r.cost;
         result.stats = r.stats;
@@ -155,6 +180,11 @@ Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
     }
   } catch (...) {
     exit_status = status_from_current_exception();
+    // A send that failed because the coordinator said Shutdown and hung
+    // up while this worker was replying is still a clean end.
+    if (exit_status.code == StatusCode::kUnavailable && shutdown_queued(ch)) {
+      exit_status = Status();
+    }
   }
 
   if (beater.joinable()) {

@@ -8,11 +8,15 @@
 // worker runs, and TSan sees the whole conversation.
 //
 // Protocol (src/net/protocol.hpp): after the version handshake the server
-// expects a Job (instance snapshot blob + solve params), acks it, then
-// loops on Assign → solve the one leased tree with solve_forest_tree (the
-// SAME per-tree path solve_hgp uses — bit-identity is by shared code, not
-// by re-implementation) → TreeResult.  A heartbeat thread sends empty
-// liveness pings at the coordinator's requested cadence the whole time.
+// expects a Job (graph + hierarchy snapshot blob + solve params), acks it,
+// then loops on Assign → build the one leased tree → solve it with
+// solve_forest_tree → TreeResult.  The build is build_decomp_tree with the
+// default cutter on forest_tree_rngs(seed, ...)[i], the stream tree i of
+// solve_hgp's forest is built from, and the solve is the SAME per-tree
+// path solve_hgp uses: bit-identity is by shared code, not by
+// re-implementation.  A heartbeat thread sends empty liveness pings at the
+// coordinator's requested cadence the whole time.  A Shutdown in place of
+// Hello, of the Job or of an Assign ends the loop cleanly (kOk).
 //
 // FaultInjector sites (the distributed chaos storm arms these in the
 // worker process; tools/hgp_shardd --fault):
@@ -44,7 +48,7 @@ struct ShardServerOptions {
 /// Serves one coordinator on `ch` until Shutdown, peer close, or a fatal
 /// channel error.  Performs the server half of the handshake first.
 /// Never throws: returns why the loop ended (kOk = clean Shutdown from the
-/// coordinator).
+/// coordinator, in any state).
 Status run_shard_server(net::FrameChannel& ch,
                         const ShardServerOptions& opt = {});
 

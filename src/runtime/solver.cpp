@@ -82,20 +82,23 @@ Status classify_forest_failure(const ExecContext& exec,
   return Status(StatusCode::kInternal, "no decomposition trees were solved");
 }
 
-/// The forest executor: isolated per-tree solves over `forest`, the
+/// The forest executor: isolated per-tree solves of trees 0..count-1, the
 /// solve_finalize fault site, the Theorem-7 arg-min over the survivors and
-/// the telemetry sums.  On a survivor it fills `result` with the winner
-/// and returns kOk; otherwise it returns the classified failure
-/// (`forest_status` says why the forest is empty, when it is).  Throws
-/// only SolveError: kCancelled (naming `entry`), or a fault injected at
-/// solve_finalize.
+/// the telemetry sums.  Tree i comes from the checkpoint when it holds a
+/// fitting result, else it is solved on forest[i]; `forest` is empty only
+/// when the checkpoint covers every tree.  On a survivor it fills `result`
+/// with the winner and returns kOk; otherwise it returns the classified
+/// failure (`forest_status` says why there are no trees, when there are
+/// none).  Throws only SolveError: kCancelled (naming `entry`), or a fault
+/// injected at solve_finalize.
 Status solve_forest_trees(const Graph& g, const Hierarchy& h,
+                          std::size_t count,
                           const std::vector<DecompTree>& forest,
                           const ForestSolveOptions& opt,
                           const ExecContext& exec, const Status& forest_status,
                           const char* entry, HgpResult& result) {
   if (opt.reuse_out != nullptr) {
-    opt.reuse_out->assign(forest.size(), DpReuseStore{});
+    opt.reuse_out->assign(count, DpReuseStore{});
   }
   TreeSolverOptions base_opt;
   base_opt.epsilon = opt.epsilon;
@@ -105,8 +108,8 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
   // Isolated per-tree solves.  Theorem 7's arg-min is over whatever
   // survives, so nothing a single tree does — throw, stall past the
   // deadline, report infeasibility — may escape its attempt record.
-  std::vector<ForestTreeResult> outcomes(forest.size());
-  result.attempts.assign(forest.size(), TreeAttempt{});
+  std::vector<ForestTreeResult> outcomes(count);
+  result.attempts.assign(count, TreeAttempt{});
   auto run = [&](std::size_t i) {
     TreeAttempt& attempt = result.attempts[i];
     HGP_TRACE_SPAN_ARG("tree.attempt", i);
@@ -129,6 +132,8 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
         attempt.from_checkpoint = true;
         HGP_COUNTER_ADD("solver.checkpoint_trees", 1);
       } else {
+        HGP_CHECK_MSG(i < forest.size(),
+                      "tree " << i << " is neither checkpointed nor built");
         FaultInjector::instance().on_site("solve_one_tree",
                                           static_cast<int>(i));
         exec.check("tree solve start");
@@ -157,12 +162,12 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
   // No exec on this loop: isolation happens inside `run`, and the loop
   // itself must visit every index so every attempt is recorded.
   {
-    HGP_TRACE_SPAN_ARG("solve.trees", forest.size());
+    HGP_TRACE_SPAN_ARG("solve.trees", count);
     Timer trees_timer;
     if (opt.pool != nullptr) {
-      parallel_for(*opt.pool, 0, forest.size(), run);
+      parallel_for(*opt.pool, 0, count, run);
     } else {
-      for (std::size_t i = 0; i < forest.size(); ++i) run(i);
+      for (std::size_t i = 0; i < count; ++i) run(i);
     }
     result.telemetry.tree_solve_ms = trees_timer.millis();
   }
@@ -276,6 +281,21 @@ HgpResult run_fallback_chain(const Graph& g, const Hierarchy& h,
   return result;
 }
 
+/// True when `checkpoint` holds a result that fits (g, h) for every tree
+/// index below `num_trees`: the executor then reads only those, and the
+/// forest is never needed.
+bool checkpoint_covers(const Graph& g, const Hierarchy& h,
+                       const SolveCheckpoint* checkpoint, int num_trees) {
+  if (checkpoint == nullptr) return false;
+  CheckpointedTree ck;
+  for (int i = 0; i < num_trees; ++i) {
+    if (!checkpoint->lookup(i, &ck) || !tree_result_fits(g, h, ck)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* solve_method_name(SolveMethod method) {
@@ -339,11 +359,6 @@ bool tree_result_fits(const Graph& g, const Hierarchy& h,
 
 HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
                     const SolverOptions& opt) {
-  return solve_hgp(g, h, opt, nullptr);
-}
-
-HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
-                    const SolverOptions& opt, CachedForest forest_ptr) {
   validate_solve_args(g, opt.num_trees, opt.timeout_ms, opt.epsilon);
   if (contracts_enabled()) validate_hierarchy(h);
 
@@ -359,11 +374,14 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
 
   HgpResult result;
 
-  // Stage 1: decomposition forest, handed over, from the cache or built.
-  // A failure here leaves zero trees, which the executor classifies like
-  // "all trees failed".  The forest is held as a shared immutable snapshot
-  // either way.
+  // Stage 1: decomposition forest, from the cache or built, unless the
+  // checkpoint already holds every tree (a resumed retry, or a sharded
+  // solve whose shards delivered every tree).  A failure here leaves zero
+  // trees, which the executor classifies like "all trees failed".  The
+  // forest is held as a shared immutable snapshot either way.
   Status forest_status;
+  CachedForest forest_ptr;
+  std::size_t tree_count = static_cast<std::size_t>(opt.num_trees);
   {
     HGP_TRACE_SPAN_ARG("solve.forest", opt.num_trees);
     Timer forest_timer;
@@ -375,17 +393,21 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
       opt.checkpoint->bind(CheckpointKey{fingerprint, opt.seed, opt.num_trees,
                                          opt.epsilon, opt.units_override});
     }
-    result.telemetry.forest_cache_hit = forest_ptr != nullptr;
-    try {
-      if (forest_ptr == nullptr) {
+    if (checkpoint_covers(g, h, opt.checkpoint, opt.num_trees)) {
+      // Built nothing, so it reports as a cache hit.
+      result.telemetry.forest_cache_hit = true;
+      forest_ptr = std::make_shared<const std::vector<DecompTree>>();
+    } else {
+      try {
         forest_ptr = acquire_forest(g, fingerprint, opt.num_trees, opt.seed,
                                     opt.cutter, opt.pool, &exec,
                                     &result.telemetry.forest_cache_hit);
+      } catch (...) {
+        forest_status = status_from_current_exception();
+        if (forest_status.code == StatusCode::kCancelled) throw;
+        forest_ptr = std::make_shared<const std::vector<DecompTree>>();
+        tree_count = 0;
       }
-    } catch (...) {
-      forest_status = status_from_current_exception();
-      if (forest_status.code == StatusCode::kCancelled) throw;
-      forest_ptr = std::make_shared<const std::vector<DecompTree>>();
     }
     result.telemetry.forest_build_ms = forest_timer.millis();
   }
@@ -398,7 +420,7 @@ HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
   fo.units_override = opt.units_override;
   fo.pool = opt.pool;
   fo.checkpoint = opt.checkpoint;
-  Status reason = solve_forest_trees(g, h, *forest_ptr, fo, exec,
+  Status reason = solve_forest_trees(g, h, tree_count, *forest_ptr, fo, exec,
                                      forest_status, "solve_hgp", result);
   if (reason.ok()) {
     result.telemetry.total_ms = total_timer.millis();
@@ -458,8 +480,8 @@ HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
   }
 
   HgpResult result;
-  Status reason = solve_forest_trees(g, h, forest, opt, exec, Status(),
-                                     "solve_on_forest", result);
+  Status reason = solve_forest_trees(g, h, forest.size(), forest, opt, exec,
+                                     Status(), "solve_on_forest", result);
   if (!reason.ok()) throw SolveError(std::move(reason));
   result.telemetry.total_ms = total_timer.millis();
   return result;

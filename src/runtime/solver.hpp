@@ -8,8 +8,10 @@
 //
 // Every runtime entry point runs that arg-min through ONE forest executor
 // (solver.cpp): solve_hgp samples or cache-hits the forest and hands it
-// over, solve_on_forest hands over a caller-supplied forest, and the
-// shard coordinator (coordinator.hpp) ends in solve_hgp.  The executor
+// over (or needs none, when its checkpoint holds every tree),
+// solve_on_forest hands over a caller-supplied forest, and the shard
+// coordinator (coordinator.hpp) ends in solve_hgp over the checkpoint its
+// shards filled.  The executor
 // owns the per-tree attempts, the checkpoint lookup/re-validation/record,
 // the DP reuse hooks, the solve_finalize fault site, the arg-min and the
 // telemetry sums, so the entry points differ only in where the forest
@@ -137,7 +139,9 @@ struct HgpResult {
 /// Requires vertex demands on `g`.  Returns a placement whenever any tree
 /// survives or the fallback chain produces one; throws SolveError
 /// (kInvalidInput / kCancelled / kInfeasible / kDeadlineExceeded /
-/// kInternal) otherwise.
+/// kInternal) otherwise.  When opt.checkpoint already holds a fitting
+/// result for every tree index, no forest is acquired or built (and the
+/// solve reports a forest cache hit: it built nothing).
 HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
                     const SolverOptions& opt = {});
 
@@ -214,14 +218,6 @@ std::shared_ptr<const std::vector<DecompTree>> acquire_forest(
     const Graph& g, std::uint64_t fingerprint, int num_trees,
     std::uint64_t seed, const Cutter* cutter, ThreadPool* pool,
     const ExecContext* exec, bool* cache_hit = nullptr);
-
-/// solve_hgp with stage 1 already done: `forest` is the forest solve_hgp
-/// would acquire for (g, opt), handed over instead of acquired again (the
-/// shard coordinator's, which it built to ship).  nullptr = acquire it.
-/// A handed-over forest reports as a cache hit: this solve built nothing.
-HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
-                    const SolverOptions& opt,
-                    std::shared_ptr<const std::vector<DecompTree>> forest);
 
 /// True when a tree result that arrived from outside this solve (a
 /// recovered checkpoint spill, a shard's reply) fits the instance: one

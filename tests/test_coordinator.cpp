@@ -19,6 +19,7 @@
 #include <string>
 #include <thread>
 
+#include "decomp/cutter.hpp"
 #include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "net/channel.hpp"
@@ -28,6 +29,7 @@
 #include "obs/obs.hpp"  // HGP_OBS_ENABLED
 #include "runtime/checkpoint.hpp"
 #include "runtime/coordinator.hpp"
+#include "runtime/forest_cache.hpp"
 #include "runtime/shard_server.hpp"
 #include "util/deadline.hpp"
 #include "util/prng.hpp"
@@ -560,11 +562,63 @@ TEST(Coordinator, SpawnLocalMatchesSingleProcess) {
   EXPECT_TRUE(dir.no_socket_left());
   // The phase timeline fits in the wall time.
   for (const double ms :
-       {rep.forest_ms, rep.connect_ms, rep.trees_ms, rep.teardown_ms}) {
+       {rep.job_ms, rep.connect_ms, rep.trees_ms, rep.teardown_ms}) {
     EXPECT_GE(ms, 0.0);
   }
-  EXPECT_LE(rep.forest_ms + rep.connect_ms + rep.trees_ms + rep.teardown_ms,
+  EXPECT_LE(rep.job_ms + rep.connect_ms + rep.trees_ms + rep.teardown_ms,
             wall_ms);
+}
+
+TEST(Coordinator, SpawnLocalBuildsNoTreeOnTheCoordinator) {
+  // The workers build the trees they lease, and the final aggregation
+  // finds every tree in the checkpoint, so this process builds nothing.
+  const Graph g = workload(26);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(26));
+  ForestCache::global().clear();  // no forest to find, only to build
+
+  const auto trees_built = [] {
+    return obs::MetricsRegistry::global().counter_value("decomp.trees_built");
+  };
+  const std::uint64_t built_before = trees_built();
+  const ScratchDir dir;
+  CoordinatorReport rep;
+  const HgpResult got = solve_hgp_sharded(g, hier(), base_options(26),
+                                          spawn_local(dir, 2), &rep);
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(rep.trees_from_shards, 4);
+  EXPECT_FALSE(rep.degraded_inprocess);
+  EXPECT_TRUE(got.telemetry.forest_cache_hit);  // built nothing
+  EXPECT_EQ(ForestCache::global().size(), 0u);
+  if (HGP_OBS_ENABLED) {
+    EXPECT_EQ(trees_built(), built_before);
+  }
+  expect_no_child_left();
+}
+
+TEST(Coordinator, CustomCutterRejectedBeforeAnySpawn) {
+  // Shards build with the default cutter, so a custom one cannot be
+  // honoured; it is refused before a worker process exists.
+  const Graph g = workload(27);
+  const RandomCutter cutter;
+  SolverOptions opt = base_options(27);
+  opt.cutter = &cutter;
+
+  const ScratchDir dir;
+  const std::filesystem::path marker = dir.path / "spawned";
+  const std::filesystem::path worker = dir.path / "marking-worker.sh";
+  std::ofstream(worker) << "#!/bin/sh\ntouch '" << marker.string()
+                        << "'\nexit 1\n";
+  std::filesystem::permissions(worker, std::filesystem::perms::owner_all);
+  try {
+    (void)solve_hgp_sharded(g, hier(), opt, spawn_local(dir, 2, worker));
+    FAIL() << "a custom cutter must be rejected";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kInvalidInput);
+  }
+  expect_no_child_left();
+  EXPECT_FALSE(std::filesystem::exists(marker));
+  EXPECT_TRUE(dir.no_socket_left());
 }
 
 TEST(Coordinator, SpawnLocalCancelBeforeForestReapsWorkers) {

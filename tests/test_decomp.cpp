@@ -201,6 +201,40 @@ TEST(DecompForest, ParallelBuildMatchesSequential) {
   }
 }
 
+TEST(DecompForest, TreeRngRebuildsEachForestTree) {
+  // A shard worker builds only the tree it leases, so tree i built alone
+  // from the last of forest_tree_rngs(seed, i + 1) must be tree i of the
+  // forest, built with or without a pool, and the stream must be the one
+  // forests have always used: the i-th of successive forks of Rng(seed).
+  const Graph g = demo_graph(18);
+  const FmCutter cutter;
+  ThreadPool pool(2);
+  constexpr int kTrees = 5;
+  constexpr std::uint64_t kSeed = 23;
+  const auto seq = build_decomposition_forest(g, kTrees, kSeed, cutter);
+  const auto par =
+      build_decomposition_forest(g, kTrees, kSeed, cutter, &pool);
+  Rng parent(kSeed);
+  for (int i = 0; i < kTrees; ++i) {
+    SCOPED_TRACE(i);
+    Rng alone = forest_tree_rngs(kSeed, i + 1).back();
+    Rng forked = parent.fork(static_cast<std::uint64_t>(i));
+    EXPECT_EQ(Rng(alone).next(), forked.next());
+    const DecompTree t = build_decomp_tree(g, alone, cutter);
+    for (const DecompTree* other : {&seq[static_cast<std::size_t>(i)],
+                                    &par[static_cast<std::size_t>(i)]}) {
+      ASSERT_EQ(t.tree().node_count(), other->tree().node_count());
+      for (Vertex v = 0; v < t.tree().node_count(); ++v) {
+        EXPECT_EQ(t.tree().parent(v), other->tree().parent(v));
+        EXPECT_EQ(t.tree().parent_weight(v), other->tree().parent_weight(v));
+      }
+      for (Vertex v = 0; v < g.vertex_count(); ++v) {
+        EXPECT_EQ(t.leaf_of_vertex(v), other->leaf_of_vertex(v));
+      }
+    }
+  }
+}
+
 TEST(DecompQuality, SpectralBeatsRandomOnClusteredGraphs) {
   const Graph g = demo_graph(17, 36);
   Rng rng(18);

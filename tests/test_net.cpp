@@ -249,14 +249,14 @@ std::vector<std::byte> unhex(const std::string& text) {
 }
 
 TEST(Protocol, EncodingsAreByteStable) {
-  // One fixed instance of every message, against the bytes protocol v4
-  // has always put on the wire (docs/FORMATS.md).  A codec change that
+  // One fixed instance of every message, against the bytes protocol v5
+  // puts on the wire (docs/FORMATS.md).  A codec change that
   // moves a single byte fails here before it can strand a deployed
   // hgp_shardd; a deliberate layout change bumps kProtocolVersion and
   // regenerates these literals.
-  ASSERT_EQ(kProtocolVersion, 4);
-  const std::string kHello = "0400000001000000";
-  const std::string kHelloAck = "04000000";
+  ASSERT_EQ(kProtocolVersion, 5);
+  const std::string kHello = "0500000001000000";
+  const std::string kHelloAck = "05000000";
   const std::string kJob =
       "000000000000d03fe80300000000000007000000000000000800000000000000"
       "0000494005000000010203fffe";
@@ -445,7 +445,8 @@ TEST(Channel, ConnectRefusedFault) {
   FaultScope refuse("net.connect", FaultInjector::kEveryIndex,
                     {FaultInjector::Action::kNetConnectRefused});
   EXPECT_EQ(thrown_code([&] {
-              (void)connect_tcp_loopback(1, Deadline::after_ms(1000));
+              (void)connect_unix("/nonexistent/hgp-refused.sock",
+                                 Deadline::after_ms(1000));
             }),
             StatusCode::kUnavailable);
 }
@@ -463,7 +464,7 @@ TEST(Handshake, CompletesAndReportsRole) {
 }
 
 TEST(Handshake, VersionMismatchRejected) {
-  // A stale worker from the previous protocol (v3 against v4) and one from
+  // A stale worker from the previous protocol (v4 against v5) and one from
   // a future protocol.  The frame itself is valid (frame versions match),
   // the handshake payload is what skews.
   const std::uint32_t ours = kProtocolVersion;
@@ -516,6 +517,56 @@ TEST(Handshake, ShardServerRefusesNonCoordinatorPeer) {
   handshake_client(client, kRoleShard, Deadline::after_ms(5000));
   t.join();
   EXPECT_EQ(served.code, StatusCode::kDataLoss);
+}
+
+// A coordinator that tears down early sends Shutdown to a worker still
+// waiting for Hello or for the Job: the worker ends cleanly, not with a
+// protocol error.
+TEST(Handshake, ShardServerTakesShutdownInPlaceOfHello) {
+  auto [a, b] = socket_pair();
+  FrameChannel client{std::move(a)}, server{std::move(b)};
+  Status served(StatusCode::kInternal, "not run");
+  std::thread t([&] {
+    ShardServerOptions opt;
+    opt.idle_timeout_ms = 5000;
+    served = run_shard_server(server, opt);
+  });
+  client.send(kMsgShutdown, {}, Deadline::after_ms(5000));
+  t.join();
+  EXPECT_TRUE(served.ok()) << served.to_string();
+}
+
+TEST(Handshake, ShardServerTakesShutdownInPlaceOfJob) {
+  auto [a, b] = socket_pair();
+  FrameChannel client{std::move(a)}, server{std::move(b)};
+  Status served(StatusCode::kInternal, "not run");
+  std::thread t([&] {
+    ShardServerOptions opt;
+    opt.idle_timeout_ms = 5000;
+    served = run_shard_server(server, opt);
+  });
+  handshake_client(client, kRoleCoordinator, Deadline::after_ms(5000));
+  client.send(kMsgShutdown, {}, Deadline::after_ms(5000));
+  t.join();
+  EXPECT_TRUE(served.ok()) << served.to_string();
+}
+
+TEST(Handshake, ShardServerEndsCleanlyWhenCoordinatorHungUpAfterShutdown) {
+  // Hello, then Shutdown, then the coordinator is gone: the worker's
+  // HelloAck hits a closed socket, and the queued Shutdown makes that a
+  // clean end rather than a broken pipe.
+  auto [a, b] = socket_pair();
+  FrameChannel client{std::move(a)}, server{std::move(b)};
+  io::PayloadBuilder hello;
+  hello.append_pod(std::uint32_t{kProtocolVersion});
+  hello.append_pod(kRoleCoordinator);
+  client.send(kMsgHello, hello.bytes(), Deadline::after_ms(5000));
+  client.send(kMsgShutdown, {}, Deadline::after_ms(5000));
+  client.close();
+  ShardServerOptions opt;
+  opt.idle_timeout_ms = 5000;
+  const Status served = run_shard_server(server, opt);
+  EXPECT_TRUE(served.ok()) << served.to_string();
 }
 
 TEST(Handshake, NonHelloFirstFrameRejected) {

@@ -19,6 +19,7 @@
 #include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/forest_cache.hpp"
 #include "runtime/solver.hpp"
 #include "util/deadline.hpp"
 #include "util/fault_injector.hpp"
@@ -620,6 +621,56 @@ TEST(Resilience, MalformedCheckpointEntriesAreSolvedAgain) {
   for (const auto& [kind, entry] : malformed_entries(g)) {
     SCOPED_TRACE(kind);
     check(entry, entry, false);
+  }
+}
+
+TEST(Resilience, FullyCheckpointedSolveBuildsNoForest) {
+  // With every tree in the checkpoint the executor reads only those, so
+  // solve_hgp acquires no forest: nothing is built and nothing is cached,
+  // as with HGP_FOREST_CACHE=0.  A sharded solve whose shards delivered
+  // every tree ends in exactly this call.
+  const Graph g = workload(22);
+  SolverOptions opt;
+  opt.num_trees = 3;
+  opt.seed = 5;
+  opt.fallback = FallbackPolicy::kNone;
+  SolveCheckpoint ck;
+  SolverOptions recorded = opt;
+  recorded.checkpoint = &ck;
+  const HgpResult cold = solve_hgp(g, hier(), recorded);
+  ASSERT_EQ(ck.size(), 3u);
+
+  const auto trees_built = [] {
+    return obs::MetricsRegistry::global().counter_value("decomp.trees_built");
+  };
+  ForestCache::global().clear();
+  const std::uint64_t built_before = trees_built();
+  const HgpResult warm = solve_hgp(g, hier(), recorded);
+  expect_bit_identical(warm, cold);
+  EXPECT_EQ(warm.telemetry.checkpoint_trees, 3);
+  EXPECT_TRUE(warm.telemetry.forest_cache_hit);  // built nothing
+  EXPECT_EQ(ForestCache::global().size(), 0u);
+  if (HGP_OBS_ENABLED) {
+    EXPECT_EQ(trees_built(), built_before);
+  }
+
+  // One tree missing: the forest is built again, the answer is the same.
+  SolveCheckpoint partial;
+  partial.bind(CheckpointKey{graph_fingerprint(g), opt.seed, opt.num_trees,
+                             opt.epsilon, opt.units_override});
+  for (const int i : {0, 2}) {
+    CheckpointedTree tree;
+    ASSERT_TRUE(ck.lookup(i, &tree));
+    partial.record(i, std::move(tree));
+  }
+  SolverOptions resumed = opt;
+  resumed.checkpoint = &partial;
+  const HgpResult mixed = solve_hgp(g, hier(), resumed);
+  expect_bit_identical(mixed, cold);
+  EXPECT_EQ(mixed.telemetry.checkpoint_trees, 2);
+  EXPECT_FALSE(mixed.telemetry.forest_cache_hit);
+  if (HGP_OBS_ENABLED) {
+    EXPECT_EQ(trees_built(), built_before + 3);
   }
 }
 

@@ -1,15 +1,16 @@
 // hgp_shardd — shard worker process for the sharded solver.
 //
-//   hgp_shardd --connect PATH | --connect-tcp PORT
+//   hgp_shardd --connect PATH
 //              [--heartbeat-ms MS] [--idle-timeout-ms MS]
 //              [--fault SITE,INDEX,ACTION[,MS[,PROB[,SEED]]]] ...
 //
 // Connects to the coordinator (src/runtime/coordinator.hpp), then hands
 // the connection to run_shard_server: handshake, Job load from the
-// embedded snapshot blob, then one tree per lease (Assign → solve →
-// TreeResult) until Shutdown.
-// All solving runs through solve_forest_tree, so every result is
-// bit-identical to the coordinator's in-process path.
+// embedded snapshot blob, then one tree per lease (Assign → build the
+// tree → solve → TreeResult) until Shutdown.
+// Every tree is built with the forest's own per-index seed and solved
+// through solve_forest_tree, so every result is bit-identical to the
+// coordinator's in-process path.
 //
 // --fault arms the process-local FaultInjector before serving — the
 // distributed chaos storm drives worker crashes, hangs and torn frames
@@ -60,12 +61,11 @@ int exit_code_for(hgp::StatusCode code) {
 void print_usage(std::FILE* to, const char* argv0) {
   std::fprintf(
       to,
-      "usage: %s --connect PATH | --connect-tcp PORT\n"
+      "usage: %s --connect PATH\n"
       "          [--heartbeat-ms MS] [--idle-timeout-ms MS]\n"
       "          [--fault SITE,INDEX,ACTION[,MS[,PROB[,SEED]]]] ...\n"
       "\n"
       "  --connect PATH       coordinator's unix-domain socket\n"
-      "  --connect-tcp PORT   coordinator's TCP loopback port\n"
       "  --heartbeat-ms MS    override the coordinator-requested cadence\n"
       "  --idle-timeout-ms MS exit 10 when the coordinator goes silent\n"
       "                       this long (default: wait forever)\n"
@@ -149,7 +149,6 @@ void arm_fault(const char* argv0, const std::string& spec) {
 int main(int argc, char** argv) {
   using namespace hgp;
   std::string unix_path;
-  int tcp_port = 0;
   ShardServerOptions opt;
 
   for (int i = 1; i < argc; ++i) {
@@ -164,9 +163,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (!std::strcmp(argv[i], "--connect")) {
       unix_path = need("--connect");
-    } else if (!std::strcmp(argv[i], "--connect-tcp")) {
-      tcp_port = static_cast<int>(
-          parse_double(argv[0], "--connect-tcp", need("--connect-tcp")));
     } else if (!std::strcmp(argv[i], "--heartbeat-ms")) {
       opt.heartbeat_ms =
           parse_double(argv[0], "--heartbeat-ms", need("--heartbeat-ms"));
@@ -179,9 +175,7 @@ int main(int argc, char** argv) {
       usage_error(argv[0], std::string("unknown argument '") + argv[i] + "'");
     }
   }
-  if (unix_path.empty() == (tcp_port == 0)) {
-    usage_error(argv[0], "exactly one of --connect / --connect-tcp required");
-  }
+  if (unix_path.empty()) usage_error(argv[0], "--connect is required");
 
   // The chaos storm's crash schedule: a kKillProcess armed at shardd.kill
   // takes the whole process down right before tree `index`'s solve — from
@@ -194,11 +188,8 @@ int main(int argc, char** argv) {
   };
 
   try {
-    const Deadline connect_deadline = Deadline::after_ms(10000);
-    net::Socket sock = unix_path.empty()
-                           ? net::connect_tcp_loopback(tcp_port, connect_deadline)
-                           : net::connect_unix(unix_path, connect_deadline);
-    net::FrameChannel channel(std::move(sock));
+    net::FrameChannel channel(
+        net::connect_unix(unix_path, Deadline::after_ms(10000)));
     const Status exit_status = run_shard_server(channel, opt);
     if (!exit_status.ok()) {
       std::fprintf(stderr, "hgp_shardd: %s\n", exit_status.to_string().c_str());

@@ -580,7 +580,7 @@ int main(int argc, char** argv) {
     job.seed = seed;
     job.num_trees = static_cast<std::int32_t>(forest.size());
     job.heartbeat_ms = 50;
-    job.snapshot_blob = corpora[2].image;  // the forest snapshot
+    job.snapshot_blob = corpora[2].image;  // opaque bytes to decode_job
     wire.push_back({"job", net::encode_job(job), &parse_job});
 
     net::AssignMsg assign;

@@ -520,9 +520,9 @@ int main(int argc, char** argv) {
                      tm.fallback_ms);
         if (shards > 0) {
           std::fprintf(stderr,
-                       "coordinator: forest %.1f ms, connect %.1f ms, trees "
+                       "coordinator: job %.1f ms, connect %.1f ms, trees "
                        "%.1f ms, teardown %.1f ms\n",
-                       crep.forest_ms, crep.connect_ms, crep.trees_ms,
+                       crep.job_ms, crep.connect_ms, crep.trees_ms,
                        crep.teardown_ms);
         }
         std::fprintf(stderr,
