@@ -73,7 +73,7 @@ void BM_DecompTreeBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(build_decomp_tree(g, rng, cutter));
   }
 }
-BENCHMARK(BM_DecompTreeBuild)->Arg(64)->Arg(256);
+BENCHMARK(BM_DecompTreeBuild)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_TreeDp(benchmark::State& state) {
   const Hierarchy h({2, 2}, {4.0, 1.0, 0.0});

@@ -1,9 +1,9 @@
 #include "baseline/recursive_bisection.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
+#include "decomp/cutter.hpp"
 #include "graph/spectral.hpp"
 
 namespace hgp {
@@ -14,77 +14,20 @@ double demand_of(const Graph& g, Vertex v) {
   return g.has_demands() ? g.demand(v) : 1.0;
 }
 
-/// FM refinement toward a target demand fraction on side 1, with a slack
-/// window.  Same move/lock/best-prefix scheme as fm_refine but with an
-/// asymmetric balance constraint.
+}  // namespace
+
 void fm_refine_target(const Graph& g, std::vector<char>& side, double target,
                       double slack, int passes) {
-  const auto n = static_cast<std::size_t>(g.vertex_count());
-  double total = 0, load1 = 0;
-  for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    total += demand_of(g, v);
-    if (side[static_cast<std::size_t>(v)]) load1 += demand_of(g, v);
-  }
+  double total = 0;
+  for (Vertex v = 0; v < g.vertex_count(); ++v) total += demand_of(g, v);
   const double lo = std::max(0.0, target - slack) * total;
   const double hi = std::min(1.0, target + slack) * total;
-
-  auto gain_of = [&](Vertex v) {
-    Weight same = 0, other = 0;
-    for (const HalfEdge& e : g.neighbors(v)) {
-      (side[static_cast<std::size_t>(e.to)] ==
-               side[static_cast<std::size_t>(v)]
-           ? same
-           : other) += e.weight;
-    }
-    return other - same;
-  };
-
-  Weight cut = g.cut_weight(side);
-  for (int pass = 0; pass < passes; ++pass) {
-    std::vector<char> locked(n, 0);
-    std::vector<char> best_side = side;
-    Weight best_cut = cut;
-    Weight running = cut;
-    double running_load1 = load1;
-    bool improved = false;
-    for (std::size_t step = 0; step < n; ++step) {
-      Vertex pick = kInvalidVertex;
-      Weight pick_gain = -std::numeric_limits<Weight>::infinity();
-      for (Vertex v = 0; v < g.vertex_count(); ++v) {
-        if (locked[static_cast<std::size_t>(v)]) continue;
-        const double d = demand_of(g, v);
-        const double nl =
-            side[static_cast<std::size_t>(v)] ? running_load1 - d
-                                              : running_load1 + d;
-        if (nl < lo - 1e-12 || nl > hi + 1e-12) continue;
-        const Weight gain = gain_of(v);
-        if (gain > pick_gain) {
-          pick_gain = gain;
-          pick = v;
-        }
-      }
-      if (pick == kInvalidVertex) break;
-      running_load1 +=
-          side[static_cast<std::size_t>(pick)] ? -demand_of(g, pick)
-                                               : demand_of(g, pick);
-      side[static_cast<std::size_t>(pick)] ^= 1;
-      locked[static_cast<std::size_t>(pick)] = 1;
-      running -= pick_gain;
-      if (running < best_cut - 1e-12) {
-        best_cut = running;
-        best_side = side;
-        improved = true;
-      }
-    }
-    side = best_side;
-    cut = best_cut;
-    load1 = 0;
-    for (Vertex v = 0; v < g.vertex_count(); ++v) {
-      if (side[static_cast<std::size_t>(v)]) load1 += demand_of(g, v);
-    }
-    if (!improved) break;
-  }
+  fm_refine_kernel(g, side, passes, [&](double nl) {
+    return nl < lo - 1e-12 || nl > hi + 1e-12;
+  });
 }
+
+namespace {
 
 /// Splits `vertices` (global ids) into side1 holding ≈ `fraction` of the
 /// demand, seeded by Fiedler order and FM-refined.

@@ -21,6 +21,12 @@ struct RecursiveBisectionOptions {
   double imbalance = 0.1;
 };
 
+/// FM refinement of `side` toward a `target` share of the demand on side 1
+/// (unit demand when absent), keeping side 1 within `slack` of it; the
+/// baseline's splitter, exposed for tests.
+void fm_refine_target(const Graph& g, std::vector<char>& side, double target,
+                      double slack, int passes);
+
 Placement recursive_bisection_placement(
     const Graph& g, const Hierarchy& h, Rng& rng,
     const RecursiveBisectionOptions& opt = {});

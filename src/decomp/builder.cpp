@@ -16,15 +16,6 @@ struct Frame {
   Vertex node;
 };
 
-/// δ_G(S) for S given as a vertex list.
-Weight boundary_of(const Graph& g, const std::vector<Vertex>& set,
-                   std::vector<char>& scratch) {
-  for (Vertex v : set) scratch[static_cast<std::size_t>(v)] = 1;
-  const Weight w = g.boundary_weight(scratch);
-  for (Vertex v : set) scratch[static_cast<std::size_t>(v)] = 0;
-  return w;
-}
-
 }  // namespace
 
 DecompTree build_decomp_tree(const Graph& g, Rng& rng, const Cutter& cutter,
@@ -85,7 +76,7 @@ DecompTree build_decomp_tree(const Graph& g, Rng& rng, const Cutter& cutter,
                                << "' returned an empty side");
     }
     for (auto& part : parts) {
-      const Weight w = boundary_of(g, part, scratch);
+      const Weight w = g.boundary_weight(part, scratch);
       const Vertex child = new_node(frame.node, w);
       stack.push_back(Frame{std::move(part), child});
     }

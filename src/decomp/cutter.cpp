@@ -32,19 +32,10 @@ std::vector<char> RandomCutter::cut(const Graph& g, Rng& rng) const {
   return side;
 }
 
-Weight fm_refine(const Graph& g, std::vector<char>& side, int passes,
-                 double balance_floor) {
+Weight fm_refine_kernel(const Graph& g, std::vector<char>& side, int passes,
+                        const std::function<bool(double)>& rejects) {
   const auto n = static_cast<std::size_t>(g.vertex_count());
   HGP_CHECK(side.size() == n);
-  HGP_CHECK(balance_floor >= 0.0 && balance_floor < 0.5);
-
-  double total = 0;
-  double load1 = 0;
-  for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    total += demand_or_unit(g, v);
-    if (side[static_cast<std::size_t>(v)]) load1 += demand_or_unit(g, v);
-  }
-  const double floor_load = balance_floor * total;
 
   auto gain_of = [&](Vertex v) {
     Weight same = 0, other = 0;
@@ -59,55 +50,115 @@ Weight fm_refine(const Graph& g, std::vector<char>& side, int passes,
     return other - same;
   };
 
+  // A max-heap of (gain, vertex) entries by gain descending, then id
+  // ascending.  An entry is current while its vertex is unlocked and the
+  // gain still equals the cached one; stale entries are dropped when they
+  // surface, so the current entries pop in exactly the order of the rule
+  // "highest gain, smallest id".  A gain that is NaN or -inf never wins a
+  // strict `>` against -inf, so such a vertex is never picked and gets no
+  // entry (which also keeps the order strict).
+  struct Entry {
+    Weight gain;
+    Vertex v;
+  };
+  const auto below = [](const Entry& a, const Entry& b) {
+    return a.gain < b.gain || (a.gain == b.gain && a.v > b.v);
+  };
+  std::vector<Weight> gain(n);
+  std::vector<char> locked(n);
+  std::vector<Entry> heap, skipped;
+  const auto push = [&](Vertex v) {
+    const Weight gv = gain[static_cast<std::size_t>(v)];
+    if (!(gv > -std::numeric_limits<Weight>::infinity())) return;
+    heap.push_back(Entry{gv, v});
+    std::push_heap(heap.begin(), heap.end(), below);
+  };
+
+  double load1 = 0;
+  for (Vertex v = 0; v < g.vertex_count(); ++v) {
+    if (side[static_cast<std::size_t>(v)]) load1 += demand_or_unit(g, v);
+  }
+  std::vector<Vertex> moves;
+  moves.reserve(n);
   Weight cut = g.cut_weight(side);
   for (int pass = 0; pass < passes; ++pass) {
-    std::vector<char> locked(n, 0);
-    std::vector<char> best_side = side;
+    locked.assign(n, 0);
+    moves.clear();
+    heap.clear();
+    for (Vertex v = 0; v < g.vertex_count(); ++v) {
+      gain[static_cast<std::size_t>(v)] = gain_of(v);
+      push(v);
+    }
     Weight best_cut = cut;
+    std::size_t best_moves = 0;
     Weight running = cut;
     double running_load1 = load1;
-    bool improved_this_pass = false;
-    for (std::size_t step = 0; step < n; ++step) {
-      // Pick the unlocked vertex with maximum gain whose move keeps balance.
+    for (;;) {
+      // Pop to the first current entry whose move is admissible; the
+      // inadmissible ones go back afterwards.
       Vertex pick = kInvalidVertex;
-      Weight pick_gain = -std::numeric_limits<Weight>::infinity();
-      for (Vertex v = 0; v < g.vertex_count(); ++v) {
-        if (locked[static_cast<std::size_t>(v)]) continue;
-        const double d = demand_or_unit(g, v);
+      while (pick == kInvalidVertex && !heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), below);
+        const Entry top = heap.back();
+        heap.pop_back();
+        const auto v = static_cast<std::size_t>(top.v);
+        if (locked[v] || !(top.gain == gain[v])) continue;
+        const double d = demand_or_unit(g, top.v);
         const double new_load1 =
-            side[static_cast<std::size_t>(v)] ? running_load1 - d
-                                              : running_load1 + d;
-        if (new_load1 < floor_load || total - new_load1 < floor_load) continue;
-        const Weight gain = gain_of(v);
-        if (gain > pick_gain) {
-          pick_gain = gain;
-          pick = v;
+            side[v] ? running_load1 - d : running_load1 + d;
+        if (rejects(new_load1)) {
+          skipped.push_back(top);
+        } else {
+          pick = top.v;
         }
       }
+      for (const Entry& e : skipped) {
+        heap.push_back(e);
+        std::push_heap(heap.begin(), heap.end(), below);
+      }
+      skipped.clear();
       if (pick == kInvalidVertex) break;
       const double d = demand_or_unit(g, pick);
       running_load1 += side[static_cast<std::size_t>(pick)] ? -d : d;
       side[static_cast<std::size_t>(pick)] ^= 1;
       locked[static_cast<std::size_t>(pick)] = 1;
-      running -= pick_gain;
+      moves.push_back(pick);
+      running -= gain[static_cast<std::size_t>(pick)];
       if (running < best_cut - 1e-12) {
         best_cut = running;
-        best_side = side;
-        load1 = running_load1;
-        improved_this_pass = true;
+        best_moves = moves.size();
+      }
+      // Only the moved vertex's neighbours see a side change, so only their
+      // gains move; each is recomputed in full, as a rescan would.
+      for (const HalfEdge& h : g.neighbors(pick)) {
+        if (locked[static_cast<std::size_t>(h.to)]) continue;
+        gain[static_cast<std::size_t>(h.to)] = gain_of(h.to);
+        push(h.to);
       }
     }
-    side = best_side;
+    // Roll back the moves after the best prefix.
+    for (std::size_t i = moves.size(); i > best_moves; --i) {
+      side[static_cast<std::size_t>(moves[i - 1])] ^= 1;
+    }
     cut = best_cut;
-    // Recompute load1 from the accepted prefix (it tracked the best state
-    // only when improving; refresh to stay exact).
     load1 = 0;
     for (Vertex v = 0; v < g.vertex_count(); ++v) {
       if (side[static_cast<std::size_t>(v)]) load1 += demand_or_unit(g, v);
     }
-    if (!improved_this_pass) break;
+    if (best_moves == 0) break;
   }
   return cut;
+}
+
+Weight fm_refine(const Graph& g, std::vector<char>& side, int passes,
+                 double balance_floor) {
+  HGP_CHECK(balance_floor >= 0.0 && balance_floor < 0.5);
+  double total = 0;
+  for (Vertex v = 0; v < g.vertex_count(); ++v) total += demand_or_unit(g, v);
+  const double floor_load = balance_floor * total;
+  return fm_refine_kernel(g, side, passes, [&](double new_load1) {
+    return new_load1 < floor_load || total - new_load1 < floor_load;
+  });
 }
 
 std::vector<char> MinCutCutter::cut(const Graph& g, Rng& rng) const {

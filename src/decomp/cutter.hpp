@@ -63,8 +63,20 @@ class MinCutCutter final : public Cutter {
 };
 
 /// Applies FM refinement to an existing bipartition in place; returns the
-/// resulting cut weight.  Exposed for baselines (recursive bisection).
+/// resulting cut weight.
 Weight fm_refine(const Graph& g, std::vector<char>& side, int passes,
                  double balance_floor);
+
+/// The FM pass loop behind fm_refine and the recursive-bisection baseline.
+/// Each step moves the unlocked vertex of highest gain (ties: smallest id)
+/// whose move is admissible, i.e. `rejects(new_load1)` is false for the
+/// side-1 demand (unit demand when absent) the move would leave, and locks
+/// it.  A pass ends when no vertex qualifies and rolls back the moves after
+/// its lowest-cut prefix; refinement stops after `passes` passes or a pass
+/// without improvement.  Gains are cached and only the moved vertex's
+/// neighbours are recomputed, so a pass costs O(|E| log |V|) plus the
+/// inadmissible vertices skipped on the way to each pick.  Returns the cut.
+Weight fm_refine_kernel(const Graph& g, std::vector<char>& side, int passes,
+                        const std::function<bool(double)>& rejects);
 
 }  // namespace hgp

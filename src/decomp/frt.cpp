@@ -73,12 +73,6 @@ DecompTree build_frt_tree(const Graph& g, Rng& rng) {
     leaf_vertex.push_back(kInvalidVertex);
     return narrow<Vertex>(parent.size() - 1);
   };
-  auto boundary_of = [&](const std::vector<Vertex>& set) {
-    for (Vertex v : set) scratch[static_cast<std::size_t>(v)] = 1;
-    const Weight w = g.boundary_weight(scratch);
-    for (Vertex v : set) scratch[static_cast<std::size_t>(v)] = 0;
-    return w;
-  };
 
   struct Frame {
     std::vector<Vertex> vertices;
@@ -128,7 +122,7 @@ DecompTree build_frt_tree(const Graph& g, Rng& rng) {
     }
     HGP_COUNTER_ADD("decomp.frt_levels", 1);
     for (auto& cluster : clusters) {
-      const Weight w = boundary_of(cluster);
+      const Weight w = g.boundary_weight(cluster, scratch);
       const Vertex child = new_node(frame.node, w);
       stack.push_back(Frame{std::move(cluster), child, frame.radius / 2});
     }

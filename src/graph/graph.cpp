@@ -50,22 +50,64 @@ bool Graph::is_connected() const {
   return k == 1;
 }
 
+Weight Graph::boundary_weight(std::span<const Vertex> set,
+                              std::vector<char>& in_set) const {
+  HGP_CHECK(in_set.size() == static_cast<std::size_t>(vertex_count()));
+  for (Vertex v : set) {
+    HGP_ASSERT(v >= 0 && v < vertex_count());
+    in_set[static_cast<std::size_t>(v)] = 1;
+  }
+  std::vector<EdgeId> crossing;
+  for (Vertex v : set) {
+    for (const HalfEdge& h : neighbors(v)) {
+      if (!in_set[static_cast<std::size_t>(h.to)]) crossing.push_back(h.edge);
+    }
+  }
+  for (Vertex v : set) in_set[static_cast<std::size_t>(v)] = 0;
+  // cut_weight's summation order, so the sum has the same bits.  A vertex
+  // listed twice must not count its edges twice.
+  std::sort(crossing.begin(), crossing.end());
+  crossing.erase(std::unique(crossing.begin(), crossing.end()),
+                 crossing.end());
+  Weight total = 0;
+  for (EdgeId e : crossing) total += edge(e).weight;
+  return total;
+}
+
 Graph Graph::induced_subgraph(std::span<const Vertex> vertices) const {
-  std::vector<Vertex> remap(static_cast<std::size_t>(vertex_count()),
-                            kInvalidVertex);
+  // New id of each vertex of `vertices`.  Every other entry stays
+  // kInvalidVertex between calls, so a call costs the adjacency of
+  // `vertices`, not the size of this graph.
+  thread_local std::vector<Vertex> remap;
+  if (remap.size() < static_cast<std::size_t>(vertex_count())) {
+    remap.resize(static_cast<std::size_t>(vertex_count()), kInvalidVertex);
+  }
+  struct Unmap {
+    std::span<const Vertex> mapped;
+    ~Unmap() {
+      for (Vertex v : mapped) {
+        remap[static_cast<std::size_t>(v)] = kInvalidVertex;
+      }
+    }
+  } unmap{vertices.first(0)};
   for (std::size_t i = 0; i < vertices.size(); ++i) {
     const Vertex v = vertices[i];
     HGP_CHECK(v >= 0 && v < vertex_count());
     HGP_CHECK_MSG(remap[static_cast<std::size_t>(v)] == kInvalidVertex,
                   "duplicate vertex in induced_subgraph");
     remap[static_cast<std::size_t>(v)] = narrow<Vertex>(i);
+    unmap.mapped = vertices.first(i + 1);
   }
+  // Each internal edge is added once, from its smaller endpoint.  The edges
+  // of a Graph are distinct pairs and build() sorts them by (u, v), so the
+  // result does not depend on the order they are added in.
   GraphBuilder builder(narrow<Vertex>(vertices.size()));
-  for (const Edge& e : edges_) {
-    const Vertex nu = remap[static_cast<std::size_t>(e.u)];
-    const Vertex nv = remap[static_cast<std::size_t>(e.v)];
-    if (nu != kInvalidVertex && nv != kInvalidVertex) {
-      builder.add_edge(nu, nv, e.weight);
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    for (const HalfEdge& h : neighbors(vertices[i])) {
+      const Vertex nv = remap[static_cast<std::size_t>(h.to)];
+      if (nv != kInvalidVertex && vertices[i] < h.to) {
+        builder.add_edge(narrow<Vertex>(i), nv, h.weight);
+      }
     }
   }
   if (has_demands()) {

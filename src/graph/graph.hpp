@@ -96,12 +96,19 @@ class Graph {
     return cut_weight(in_set);
   }
 
+  /// The same δ(S) for S given as a vertex list, with the same bits (the
+  /// crossing edges are summed in ascending EdgeId order, as cut_weight
+  /// does), in time proportional to the adjacency of S.  `in_set` is
+  /// scratch of vertex_count() zeros and is left that way.
+  Weight boundary_weight(std::span<const Vertex> set,
+                         std::vector<char>& in_set) const;
+
   /// Connected components; returns component id per vertex, ids in [0,k).
   std::vector<Vertex> components(Vertex* component_count = nullptr) const;
   bool is_connected() const;
 
-  /// Induced subgraph on `vertices` (order defines new vertex ids).
-  /// Demands are carried over when present.
+  /// Induced subgraph on `vertices` (order defines new vertex ids), in time
+  /// proportional to their adjacency.  Demands are carried over when present.
   Graph induced_subgraph(std::span<const Vertex> vertices) const;
 
  private:

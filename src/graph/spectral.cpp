@@ -41,18 +41,47 @@ std::vector<double> fiedler_vector(const Graph& g, Rng& rng,
   for (double& v : x) v = rng.next_double() - 0.5;
   if (!deflate_and_normalize(x)) x[0] = 1.0;
 
+  // Each step is y = (cI - L) x, then deflate_and_normalize(y), fused into
+  // three passes with the same expressions and summation orders as running
+  // those one after the other.  Edges are sorted by (u, v) with u < v, so
+  // the edges with e.u == w form the range [first[w], first[w + 1]), and
+  // y[w] is final once that range is applied: the mean's sum adds it there,
+  // in index order.  The diagonal term (c - wdeg(v)) x_v of the next step
+  // is written by the pass that normalizes x_v.
+  const std::vector<Edge>& edges = g.edges();
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const Edge& e : edges) ++first[static_cast<std::size_t>(e.u) + 1];
+  for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  for (std::size_t v = 0; v < n; ++v) y[v] = (c - wdeg[v]) * x[v];
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     // y = (cI - L) x = (c - wdeg(v)) x_v + Σ_u w(u,v) x_u.
-    for (std::size_t v = 0; v < n; ++v) y[v] = (c - wdeg[v]) * x[v];
-    for (const Edge& e : g.edges()) {
-      y[static_cast<std::size_t>(e.u)] +=
-          e.weight * x[static_cast<std::size_t>(e.v)];
-      y[static_cast<std::size_t>(e.v)] +=
-          e.weight * x[static_cast<std::size_t>(e.u)];
+    double sum = 0;
+    for (std::size_t w = 0; w < n; ++w) {
+      const double xw = x[w];
+      double yw = y[w];
+      for (std::size_t e = first[w]; e < first[w + 1]; ++e) {
+        const auto v = static_cast<std::size_t>(edges[e].v);
+        yw += edges[e].weight * x[v];
+        y[v] += edges[e].weight * xw;
+      }
+      y[w] = yw;
+      sum += yw;
     }
-    if (!deflate_and_normalize(y)) break;
+    const double mean = sum / static_cast<double>(n);
+    double norm = 0;
+    for (double& v : y) {
+      v -= mean;
+      norm += v * v;
+    }
+    norm = std::sqrt(norm);
+    if (norm < 1e-14) break;
     double diff = 0;
-    for (std::size_t v = 0; v < n; ++v) diff += std::abs(y[v] - x[v]);
+    for (std::size_t v = 0; v < n; ++v) {
+      const double next = y[v] / norm;
+      diff += std::abs(next - x[v]);
+      y[v] = next;
+      x[v] = (c - wdeg[v]) * next;
+    }
     x.swap(y);
     if (diff < opt.tolerance) break;
   }

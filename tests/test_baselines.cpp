@@ -5,6 +5,7 @@
 #include "baseline/multilevel.hpp"
 #include "baseline/random_placement.hpp"
 #include "baseline/recursive_bisection.hpp"
+#include "fm_reference.hpp"
 #include "graph/generators.hpp"
 #include "hierarchy/cost.hpp"
 
@@ -159,6 +160,28 @@ TEST(Multilevel, CoarseningPreservesTotalDemandAndWeight) {
   double total = 0;
   for (double x : r.load[0]) total += x;
   EXPECT_NEAR(total, g.total_demand(), 1e-9);
+}
+
+TEST(Baselines, RecursiveBisectionFmMatchesReference) {
+  // The baseline's FM runs on the shared kernel with its own window test;
+  // it must make the quadratic rescan's moves exactly.
+  Rng rng(77);
+  const double slacks[] = {0.0, 0.02, 0.1, 0.2, 0.45};
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    const auto n = static_cast<Vertex>(2 + rng.next_below(80));
+    const Graph g = testref::random_instance(rng, n, round % 2 == 0,
+                                             round % 4 == 3);
+    const double target = rng.next_double(0.1, 0.9);
+    const double slack = slacks[round % 5];
+    const int passes = 1 + static_cast<int>(rng.next_below(6));
+    std::vector<char> side(static_cast<std::size_t>(n), 0);
+    for (auto& c : side) c = rng.next_bool(target) ? 1 : 0;
+    std::vector<char> expected = side;
+    testref::fm_refine_target(g, expected, target, slack, passes);
+    fm_refine_target(g, side, target, slack, passes);
+    ASSERT_EQ(side, expected);
+  }
 }
 
 }  // namespace

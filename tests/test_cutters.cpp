@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "decomp/cutter.hpp"
+#include "fm_reference.hpp"
 #include "graph/generators.hpp"
+#include "graph/spectral.hpp"
 
 namespace hgp {
 namespace {
@@ -98,6 +100,35 @@ TEST(Cutters, MinCutFallsBackOnEdgelessGraphs) {
   const auto side = mincut.cut(g, rng);
   EXPECT_GT(ones(side), 0);
   EXPECT_LT(ones(side), 3);
+}
+
+TEST(Cutters, FmRefineMatchesQuadraticReference) {
+  // The cached-gain kernel must make the quadratic rescan's moves exactly:
+  // same side bits and same cut bits, on random and spectral seeds.
+  Rng rng(2024);
+  const double floors[] = {0.0, 0.1, 0.2, 0.25, 0.3, 0.45};
+  for (int round = 0; round < 240; ++round) {
+    SCOPED_TRACE(round);
+    const auto n = static_cast<Vertex>(2 + rng.next_below(90));
+    const bool demands = round % 2 == 0;
+    const bool disconnected = round % 5 == 1;
+    const Graph g = testref::random_instance(rng, n, demands, disconnected);
+    const double floor = round < 36 ? floors[round % 6]
+                                    : rng.next_double(0.0, 0.45);
+    const int passes = 1 + static_cast<int>(rng.next_below(6));
+    std::vector<char> side(static_cast<std::size_t>(n), 0);
+    if (round % 3 == 0 && g.edge_count() > 0) {
+      Rng seed_rng(static_cast<std::uint64_t>(round));
+      side = spectral_bisect(g, seed_rng);
+    } else {
+      for (auto& c : side) c = rng.next_bool(0.5) ? 1 : 0;
+    }
+    std::vector<char> expected = side;
+    const Weight want = testref::fm_refine(g, expected, passes, floor);
+    const Weight got = fm_refine(g, side, passes, floor);
+    ASSERT_EQ(side, expected);
+    ASSERT_TRUE(testref::same_bits(got, want)) << got << " vs " << want;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "decomp/builder.hpp"
 #include "decomp/frt.hpp"
 #include "decomp/quality.hpp"
+#include "fm_reference.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -326,6 +327,53 @@ TEST(FrtTree, GroupsHeavyCommunicators) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(DecompForest, BoundaryWeightsMatchFullScan) {
+  // Every tree edge weight is δ_G of the subtree's vertex set; the
+  // part-local boundary must have the full edge scan's bits, for the
+  // recursive-cut builder and the FRT builder alike.
+  Rng rng(404);
+  const FmCutter fm;
+  const SpectralCutter spectral;
+  for (int round = 0; round < 24; ++round) {
+    SCOPED_TRACE(round);
+    const auto n = static_cast<Vertex>(2 + rng.next_below(60));
+    const Graph g = testref::random_instance(rng, n, round % 2 == 0,
+                                             round % 3 == 1);
+    std::vector<char> scratch(static_cast<std::size_t>(n), 0);
+    for (int k = 0; k < 8; ++k) {
+      std::vector<Vertex> set;
+      for (Vertex v = 0; v < n; ++v) {
+        if (rng.next_bool(0.4)) set.push_back(v);
+      }
+      if (!set.empty() && k % 2 == 1) set.push_back(set.front());
+      rng.shuffle(set);
+      EXPECT_TRUE(testref::same_bits(g.boundary_weight(set, scratch),
+                                     testref::boundary_weight(g, set)));
+      EXPECT_EQ(std::count(scratch.begin(), scratch.end(), 1), 0);
+    }
+    Rng r1(static_cast<std::uint64_t>(round)), r2 = r1, r3 = r1;
+    for (const DecompTree& dt :
+         {build_decomp_tree(g, r1, fm), build_decomp_tree(g, r2, spectral),
+          build_frt_tree(g, r3)}) {
+      const Tree& t = dt.tree();
+      for (Vertex c = 0; c < t.node_count(); ++c) {
+        if (c == t.root()) continue;
+        std::vector<Vertex> below;
+        std::vector<Vertex> stack{c};
+        while (!stack.empty()) {
+          const Vertex v = stack.back();
+          stack.pop_back();
+          if (t.is_leaf(v)) below.push_back(dt.vertex_of_leaf(v));
+          for (Vertex ch : t.children(v)) stack.push_back(ch);
+        }
+        EXPECT_TRUE(testref::same_bits(t.parent_weight(c),
+                                       testref::boundary_weight(g, below)))
+            << "node " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fm_reference.hpp"
 #include "graph/graph.hpp"
 #include "graph/union_find.hpp"
 
@@ -180,6 +181,53 @@ TEST(UnionFind, SingletonSizes) {
   UnionFind uf(3);
   EXPECT_EQ(uf.set_size(0), 1u);
   EXPECT_EQ(uf.find(2), 2u);
+}
+
+TEST(Graph, InducedSubgraphMatchesEdgeScan) {
+  // The adjacency-local subgraph must equal the full edge scan's: same
+  // edges in the same order, same adjacency order and the same bits of
+  // every weight and of total_edge_weight.
+  Rng rng(31);
+  for (int round = 0; round < 120; ++round) {
+    SCOPED_TRACE(round);
+    const auto n = static_cast<Vertex>(1 + rng.next_below(70));
+    const Graph g = testref::random_instance(rng, n, round % 2 == 0,
+                                             round % 3 == 2);
+    std::vector<Vertex> keep(static_cast<std::size_t>(n));
+    for (Vertex v = 0; v < n; ++v) keep[static_cast<std::size_t>(v)] = v;
+    rng.shuffle(keep);
+    keep.resize(rng.next_below(keep.size() + 1));
+    const Graph want = testref::induced_subgraph(g, keep);
+    const Graph got = g.induced_subgraph(keep);
+    ASSERT_EQ(got.vertex_count(), want.vertex_count());
+    ASSERT_EQ(got.edge_count(), want.edge_count());
+    EXPECT_TRUE(
+        testref::same_bits(got.total_edge_weight(), want.total_edge_weight()));
+    for (EdgeId e = 0; e < got.edge_count(); ++e) {
+      EXPECT_EQ(got.edge(e).u, want.edge(e).u);
+      EXPECT_EQ(got.edge(e).v, want.edge(e).v);
+      EXPECT_TRUE(testref::same_bits(got.edge(e).weight, want.edge(e).weight));
+    }
+    for (Vertex v = 0; v < got.vertex_count(); ++v) {
+      const auto a = got.neighbors(v);
+      const auto b = want.neighbors(v);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].to, b[i].to);
+        EXPECT_EQ(a[i].edge, b[i].edge);
+        EXPECT_TRUE(testref::same_bits(a[i].weight, b[i].weight));
+      }
+    }
+    EXPECT_EQ(got.demands(), want.demands());
+  }
+  // A rejected vertex list leaves no stale ids behind for the next call.
+  const Graph g = triangle_plus_pendant();
+  const std::vector<Vertex> dup{2, 0, 2};
+  EXPECT_ANY_THROW((void)g.induced_subgraph(dup));
+  const std::vector<Vertex> bad{1, 9};
+  EXPECT_ANY_THROW((void)g.induced_subgraph(bad));
+  const std::vector<Vertex> keep{0, 2, 1};
+  EXPECT_EQ(g.induced_subgraph(keep).edge_count(), 3);
 }
 
 }  // namespace

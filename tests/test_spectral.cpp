@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "fm_reference.hpp"
 #include "graph/generators.hpp"
 #include "graph/spectral.hpp"
 
@@ -108,6 +109,33 @@ TEST(SpectralBisect, TwoVertexGraph) {
   Rng rng(8);
   const auto side = spectral_bisect(b.build(), rng);
   EXPECT_NE(side[0], side[1]);
+}
+
+TEST(Spectral, FiedlerMatchesUnfusedReference) {
+  // The fused power iteration must return the one-pass-per-step loop's
+  // vector bit for bit, whether it stops on tolerance or on the iteration
+  // cap, on connected and disconnected graphs.
+  Rng rng(55);
+  for (int round = 0; round < 90; ++round) {
+    SCOPED_TRACE(round);
+    const auto n = static_cast<Vertex>(2 + rng.next_below(120));
+    const Graph g = testref::random_instance(rng, n, round % 2 == 0,
+                                             round % 3 == 0);
+    FiedlerOptions opt;
+    if (round % 4 == 1) {
+      opt.max_iterations = 1 + static_cast<int>(rng.next_below(20));
+    }
+    if (round % 4 == 2) opt.tolerance = 0.0;
+    if (round % 4 == 3) opt.tolerance = 1e-3;
+    Rng r1(static_cast<std::uint64_t>(round) * 7 + 1), r2 = r1;
+    const auto want = testref::fiedler_vector(g, r1, opt);
+    const auto got = fiedler_vector(g, r2, opt);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t v = 0; v < got.size(); ++v) {
+      ASSERT_TRUE(testref::same_bits(got[v], want[v])) << "vertex " << v;
+    }
+    EXPECT_EQ(r1.next(), r2.next());
+  }
 }
 
 }  // namespace
