@@ -35,7 +35,7 @@ EOF
 python3 -m json.tool "$WORK/trace.json" > /dev/null
 python3 -m json.tool "$WORK/metrics.json" > /dev/null
 
-for span in '"name":"solve"' '"name":"solve.forest"' '"name":"solve.trees"' \
+for span in '"name":"solve"' '"name":"decomp.tree_build"' '"name":"solve.trees"' \
             '"name":"tree.attempt"' '"name":"dp.solve"' \
             '"name":"tree.convert"' '"name":"tree.map_back"'; do
   grep -q "$span" "$WORK/trace.json" || {

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace hgp {
 
@@ -109,24 +108,14 @@ std::vector<Rng> forest_tree_rngs(std::uint64_t seed, int count) {
 
 std::vector<DecompTree> build_decomposition_forest(const Graph& g, int count,
                                                    std::uint64_t seed,
-                                                   const Cutter& cutter,
-                                                   ThreadPool* pool,
-                                                   const ExecContext* exec) {
+                                                   const Cutter& cutter) {
   HGP_CHECK(count >= 1);
-  const std::vector<Rng> rngs = forest_tree_rngs(seed, count);
-  const auto build = [&](std::size_t i) {
-    Rng rng = rngs[i];
-    return build_decomp_tree(g, rng, cutter, exec);
-  };
-  if (pool == nullptr) {
-    std::vector<DecompTree> forest;
-    forest.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      forest.push_back(build(static_cast<std::size_t>(i)));
-    }
-    return forest;
+  std::vector<DecompTree> forest;
+  forest.reserve(static_cast<std::size_t>(count));
+  for (Rng& rng : forest_tree_rngs(seed, count)) {
+    forest.push_back(build_decomp_tree(g, rng, cutter));
   }
-  return parallel_map(*pool, static_cast<std::size_t>(count), build, exec);
+  return forest;
 }
 
 }  // namespace hgp

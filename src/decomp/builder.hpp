@@ -5,10 +5,9 @@
 // G-boundary of its vertex set (the paper's w_T definition).  Disconnected
 // regions split along component lines first (their mutual cut is free).
 //
-// build_decomposition_forest() samples several independent randomized trees
-// — the practical stand-in for Räcke's tree distribution (Theorem 6); the
-// end-to-end solver solves HGP on each and keeps the best mapped-back
-// solution (Theorem 7's arg-min).
+// A forest of independent randomized trees is the practical stand-in for
+// Räcke's tree distribution (Theorem 6); the end-to-end solver solves HGP
+// on each and keeps the best mapped-back solution (Theorem 7's arg-min).
 #pragma once
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 
 #include "decomp/cutter.hpp"
 #include "decomp/decomp_tree.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/deadline.hpp"
 
 namespace hgp {
@@ -34,10 +32,10 @@ DecompTree build_decomp_tree(const Graph& g, Rng& rng, const Cutter& cutter,
 /// cutter), and a shard worker builds the one tree it leases alone.
 std::vector<Rng> forest_tree_rngs(std::uint64_t seed, int count);
 
-/// Builds `count` independent trees (tree i from forest_tree_rngs(seed,
-/// count)[i]), in parallel when a pool is supplied.
-std::vector<DecompTree> build_decomposition_forest(
-    const Graph& g, int count, std::uint64_t seed, const Cutter& cutter,
-    ThreadPool* pool = nullptr, const ExecContext* exec = nullptr);
+/// Builds `count` trees in sequence, tree i from forest_tree_rngs(seed,
+/// count)[i].  The solver's tree attempts each build their own tree.
+std::vector<DecompTree> build_decomposition_forest(const Graph& g, int count,
+                                                   std::uint64_t seed,
+                                                   const Cutter& cutter);
 
 }  // namespace hgp

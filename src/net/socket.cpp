@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -98,6 +99,11 @@ void Socket::close() {
 
 void Socket::shutdown_both() {
   if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
+}
+
+bool Socket::input_pending() const {
+  int bytes = 0;
+  return fd_ >= 0 && ::ioctl(fd_, FIONREAD, &bytes) == 0 && bytes > 0;
 }
 
 void Socket::send_all(std::span<const std::byte> data,

@@ -65,6 +65,10 @@ class Socket {
   /// another thread) blocked in recv.  Safe on an invalid socket.
   void shutdown_both();
 
+  /// True when received bytes wait unread in the kernel buffer.  Never
+  /// blocks, so another thread may ask while a reader is blocked in recv.
+  bool input_pending() const;
+
  private:
   int fd_ = -1;
 };

@@ -3,7 +3,7 @@
 // Library code instruments itself through these macros only, so one
 // compile-time switch strips every call site:
 //
-//   HGP_TRACE_SPAN("solve.forest");          // RAII span, global buffer
+//   HGP_TRACE_SPAN("solve.trees");           // RAII span, global buffer
 //   HGP_TRACE_SPAN_ARG("tree.attempt", i);   // span with a numeric arg
 //   HGP_COUNTER_ADD("dp.merge_operations", n);
 //   HGP_GAUGE_ADD("pool.queue_depth", +1);

@@ -15,16 +15,17 @@ namespace hgp {
 struct SolveTelemetry {
   /// Wall time of the whole solve_hgp call.
   double total_ms = 0;
-  /// Stage 1: decomposition-forest sampling.
+  /// Tree builds, summed over the attempts (TreeAttempt::build_ms).  They
+  /// run inside the attempt stage, so under a pool the sum can exceed
+  /// tree_solve_ms.
   double forest_build_ms = 0;
-  /// Stage 1 was served from the forest LRU cache (forest_build_ms then
-  /// measures only the fingerprint + lookup).
+  /// The solve built no tree: the forest cache or the checkpoint held them.
   bool forest_cache_hit = false;
-  /// Stage 2: the per-tree attempt stage (wall time, not summed attempts —
-  /// attempts overlap under a thread pool; per-attempt times live in
-  /// HgpResult::attempts).
+  /// The per-tree attempt stage, builds included (wall time, not summed
+  /// attempts — attempts overlap under a thread pool; per-attempt times
+  /// live in HgpResult::attempts).
   double tree_solve_ms = 0;
-  /// Stage 4: the fallback chain (0 when the primary pipeline won).
+  /// The fallback chain (0 when the primary pipeline won).
   double fallback_ms = 0;
 
   int trees_attempted = 0;

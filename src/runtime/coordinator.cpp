@@ -414,11 +414,13 @@ struct ShardCoordinator::Impl {
         if (leases_done == leases.size()) return;
 
         // Lease scan: a busy shard silent past the lease is dead and its
-        // tree goes back in the queue under a fresh epoch.
+        // tree goes back in the queue under a fresh epoch.  Frames still
+        // unread in its socket are a late reader here, not its silence.
         for (const std::unique_ptr<Shard>& sp : shards) {
           Shard& s = *sp;
           if (s.state != Shard::State::kBusy) continue;
           if (ms_since(s.last_beat) <= copt.lease_ms) continue;
+          if (s.channel.socket().input_pending()) continue;
           ++report.lease_expiries;
           HGP_COUNTER_ADD("shard.lease_expiries", 1);
           HGP_JOURNAL(kLeaseExpire, rid, 0, s.outstanding, 0);
@@ -617,10 +619,9 @@ struct ShardCoordinator::Impl {
 
     // Final aggregation IS solve_hgp, so the one forest executor: every
     // shard-delivered tree is served from the checkpoint without re-running
-    // its DP, every missing tree is solved in-process, and the arg-min,
-    // failure classification and fallback chain run unmodified — which is
-    // the whole bit-identity argument.  When the shards delivered every
-    // tree, solve_hgp builds no forest at all.
+    // its DP, every missing tree is built and solved in-process, and the
+    // arg-min, failure classification and fallback chain run unmodified —
+    // which is the whole bit-identity argument.
     SolverOptions final_opt = opt;
     final_opt.checkpoint = checkpoint;
     if (opt.timeout_ms > 0) {

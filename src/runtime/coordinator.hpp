@@ -15,8 +15,8 @@
 //
 //   * every Assign leases exactly one tree, and the tree index is the
 //     lease id — a shard that misses heartbeats past
-//     CoordinatorOptions::lease_ms is declared dead and its leased tree is
-//     reassigned to a survivor;
+//     CoordinatorOptions::lease_ms, with none of its frames left unread,
+//     is declared dead and its leased tree is reassigned to a survivor;
 //   * every lease carries an epoch, bumped on reassignment — a zombie
 //     shard (declared dead but still running) delivers results under a
 //     stale epoch and they are fenced and discarded, so each tree is
@@ -38,11 +38,11 @@
 // the forest's per-index stream and solved by solve_forest_tree, the
 // exact per-tree path solve_hgp runs), and the final aggregation IS
 // solve_hgp consuming that checkpoint — arg-min tie-breaking, degradation
-// classification and fallback chain included.  When every tree arrived,
-// that solve_hgp builds nothing.  Trees the shards never delivered, or
-// that failed remotely, are absent from the checkpoint, and solve_hgp
-// builds the forest and solves them in-process, reproducing and
-// classifying any failure as a single-process solve would.
+// classification and fallback chain included.  Trees the shards never
+// delivered, or that failed remotely, are absent from the checkpoint, and
+// solve_hgp builds and solves only those in-process, reproducing and
+// classifying any failure as a single-process solve would; when every
+// tree arrived, it builds nothing.
 #pragma once
 
 #include <cstdint>

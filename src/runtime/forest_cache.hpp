@@ -3,10 +3,10 @@
 // Forest sampling is deterministic in (graph content, seed, tree count,
 // cutter), so repeated solves over the same instance — parameter sweeps,
 // epsilon ablations, serving the same workload graph — can reuse the
-// sampled forest instead of re-running the cutter recursion, which
-// dominates stage-1 time.  Entries are shared immutable snapshots
-// (shared_ptr<const vector>), so concurrent solves can hold the same
-// forest while the cache evicts it.
+// sampled forest instead of re-running the cutter recursion in every tree
+// attempt; a solve inserts only a forest it built whole.  Entries are
+// shared immutable snapshots (shared_ptr<const vector>), so concurrent
+// solves can hold the same forest while the cache evicts it.
 //
 // Keying by a content fingerprint (not object identity) keeps the cache
 // semantically transparent: mutating or rebuilding a graph changes the
@@ -66,7 +66,7 @@ class ForestCache {
   void clear();
 
   /// Warm-loads one forest snapshot (src/io/snapshot.hpp) and inserts it
-  /// under its stored key, so a restarted process serves stage-1 from
+  /// under its stored key, so a restarted process serves the trees from
   /// disk instead of re-sampling.  Returns the load status — a corrupt or
   /// version-mismatched file is reported as kDataLoss and simply not
   /// cached; it never throws and never fails the caller's solve.

@@ -32,24 +32,17 @@ IncrementalSolver::IncrementalSolver(std::shared_ptr<const Graph> base,
                      opt_.epsilon));
   fingerprint_ = graph_fingerprint(*graph_);
 
-  ExecContext exec;
-  exec.deadline = opt_.timeout_ms > 0 ? Deadline::after_ms(opt_.timeout_ms)
-                                      : Deadline::never();
-  exec.cancel = opt_.cancel;
-  exec.check("incremental base solve");
-
-  forest_ = acquire_forest(*graph_, fingerprint_, opt_.num_trees, opt_.seed,
-                           opt_.cutter, opt_.pool, &exec);
-
-  ForestSolveOptions fo;
-  fo.epsilon = opt_.epsilon;
-  fo.units_override = units_;
-  fo.seed = opt_.seed;
-  fo.pool = opt_.pool;
-  fo.timeout_ms = opt_.timeout_ms;
-  fo.cancel = opt_.cancel;
-  fo.reuse_out = &stores_;
-  last_ = solve_on_forest(*graph_, h, *forest_, fo);
+  // One budget for the whole base solve: the tree builds run inside the
+  // tree attempts, under the same deadline as their DP.
+  const SolverOptions so{.num_trees = opt_.num_trees,
+                         .epsilon = opt_.epsilon,
+                         .units_override = units_,
+                         .seed = opt_.seed,
+                         .cutter = opt_.cutter,
+                         .pool = opt_.pool,
+                         .timeout_ms = opt_.timeout_ms,
+                         .cancel = opt_.cancel};
+  last_ = solve_hgp_keep_forest(*graph_, h, so, &stores_, &forest_);
   HGP_COUNTER_ADD("incremental.sessions", 1);
 }
 

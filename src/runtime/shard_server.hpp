@@ -11,9 +11,9 @@
 // expects a Job (graph + hierarchy snapshot blob + solve params), acks it,
 // then loops on Assign → build the one leased tree → solve it with
 // solve_forest_tree → TreeResult.  The build is build_decomp_tree with the
-// default cutter on forest_tree_rngs(seed, ...)[i], the stream tree i of
-// solve_hgp's forest is built from, and the solve is the SAME per-tree
-// path solve_hgp uses: bit-identity is by shared code, not by
+// default cutter on forest_tree_rngs(seed, ...)[i], the build solve_hgp's
+// own attempt at tree i runs, and the solve is the SAME per-tree path
+// solve_hgp uses: bit-identity is by shared code, not by
 // re-implementation.  A heartbeat thread sends empty liveness pings at the
 // coordinator's requested cadence the whole time.  A Shutdown in place of
 // Hello, of the Job or of an Assign ends the loop cleanly (kOk).

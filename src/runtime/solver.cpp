@@ -46,17 +46,14 @@ namespace {
 
 /// Aggregates a primary-pipeline failure into the one status the caller
 /// should see: a gone deadline dominates (the trees were killed, not
-/// broken), then a forest-build failure, then "every tree infeasible",
-/// then memory-budget exhaustion (the degradation ladder keys off it),
-/// then the first internal error.
+/// broken), then "every tree infeasible", then memory-budget exhaustion
+/// (the degradation ladder keys off it), then the first internal error.
 Status classify_forest_failure(const ExecContext& exec,
-                               const Status& forest_status,
                                const std::vector<TreeAttempt>& attempts) {
   if (exec.deadline.expired()) {
     return Status(StatusCode::kDeadlineExceeded,
                   "deadline expired before any tree solve completed");
   }
-  if (!forest_status.ok()) return forest_status;
   bool all_infeasible = !attempts.empty();
   for (const TreeAttempt& a : attempts) {
     all_infeasible = all_infeasible && a.status == StatusCode::kInfeasible;
@@ -82,23 +79,36 @@ Status classify_forest_failure(const ExecContext& exec,
   return Status(StatusCode::kInternal, "no decomposition trees were solved");
 }
 
-/// The forest executor: isolated per-tree solves of trees 0..count-1, the
-/// solve_finalize fault site, the Theorem-7 arg-min over the survivors and
-/// the telemetry sums.  Tree i comes from the checkpoint when it holds a
-/// fitting result, else it is solved on forest[i]; `forest` is empty only
-/// when the checkpoint covers every tree.  On a survivor it fills `result`
-/// with the winner and returns kOk; otherwise it returns the classified
-/// failure (`forest_status` says why there are no trees, when there are
-/// none).  Throws only SolveError: kCancelled (naming `entry`), or a fault
-/// injected at solve_finalize.
+/// Where an attempt takes tree i when the checkpoint holds no fitting
+/// result: tree i of `given` when set, else a build with `cutter` on
+/// stream i of forest_tree_rngs(seed, count), kept in built[i].
+struct TreeSource {
+  const std::vector<DecompTree>* given = nullptr;
+  const Cutter* cutter = nullptr;
+  std::vector<DecompTree> built;
+  std::vector<char> built_ok;  ///< built_ok[i] != 0 once tree i is built
+};
+
+/// The forest executor: isolated per-tree attempts at trees 0..count-1
+/// (each served from the checkpoint, or taken from `source` and solved),
+/// the solve_finalize fault site, the Theorem-7 arg-min over the survivors
+/// and the telemetry sums.  On a survivor it fills `result` with the winner
+/// and returns kOk; otherwise it returns the classified failure.  Throws
+/// only SolveError: kCancelled (naming `entry`), or a fault injected at
+/// solve_finalize.
 Status solve_forest_trees(const Graph& g, const Hierarchy& h,
-                          std::size_t count,
-                          const std::vector<DecompTree>& forest,
+                          std::size_t count, TreeSource& source,
                           const ForestSolveOptions& opt,
-                          const ExecContext& exec, const Status& forest_status,
-                          const char* entry, HgpResult& result) {
+                          const ExecContext& exec, const char* entry,
+                          HgpResult& result) {
   if (opt.reuse_out != nullptr) {
     opt.reuse_out->assign(count, DpReuseStore{});
+  }
+  std::vector<Rng> rngs;
+  if (source.given == nullptr) {
+    rngs = forest_tree_rngs(opt.seed, narrow<int>(count));
+    source.built.assign(count, DecompTree{});
+    source.built_ok.assign(count, 0);
   }
   TreeSolverOptions base_opt;
   base_opt.epsilon = opt.epsilon;
@@ -132,8 +142,17 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
         attempt.from_checkpoint = true;
         HGP_COUNTER_ADD("solver.checkpoint_trees", 1);
       } else {
-        HGP_CHECK_MSG(i < forest.size(),
-                      "tree " << i << " is neither checkpointed nor built");
+        const DecompTree* tree = nullptr;
+        if (source.given != nullptr) {
+          tree = &(*source.given)[i];
+        } else {
+          Timer build_timer;
+          Rng rng = rngs[i];
+          source.built[i] = build_decomp_tree(g, rng, *source.cutter, &exec);
+          source.built_ok[i] = 1;
+          attempt.build_ms = build_timer.millis();
+          tree = &source.built[i];
+        }
         FaultInjector::instance().on_site("solve_one_tree",
                                           static_cast<int>(i));
         exec.check("tree solve start");
@@ -142,7 +161,7 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
         if (opt.reuse_out != nullptr) {
           tree_opt.reuse_out = &(*opt.reuse_out)[i];
         }
-        outcomes[i] = solve_forest_tree(g, h, forest[i], tree_opt);
+        outcomes[i] = solve_forest_tree(g, h, *tree, tree_opt);
         if (opt.checkpoint != nullptr) {
           opt.checkpoint->record(
               static_cast<int>(i),
@@ -197,6 +216,7 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
     if (result.attempts[i].from_checkpoint) {
       ++result.telemetry.checkpoint_trees;
     }
+    result.telemetry.forest_build_ms += result.attempts[i].build_ms;
     if (result.attempts[i].ok()) {
       ++result.telemetry.trees_succeeded;
       const TreeDpStats& s = outcomes[i].stats;
@@ -220,7 +240,7 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
     }
   }
   if (result.best_tree < 0) {
-    return classify_forest_failure(exec, forest_status, result.attempts);
+    return classify_forest_failure(exec, result.attempts);
   }
   ForestTreeResult& best = outcomes[static_cast<std::size_t>(result.best_tree)];
   result.placement = std::move(best.placement);
@@ -281,19 +301,84 @@ HgpResult run_fallback_chain(const Graph& g, const Hierarchy& h,
   return result;
 }
 
-/// True when `checkpoint` holds a result that fits (g, h) for every tree
-/// index below `num_trees`: the executor then reads only those, and the
-/// forest is never needed.
-bool checkpoint_covers(const Graph& g, const Hierarchy& h,
-                       const SolveCheckpoint* checkpoint, int num_trees) {
-  if (checkpoint == nullptr) return false;
-  CheckpointedTree ck;
-  for (int i = 0; i < num_trees; ++i) {
-    if (!checkpoint->lookup(i, &ck) || !tree_result_fits(g, h, ck)) {
-      return false;
-    }
+/// solve_hgp, and with `forest` set the incremental base solve: bind the
+/// checkpoint, serve the trees from the forest cache or build them in the
+/// executor's attempts, cache a forest built whole, then degrade or throw.
+HgpResult solve_sampled(const Graph& g, const Hierarchy& h,
+                        const SolverOptions& opt, const char* entry,
+                        std::vector<DpReuseStore>* reuse_out,
+                        CachedForest* forest) {
+  validate_solve_args(g, opt.num_trees, opt.timeout_ms, opt.epsilon);
+  if (contracts_enabled()) validate_hierarchy(h);
+
+  HGP_TRACE_SPAN_ARG("solve", g.vertex_count());
+  Timer total_timer;
+
+  const ExecContext exec{opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
+                                           : Deadline::never(),
+                         opt.cancel};
+  exec.check(entry);
+
+  const std::uint64_t fingerprint = graph_fingerprint(g);
+  // (Re)bind the checkpoint to this solve's parameters: retries with
+  // identical parameters resume recorded trees, a degraded retry (e.g.
+  // fewer trees) invalidates them — the forest it samples differs.
+  if (opt.checkpoint != nullptr) {
+    opt.checkpoint->bind(CheckpointKey{fingerprint, opt.seed, opt.num_trees,
+                                       opt.epsilon, opt.units_override});
   }
-  return true;
+  // Tree i is deterministic in (graph content, seed, i, cutter), so the
+  // global LRU cache can serve repeated solves of the same instance.
+  const FmCutter default_cutter;
+  TreeSource source;
+  source.cutter = opt.cutter != nullptr ? opt.cutter : &default_cutter;
+  ForestCache& cache = ForestCache::global();
+  const ForestCacheKey key{fingerprint, opt.seed, opt.num_trees,
+                           source.cutter->name()};
+  CachedForest whole = cache.find(key);
+  source.given = whole.get();
+
+  ForestSolveOptions fo;
+  fo.epsilon = opt.epsilon;
+  fo.units_override = opt.units_override;
+  fo.seed = opt.seed;
+  fo.pool = opt.pool;
+  fo.checkpoint = opt.checkpoint;
+  fo.reuse_out = reuse_out;
+  HgpResult result;
+  Status reason =
+      solve_forest_trees(g, h, static_cast<std::size_t>(opt.num_trees),
+                         source, fo, exec, entry, result);
+  result.telemetry.forest_cache_hit =
+      whole != nullptr ||
+      std::all_of(result.attempts.begin(), result.attempts.end(),
+                  [](const TreeAttempt& a) { return a.from_checkpoint; });
+  if (whole == nullptr &&
+      std::all_of(source.built_ok.begin(), source.built_ok.end(),
+                  [](char ok) { return ok != 0; })) {
+    whole = std::make_shared<const std::vector<DecompTree>>(
+        std::move(source.built));
+    cache.insert(key, whole);
+  }
+  if (forest != nullptr) {
+    // A partial forest cannot be patched: without a checkpoint, a tree is
+    // missing only because its attempt failed.
+    for (const TreeAttempt& a : result.attempts) {
+      if (reason.ok() && whole == nullptr && !a.ok()) {
+        reason = Status(a.status, a.error);
+      }
+    }
+    *forest = std::move(whole);
+  }
+  if (!reason.ok()) {
+    if (forest != nullptr || opt.fallback == FallbackPolicy::kNone) {
+      throw SolveError(std::move(reason));
+    }
+    result =
+        run_fallback_chain(g, h, opt, std::move(result), std::move(reason));
+  }
+  result.telemetry.total_ms = total_timer.millis();
+  return result;
 }
 
 }  // namespace
@@ -327,26 +412,6 @@ void validate_solve_args(const Graph& g, int num_trees, double timeout_ms,
   }
 }
 
-CachedForest acquire_forest(const Graph& g, std::uint64_t fingerprint,
-                            int num_trees, std::uint64_t seed,
-                            const Cutter* cutter, ThreadPool* pool,
-                            const ExecContext* exec, bool* cache_hit) {
-  const FmCutter default_cutter;
-  const Cutter& c = cutter != nullptr ? *cutter : default_cutter;
-  // Sampling is deterministic in (graph content, seed, count, cutter), so
-  // the global LRU cache can serve repeated solves of the same instance.
-  ForestCache& cache = ForestCache::global();
-  const ForestCacheKey key{fingerprint, seed, num_trees, c.name()};
-  CachedForest forest = cache.find(key);
-  if (cache_hit != nullptr) *cache_hit = forest != nullptr;
-  if (forest == nullptr) {
-    forest = std::make_shared<const std::vector<DecompTree>>(
-        build_decomposition_forest(g, num_trees, seed, c, pool, exec));
-    cache.insert(key, forest);
-  }
-  return forest;
-}
-
 bool tree_result_fits(const Graph& g, const Hierarchy& h,
                       const CheckpointedTree& tree) {
   const std::vector<LeafId>& leaf_of = tree.placement.leaf_of;
@@ -359,82 +424,17 @@ bool tree_result_fits(const Graph& g, const Hierarchy& h,
 
 HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
                     const SolverOptions& opt) {
-  validate_solve_args(g, opt.num_trees, opt.timeout_ms, opt.epsilon);
-  if (contracts_enabled()) validate_hierarchy(h);
-
-  HGP_TRACE_SPAN_ARG("solve", g.vertex_count());
   HGP_COUNTER_ADD("solver.solves", 1);
-  Timer total_timer;
+  return solve_sampled(g, h, opt, "solve_hgp", nullptr, nullptr);
+}
 
-  ExecContext exec;
-  exec.deadline =
-      opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms) : Deadline::never();
-  exec.cancel = opt.cancel;
-  exec.check("solve_hgp entry");
-
-  HgpResult result;
-
-  // Stage 1: decomposition forest, from the cache or built, unless the
-  // checkpoint already holds every tree (a resumed retry, or a sharded
-  // solve whose shards delivered every tree).  A failure here leaves zero
-  // trees, which the executor classifies like "all trees failed".  The
-  // forest is held as a shared immutable snapshot either way.
-  Status forest_status;
-  CachedForest forest_ptr;
-  std::size_t tree_count = static_cast<std::size_t>(opt.num_trees);
-  {
-    HGP_TRACE_SPAN_ARG("solve.forest", opt.num_trees);
-    Timer forest_timer;
-    const std::uint64_t fingerprint = graph_fingerprint(g);
-    // (Re)bind the checkpoint to this solve's parameters: retries with
-    // identical parameters resume recorded trees, a degraded retry (e.g.
-    // fewer trees) invalidates them — the forest it samples differs.
-    if (opt.checkpoint != nullptr) {
-      opt.checkpoint->bind(CheckpointKey{fingerprint, opt.seed, opt.num_trees,
-                                         opt.epsilon, opt.units_override});
-    }
-    if (checkpoint_covers(g, h, opt.checkpoint, opt.num_trees)) {
-      // Built nothing, so it reports as a cache hit.
-      result.telemetry.forest_cache_hit = true;
-      forest_ptr = std::make_shared<const std::vector<DecompTree>>();
-    } else {
-      try {
-        forest_ptr = acquire_forest(g, fingerprint, opt.num_trees, opt.seed,
-                                    opt.cutter, opt.pool, &exec,
-                                    &result.telemetry.forest_cache_hit);
-      } catch (...) {
-        forest_status = status_from_current_exception();
-        if (forest_status.code == StatusCode::kCancelled) throw;
-        forest_ptr = std::make_shared<const std::vector<DecompTree>>();
-        tree_count = 0;
-      }
-    }
-    result.telemetry.forest_build_ms = forest_timer.millis();
-  }
-  HGP_COUNTER_ADD("solver.trees_sampled",
-                  static_cast<std::int64_t>(forest_ptr->size()));
-
-  // Stages 2-3: the forest executor.
-  ForestSolveOptions fo;
-  fo.epsilon = opt.epsilon;
-  fo.units_override = opt.units_override;
-  fo.pool = opt.pool;
-  fo.checkpoint = opt.checkpoint;
-  Status reason = solve_forest_trees(g, h, tree_count, *forest_ptr, fo, exec,
-                                     forest_status, "solve_hgp", result);
-  if (reason.ok()) {
-    result.telemetry.total_ms = total_timer.millis();
-    return result;
-  }
-
-  // Stage 4: graceful degradation.
-  if (opt.fallback == FallbackPolicy::kNone) {
-    throw SolveError(std::move(reason));
-  }
-  HgpResult degraded =
-      run_fallback_chain(g, h, opt, std::move(result), std::move(reason));
-  degraded.telemetry.total_ms = total_timer.millis();
-  return degraded;
+HgpResult solve_hgp_keep_forest(const Graph& g, const Hierarchy& h,
+                                const SolverOptions& opt,
+                                std::vector<DpReuseStore>* reuse_out,
+                                CachedForest* forest) {
+  HGP_CHECK(opt.checkpoint == nullptr && forest != nullptr);
+  return solve_sampled(g, h, opt, "incremental base solve", reuse_out,
+                       forest);
 }
 
 HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
@@ -465,10 +465,9 @@ HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
   HGP_TRACE_SPAN_ARG("solve.on_forest", g.vertex_count());
   Timer total_timer;
 
-  ExecContext exec;
-  exec.deadline = opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
-                                     : Deadline::never();
-  exec.cancel = opt.cancel;
+  const ExecContext exec{opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
+                                           : Deadline::never(),
+                         opt.cancel};
   exec.check("solve_on_forest entry");
 
   // Same binding rule as solve_hgp: retries with identical parameters
@@ -480,8 +479,10 @@ HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
   }
 
   HgpResult result;
-  Status reason = solve_forest_trees(g, h, forest.size(), forest, opt, exec,
-                                     Status(), "solve_on_forest", result);
+  TreeSource source;
+  source.given = &forest;
+  Status reason = solve_forest_trees(g, h, forest.size(), source, opt, exec,
+                                     "solve_on_forest", result);
   if (!reason.ok()) throw SolveError(std::move(reason));
   result.telemetry.total_ms = total_timer.millis();
   return result;

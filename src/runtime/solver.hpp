@@ -7,15 +7,14 @@
 // best (Theorem 7's arg-min over the tree family).
 //
 // Every runtime entry point runs that arg-min through ONE forest executor
-// (solver.cpp): solve_hgp samples or cache-hits the forest and hands it
-// over (or needs none, when its checkpoint holds every tree),
-// solve_on_forest hands over a caller-supplied forest, and the shard
-// coordinator (coordinator.hpp) ends in solve_hgp over the checkpoint its
-// shards filled.  The executor
-// owns the per-tree attempts, the checkpoint lookup/re-validation/record,
-// the DP reuse hooks, the solve_finalize fault site, the arg-min and the
-// telemetry sums, so the entry points differ only in where the forest
-// comes from and in what they do when no tree survives.
+// (solver.cpp).  Tree i's isolated attempt takes the first source that
+// applies: a fitting checkpoint entry, tree i of a forest it was given (a
+// forest-cache hit, or solve_on_forest's argument), or a build of tree i
+// on its own stream (decomp/builder.hpp).  A solve whose checkpoint holds
+// k of n trees builds n - k, so the shard coordinator's final solve_hgp
+// builds only the trees its shards did not deliver.  The executor also
+// owns the checkpoint record, the DP reuse hooks, the solve_finalize fault
+// site, the arg-min and the telemetry sums.
 //
 // Resilience semantics: the arg-min only needs ONE surviving tree, so each
 // per-tree solve is fault-isolated — a throw, an injected fault, or a
@@ -38,6 +37,7 @@
 #include "hierarchy/cost.hpp"
 #include "hierarchy/placement.hpp"
 #include "obs/telemetry.hpp"
+#include "parallel/thread_pool.hpp"
 #include "runtime/checkpoint.hpp"
 #include "util/deadline.hpp"
 #include "util/status.hpp"
@@ -101,6 +101,9 @@ struct TreeAttempt {
   /// This tree was served from SolverOptions::checkpoint (a previous
   /// attempt of the same request completed it) — no DP was run.
   bool from_checkpoint = false;
+  /// Time this attempt spent building its tree (0 when the tree came from
+  /// the checkpoint or a given forest; included in elapsed_ms).
+  double build_ms = 0;
 
   bool ok() const { return status == StatusCode::kOk; }
 };
@@ -139,11 +142,21 @@ struct HgpResult {
 /// Requires vertex demands on `g`.  Returns a placement whenever any tree
 /// survives or the fallback chain produces one; throws SolveError
 /// (kInvalidInput / kCancelled / kInfeasible / kDeadlineExceeded /
-/// kInternal) otherwise.  When opt.checkpoint already holds a fitting
-/// result for every tree index, no forest is acquired or built (and the
-/// solve reports a forest cache hit: it built nothing).
+/// kInternal) otherwise.  Builds only the trees that neither
+/// opt.checkpoint nor the forest cache holds, and caches the forest when it
+/// built every tree; SolveTelemetry::forest_cache_hit means it built none.
 HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
                     const SolverOptions& opt = {});
+
+/// IncrementalSolver's base solve: solve_hgp without the fallback chain (a
+/// failure throws the classified SolveError) and without opt.checkpoint,
+/// that also hands back the forest it solved (*forest: the cached one, or
+/// the one it built and cached) and, through reuse_out, every tree's DP
+/// tables.  Throws the failed tree's status when a tree could not be built.
+HgpResult solve_hgp_keep_forest(
+    const Graph& g, const Hierarchy& h, const SolverOptions& opt,
+    std::vector<DpReuseStore>* reuse_out,
+    std::shared_ptr<const std::vector<DecompTree>>* forest);
 
 /// Options for solve_on_forest(): SolverOptions minus the forest-sampling
 /// knobs (the caller supplies the forest), plus the per-tree reuse hooks.
@@ -200,24 +213,13 @@ ForestTreeResult solve_forest_tree(const Graph& g, const Hierarchy& h,
                                    const DecompTree& dt,
                                    const TreeSolverOptions& tree_opt);
 
-// The request checks, forest acquisition and result validation every
-// forest-solve entry point shares (solve_hgp, solve_on_forest,
-// IncrementalSolver, ShardCoordinator).
+// The request checks and result validation every forest-solve entry point
+// shares (solve_hgp, solve_on_forest, IncrementalSolver, ShardCoordinator).
 
 /// Throws SolveError(kInvalidInput) unless `g` carries demands,
 /// num_trees >= 1, timeout_ms >= 0 and epsilon > 0.
 void validate_solve_args(const Graph& g, int num_trees, double timeout_ms,
                          double epsilon);
-
-/// The forest a solve of `g` samples: the ForestCache::global() entry for
-/// (fingerprint, seed, num_trees, cutter name) when present, else a fresh
-/// build that is then cached.  `fingerprint` is graph_fingerprint(g);
-/// nullptr cutter = spectral + FM.  Sets *cache_hit when non-null.
-/// Throws what build_decomposition_forest throws.
-std::shared_ptr<const std::vector<DecompTree>> acquire_forest(
-    const Graph& g, std::uint64_t fingerprint, int num_trees,
-    std::uint64_t seed, const Cutter* cutter, ThreadPool* pool,
-    const ExecContext* exec, bool* cache_hit = nullptr);
 
 /// True when a tree result that arrived from outside this solve (a
 /// recovered checkpoint spill, a shard's reply) fits the instance: one

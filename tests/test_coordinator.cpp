@@ -32,6 +32,7 @@
 #include "runtime/forest_cache.hpp"
 #include "runtime/shard_server.hpp"
 #include "util/deadline.hpp"
+#include "util/fault_injector.hpp"
 #include "util/prng.hpp"
 #include "util/sync.hpp"
 
@@ -345,6 +346,37 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
 #endif
 }
 
+TEST(Coordinator, LaggingReaderDoesNotExpireABeatingShard) {
+  // The shard beats every 5 ms, but while it holds its tree every read in
+  // this process stalls 100 ms (the net.recv fault), so the coordinator's
+  // reader processes its beats far apart and they pile up unread past the
+  // 30 ms lease.  Frames waiting in the coordinator's own socket buffer
+  // are the coordinator's lateness, not the shard's silence: the lease
+  // must hold.
+  const Graph g = workload(29);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(29, 1));
+  std::deque<ShardThread> pool;
+  CoordinatorOptions copt;
+  copt.lease_ms = 30;
+  ShardCoordinator coord(g, hier(), base_options(29, 1), copt);
+  ShardServerOptions sopt;
+  sopt.heartbeat_ms = 5;
+  sopt.on_tree_start = [](int) {
+    FaultInjector::Fault stall;
+    stall.action = FaultInjector::Action::kStall;
+    stall.stall_ms = 100;
+    const FaultScope reads("net.recv", 0, stall);
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  };
+  coord.adopt_shard(start_shard(pool, sopt));
+  const HgpResult got = coord.solve();
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(coord.report().lease_expiries, 0);
+  EXPECT_EQ(coord.report().trees_from_shards, 1);
+  EXPECT_FALSE(coord.report().degraded_inprocess);
+}
+
 TEST(Coordinator, HeartbeatWithPayloadDeclaresShardDead) {
   const Graph g = workload(22);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(22));
@@ -592,6 +624,37 @@ TEST(Coordinator, SpawnLocalBuildsNoTreeOnTheCoordinator) {
   EXPECT_EQ(ForestCache::global().size(), 0u);
   if (HGP_OBS_ENABLED) {
     EXPECT_EQ(trees_built(), built_before);
+  }
+  expect_no_child_left();
+}
+
+TEST(Coordinator, SpawnLocalRemoteTreeFailureBuildsOnlyThatTree) {
+  // Every worker fails tree 2, so the shards deliver 3 of 4 trees and the
+  // final aggregation builds and solves only tree 2 in process.
+  const Graph g = workload(28);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(28));
+  ForestCache::global().clear();
+
+  const ScratchDir dir;
+  const std::filesystem::path worker = dir.path / "tree2-fails.sh";
+  std::ofstream(worker) << "#!/bin/sh\nexec '" << HGP_SHARDD_PATH
+                        << "' --fault shardd.tree,2,throw \"$@\"\n";
+  std::filesystem::permissions(worker, std::filesystem::perms::owner_all);
+  const auto trees_built = [] {
+    return obs::MetricsRegistry::global().counter_value("decomp.trees_built");
+  };
+  const std::uint64_t built_before = trees_built();
+  CoordinatorReport rep;
+  const HgpResult got = solve_hgp_sharded(
+      g, hier(), base_options(28), spawn_local(dir, 2, worker.string()), &rep);
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(rep.trees_from_shards, 3);
+  EXPECT_TRUE(rep.degraded_inprocess);
+  EXPECT_EQ(got.telemetry.checkpoint_trees, 3);
+  EXPECT_FALSE(got.telemetry.forest_cache_hit);
+  if (HGP_OBS_ENABLED) {
+    EXPECT_EQ(trees_built(), built_before + 1);
   }
   expect_no_child_left();
 }

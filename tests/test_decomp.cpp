@@ -7,8 +7,11 @@
 #include "decomp/frt.hpp"
 #include "decomp/quality.hpp"
 #include "fm_reference.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
+#include "runtime/forest_cache.hpp"
+#include "runtime/solver.hpp"
 
 namespace hgp {
 namespace {
@@ -187,52 +190,64 @@ TEST(DecompForest, CountAndIndependence) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(DecompForest, ParallelBuildMatchesSequential) {
-  const Graph g = demo_graph(16);
-  const SpectralCutter cutter;
-  ThreadPool pool(2);
-  const auto seq = build_decomposition_forest(g, 3, 7, cutter);
-  const auto par = build_decomposition_forest(g, 3, 7, cutter, &pool);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    ASSERT_EQ(seq[i].tree().node_count(), par[i].tree().node_count());
-    for (Vertex v = 0; v < seq[i].tree().node_count(); ++v) {
-      EXPECT_EQ(seq[i].tree().parent(v), par[i].tree().parent(v));
-    }
+void expect_same_tree(const DecompTree& a, const DecompTree& b) {
+  ASSERT_EQ(a.tree().node_count(), b.tree().node_count());
+  for (Vertex v = 0; v < a.tree().node_count(); ++v) {
+    EXPECT_EQ(a.tree().parent(v), b.tree().parent(v));
+    EXPECT_EQ(a.tree().parent_weight(v), b.tree().parent_weight(v));
+  }
+  ASSERT_EQ(a.graph_vertex_count(), b.graph_vertex_count());
+  for (Vertex v = 0; v < a.graph_vertex_count(); ++v) {
+    EXPECT_EQ(a.leaf_of_vertex(v), b.leaf_of_vertex(v));
   }
 }
 
+TEST(DecompForest, ParallelBuildMatchesSequential) {
+  // solve_hgp builds each tree inside its own attempt, concurrently on its
+  // pool, and caches the forest it built whole: tree by tree, that forest
+  // must be the one build_decomposition_forest builds in sequence.
+  if (!ForestCache::global().enabled()) GTEST_SKIP() << "forest cache off";
+  const Graph g = demo_graph(16);
+  const SpectralCutter cutter;
+  ThreadPool pool(2);
+  SolverOptions opt;
+  opt.num_trees = 3;
+  opt.seed = 7;
+  opt.cutter = &cutter;
+  opt.pool = &pool;
+  ForestCache::global().clear();
+  const HgpResult r = solve_hgp(g, Hierarchy({2, 2}, {4.0, 1.0, 0.0}), opt);
+  EXPECT_FALSE(r.telemetry.forest_cache_hit);
+  const CachedForest par = ForestCache::global().find(ForestCacheKey{
+      graph_fingerprint(g), opt.seed, opt.num_trees, cutter.name()});
+  ASSERT_NE(par, nullptr);
+  const auto seq = build_decomposition_forest(g, 3, 7, cutter);
+  ASSERT_EQ(seq.size(), par->size());
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same_tree(seq[i], (*par)[i]);
+  }
+  ForestCache::global().clear();
+}
+
 TEST(DecompForest, TreeRngRebuildsEachForestTree) {
-  // A shard worker builds only the tree it leases, so tree i built alone
-  // from the last of forest_tree_rngs(seed, i + 1) must be tree i of the
-  // forest, built with or without a pool, and the stream must be the one
-  // forests have always used: the i-th of successive forks of Rng(seed).
+  // A shard worker, and each solver tree attempt, builds only its own tree,
+  // so tree i built alone from the last of forest_tree_rngs(seed, i + 1)
+  // must be tree i of the forest, and the stream must be the one forests
+  // have always used: the i-th of successive forks of Rng(seed).
   const Graph g = demo_graph(18);
   const FmCutter cutter;
-  ThreadPool pool(2);
   constexpr int kTrees = 5;
   constexpr std::uint64_t kSeed = 23;
-  const auto seq = build_decomposition_forest(g, kTrees, kSeed, cutter);
-  const auto par =
-      build_decomposition_forest(g, kTrees, kSeed, cutter, &pool);
+  const auto forest = build_decomposition_forest(g, kTrees, kSeed, cutter);
   Rng parent(kSeed);
   for (int i = 0; i < kTrees; ++i) {
     SCOPED_TRACE(i);
     Rng alone = forest_tree_rngs(kSeed, i + 1).back();
     Rng forked = parent.fork(static_cast<std::uint64_t>(i));
     EXPECT_EQ(Rng(alone).next(), forked.next());
-    const DecompTree t = build_decomp_tree(g, alone, cutter);
-    for (const DecompTree* other : {&seq[static_cast<std::size_t>(i)],
-                                    &par[static_cast<std::size_t>(i)]}) {
-      ASSERT_EQ(t.tree().node_count(), other->tree().node_count());
-      for (Vertex v = 0; v < t.tree().node_count(); ++v) {
-        EXPECT_EQ(t.tree().parent(v), other->tree().parent(v));
-        EXPECT_EQ(t.tree().parent_weight(v), other->tree().parent_weight(v));
-      }
-      for (Vertex v = 0; v < g.vertex_count(); ++v) {
-        EXPECT_EQ(t.leaf_of_vertex(v), other->leaf_of_vertex(v));
-      }
-    }
+    expect_same_tree(build_decomp_tree(g, alone, cutter),
+                     forest[static_cast<std::size_t>(i)]);
   }
 }
 

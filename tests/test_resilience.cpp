@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "runtime/forest_cache.hpp"
+#include "runtime/incremental.hpp"
 #include "runtime/solver.hpp"
 #include "util/deadline.hpp"
 #include "util/fault_injector.hpp"
@@ -625,10 +628,10 @@ TEST(Resilience, MalformedCheckpointEntriesAreSolvedAgain) {
 }
 
 TEST(Resilience, FullyCheckpointedSolveBuildsNoForest) {
-  // With every tree in the checkpoint the executor reads only those, so
-  // solve_hgp acquires no forest: nothing is built and nothing is cached,
-  // as with HGP_FOREST_CACHE=0.  A sharded solve whose shards delivered
-  // every tree ends in exactly this call.
+  // Each tree attempt builds its tree only when the checkpoint does not
+  // hold it.  With every tree in the checkpoint nothing is built and
+  // nothing is cached, as with HGP_FOREST_CACHE=0; a sharded solve whose
+  // shards delivered every tree ends in exactly this call.
   const Graph g = workload(22);
   SolverOptions opt;
   opt.num_trees = 3;
@@ -654,7 +657,8 @@ TEST(Resilience, FullyCheckpointedSolveBuildsNoForest) {
     EXPECT_EQ(trees_built(), built_before);
   }
 
-  // One tree missing: the forest is built again, the answer is the same.
+  // One tree missing: only that tree is built, the answer is the same, and
+  // a forest this solve did not build whole is not cached.
   SolveCheckpoint partial;
   partial.bind(CheckpointKey{graph_fingerprint(g), opt.seed, opt.num_trees,
                              opt.epsilon, opt.units_override});
@@ -669,8 +673,53 @@ TEST(Resilience, FullyCheckpointedSolveBuildsNoForest) {
   expect_bit_identical(mixed, cold);
   EXPECT_EQ(mixed.telemetry.checkpoint_trees, 2);
   EXPECT_FALSE(mixed.telemetry.forest_cache_hit);
+  EXPECT_EQ(ForestCache::global().size(), 0u);
   if (HGP_OBS_ENABLED) {
-    EXPECT_EQ(trees_built(), built_before + 3);
+    EXPECT_EQ(trees_built(), built_before + 1);
+  }
+}
+
+/// FmCutter that sleeps `ms` in its first cut, so a forest build costs at
+/// least that much wall time.
+class SlowFirstCutCutter final : public Cutter {
+ public:
+  explicit SlowFirstCutCutter(int ms) : ms_(ms) {}
+  std::vector<char> cut(const Graph& g, Rng& rng) const override {
+    if (!slept_.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
+    }
+    return inner_.cut(g, rng);
+  }
+  std::string name() const override { return "slow-first-cut"; }
+
+ private:
+  int ms_;
+  FmCutter inner_;
+  mutable std::atomic<bool> slept_{false};
+};
+
+TEST(Resilience, IncrementalBaseSolveSpendsOneBudget) {
+  // IncrementalOptions::timeout_ms is the base solve's whole budget: the
+  // tree builds and the tree solves draw on one deadline.  The build takes
+  // at least 60 ms and each tree solve first stalls 60 ms, so no tree can
+  // finish inside 100 ms.  A second, fresh budget for the solves would let
+  // tree 0 finish.  The sleeps are lower bounds, so the outcome does not
+  // depend on host speed.
+  ForestCache::global().clear();
+  const SlowFirstCutCutter cutter(60);
+  IncrementalOptions opt;
+  opt.num_trees = 2;
+  opt.seed = 3;
+  opt.cutter = &cutter;
+  opt.timeout_ms = 100;
+  FaultScope stall("solve_one_tree", FaultInjector::kEveryIndex,
+                   stall_fault(60));
+  try {
+    const IncrementalSolver solver(std::make_shared<const Graph>(workload(31)),
+                                   hier(), opt);
+    FAIL() << "the base solve must run out of its one budget";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kDeadlineExceeded) << e.what();
   }
 }
 
