@@ -55,7 +55,7 @@ AllNodesSolution solve_hgpt_all_nodes(const Tree& t,
     out.leaf_of[static_cast<std::size_t>(v)] =
         sol.assignment.of(red.job_leaf[static_cast<std::size_t>(v)]);
   }
-  out.cost = sol.cost;
+  out.cost = assignment_cost(red.tree, h, sol.assignment);
   out.relaxed_cost = sol.relaxed_cost;
   out.violation = sol.violation;
   return out;

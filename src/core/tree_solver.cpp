@@ -46,7 +46,6 @@ TreeHgpSolution solve_hgpt(const Tree& t, const Hierarchy& h,
   }
   out.relaxed = std::move(dp.solution);
   out.relaxed_cost = dp.cost;
-  out.cost = assignment_cost(t, h, out.assignment);
   out.violation = assignment_violation(t, h, out.assignment);
   out.scaled = std::move(dp.scaled);
   out.stats = dp.stats;

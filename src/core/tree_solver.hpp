@@ -3,7 +3,9 @@
 // This is the public entry point for partitioning the leaves of a tree
 // against a hierarchy: it runs the RHGPT signature DP (optimal over rounded
 // demands) and the Theorem-5 regrouping, returning the leaf assignment, the
-// relaxed solution, both costs and the measured per-level violations.
+// relaxed solution and its cost, and the measured per-level violations.
+// The Definition-2/3 cost of the assignment is assignment_cost(t, h,
+// sol.assignment), computed only by callers that read it.
 #pragma once
 
 #include "core/convert.hpp"
@@ -28,10 +30,9 @@ struct TreeHgpSolution {
   /// The optimal relaxed solution it was derived from.
   RhgptSolution relaxed;
   /// RHGPT optimum (≤ the HGPT optimum: fewer constraints — the natural
-  /// lower bound for approximation measurements).
+  /// lower bound for approximation measurements).  The assignment's own
+  /// cost is ≤ relaxed_cost by Theorem 5.
   double relaxed_cost = 0;
-  /// Definition-2/3 cost of `assignment` (≤ relaxed_cost by Theorem 5).
-  double cost = 0;
   /// Per-level capacity violations with real demands; Theorem 2 bounds
   /// violation[j] by (1+ε)(1+j).
   std::vector<double> violation;

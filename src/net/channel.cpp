@@ -54,20 +54,18 @@ std::vector<std::byte> hello_payload(std::uint32_t version,
 
 }  // namespace
 
-void handshake_client(FrameChannel& ch, std::uint32_t role,
-                      const Deadline& deadline) {
+void send_hello(FrameChannel& ch, std::uint32_t role,
+                const Deadline& deadline) {
   ch.send(kMsgHello, hello_payload(kProtocolVersion, role), deadline);
-  std::optional<Frame> ack = ch.recv(deadline);
-  if (!ack.has_value()) {
-    throw SolveError(StatusCode::kUnavailable,
-                     "peer closed during the version handshake");
-  }
-  if (ack->type != kMsgHelloAck) {
+}
+
+void check_hello_ack(const Frame& ack) {
+  if (ack.type != kMsgHelloAck) {
     throw SolveError(StatusCode::kDataLoss,
                      "handshake expected HelloAck, got frame type " +
-                         std::to_string(ack->type));
+                         std::to_string(ack.type));
   }
-  io::SectionView r("HelloAck", ack->payload);
+  io::SectionView r("HelloAck", ack.payload);
   const auto peer_version = r.read_pod<std::uint32_t>();
   r.expect_exhausted();
   if (peer_version != kProtocolVersion) {
@@ -77,6 +75,17 @@ void handshake_client(FrameChannel& ch, std::uint32_t role,
                          ", this build speaks v" +
                          std::to_string(kProtocolVersion) + ")");
   }
+}
+
+void handshake_client(FrameChannel& ch, std::uint32_t role,
+                      const Deadline& deadline) {
+  send_hello(ch, role, deadline);
+  std::optional<Frame> ack = ch.recv(deadline);
+  if (!ack.has_value()) {
+    throw SolveError(StatusCode::kUnavailable,
+                     "peer closed during the version handshake");
+  }
+  check_hello_ack(*ack);
 }
 
 std::uint32_t handshake_server(FrameChannel& ch, const Deadline& deadline) {

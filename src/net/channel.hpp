@@ -11,7 +11,8 @@
 //
 // One channel supports one concurrent sender and one concurrent receiver
 // (the shard worker sends heartbeats from a second thread; it serializes
-// its sends with its own mutex).  send() polls the net.frame fault site:
+// its sends with its own mutex; the coordinator does all its I/O from one
+// loop).  send() polls the net.frame fault site:
 // kNetTornFrame corrupts one encoded byte before transmission, so the
 // receiving side's CRC discipline — not good luck — is what keeps a torn
 // frame out of the solve.
@@ -42,18 +43,22 @@ class FrameChannel {
   /// kDeadlineExceeded per the taxonomy above.
   std::optional<Frame> recv(const Deadline& deadline);
 
-  /// Wakes a thread blocked in recv and poisons further I/O.
-  void shutdown() { socket_.shutdown_both(); }
   void close() { socket_.close(); }
 
  private:
   Socket socket_;
 };
 
-/// Client half of the handshake: sends Hello{version, role}, expects
-/// HelloAck{version}.  Throws kDataLoss naming both versions on skew.
+/// Client half of the handshake: send_hello, then check_hello_ack on the
+/// next frame.  Throws kDataLoss naming both versions on skew.
 void handshake_client(FrameChannel& ch, std::uint32_t role,
                       const Deadline& deadline);
+/// The client half's first step: sends Hello{version, role}.
+void send_hello(FrameChannel& ch, std::uint32_t role,
+                const Deadline& deadline);
+/// The client half's second step: checks that `ack` is HelloAck{version}
+/// for this build's version.  Throws kDataLoss otherwise.
+void check_hello_ack(const Frame& ack);
 
 /// Server half: expects Hello, validates the version and the role,
 /// replies HelloAck.  Returns the peer's role (kRoleCoordinator or

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -29,24 +28,27 @@ int poll_interval_ms(const Deadline& deadline) {
   return static_cast<int>(std::min(50.0, std::max(1.0, remaining)));
 }
 
-/// Waits until `fd` is ready for `events` or the deadline expires.
+/// Waits until `fd` is ready for `events` or the deadline expires.  An fd
+/// already ready wins over an expired deadline: the deadline bounds the
+/// wait, not the reading of bytes that have arrived.
 void wait_ready(int fd, short events, const Deadline& deadline,
                 const char* what) {
   for (;;) {
-    if (deadline.expired()) {
-      throw SolveError(StatusCode::kDeadlineExceeded,
-                       std::string(what) + " passed its deadline");
-    }
+    const bool expired = deadline.expired();
     struct pollfd pfd;
     pfd.fd = fd;
     pfd.events = events;
     pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, poll_interval_ms(deadline));
+    const int rc = ::poll(&pfd, 1, expired ? 0 : poll_interval_ms(deadline));
     if (rc < 0) {
       if (errno == EINTR) continue;
       throw_unavailable(what, errno);
     }
     if (rc > 0) return;  // ready, error or hangup — the syscall reports it
+    if (expired) {
+      throw SolveError(StatusCode::kDeadlineExceeded,
+                       std::string(what) + " passed its deadline");
+    }
   }
 }
 
@@ -99,11 +101,6 @@ void Socket::close() {
 
 void Socket::shutdown_both() {
   if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
-}
-
-bool Socket::input_pending() const {
-  int bytes = 0;
-  return fd_ >= 0 && ::ioctl(fd_, FIONREAD, &bytes) == 0 && bytes > 0;
 }
 
 void Socket::send_all(std::span<const std::byte> data,
@@ -161,6 +158,26 @@ bool Socket::recv_exact(std::byte* out, std::size_t size,
     off += static_cast<std::size_t>(got);
   }
   return true;
+}
+
+std::vector<bool> poll_readable(std::span<const Socket* const> sockets,
+                                double timeout_ms) {
+  std::vector<bool> ready(sockets.size(), false);
+  std::vector<struct pollfd> pfds;
+  std::vector<std::size_t> index;
+  for (std::size_t i = 0; i < sockets.size(); ++i) {
+    if (sockets[i] == nullptr || !sockets[i]->valid()) continue;
+    pfds.push_back({sockets[i]->fd(), POLLIN, 0});
+    index.push_back(i);
+  }
+  if (pfds.empty()) return ready;
+  const int rc = ::poll(pfds.data(), pfds.size(),
+                        static_cast<int>(std::max(0.0, timeout_ms)));
+  if (rc < 0 && errno != EINTR) throw_unavailable("net poll", errno);
+  for (std::size_t k = 0; rc > 0 && k < pfds.size(); ++k) {
+    ready[index[k]] = pfds[k].revents != 0;
+  }
+  return ready;
 }
 
 std::pair<Socket, Socket> socket_pair() {

@@ -3,9 +3,10 @@
 //
 // Every blocking operation takes a Deadline and polls toward it, so a
 // stalled peer can never wedge a caller past its budget: expiry throws
-// SolveError{kDeadlineExceeded}, peer departure (refused connect, reset,
-// clean close mid-read) throws SolveError{kUnavailable}, and a stream
-// that dies *inside* a frame is the channel layer's kDataLoss.
+// SolveError{kDeadlineExceeded} (the deadline bounds waiting; bytes that
+// have already arrived are still read), peer departure (refused connect,
+// reset, clean close mid-read) throws SolveError{kUnavailable}, and a
+// stream that dies *inside* a frame is the channel layer's kDataLoss.
 //
 // This is the only file in the tree allowed to make naked socket(2)/
 // send/recv syscalls outside src/obs/introspect.cpp (enforced by the
@@ -28,6 +29,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/deadline.hpp"
 #include "util/status.hpp"
@@ -65,13 +67,16 @@ class Socket {
   /// another thread) blocked in recv.  Safe on an invalid socket.
   void shutdown_both();
 
-  /// True when received bytes wait unread in the kernel buffer.  Never
-  /// blocks, so another thread may ask while a reader is blocked in recv.
-  bool input_pending() const;
-
  private:
   int fd_ = -1;
 };
+
+/// Waits up to `timeout_ms` for any of `sockets` to become readable (input,
+/// EOF or an error, which the next recv reports).  Returns one flag per
+/// entry; null and invalid entries are skipped and never ready.  Returns at
+/// once when no entry is valid.
+std::vector<bool> poll_readable(std::span<const Socket* const> sockets,
+                                double timeout_ms);
 
 /// Connected AF_UNIX stream pair (tests and in-process shard harnesses).
 std::pair<Socket, Socket> socket_pair();

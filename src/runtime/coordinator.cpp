@@ -21,7 +21,6 @@
 #include "obs/event_journal.hpp"  // next_library_request_id under HGP_OBS=OFF
 #include "obs/obs.hpp"
 #include "util/prng.hpp"
-#include "util/sync.hpp"
 
 extern char** environ;
 
@@ -31,8 +30,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double ms_since(Clock::time_point t) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
+double ms_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
 /// Reaps `pid` if it has exited (or was already reaped elsewhere).
@@ -61,21 +60,18 @@ struct ShardCoordinator::Impl {
     int owner = -1;  ///< shard id while leased
   };
 
+  /// One connection; its index in `shards` is the shard id.
   struct Shard {
-    int id = 0;
     net::FrameChannel channel;
-    /// Serializes coordinator→shard sends (supervisor Assigns vs the
-    /// teardown Shutdown).  Leaf lock: never held together with mu_.
-    Mutex send_mu;
-    // One dedicated blocking reader per shard: the channel recv must block
-    // on the socket, which the pool's cooperative tasks must never do.
-    // hgp-lint: allow(naked-thread)
-    std::thread reader;
-    // The fields below are guarded by the coordinator's mu_ (they span
-    // shards, so a per-shard capability annotation cannot express it).
-    enum class State { kConnecting, kIdle, kBusy, kDead } state =
-        State::kConnecting;
-    Clock::time_point last_beat = Clock::now();
+    /// Hello sent, then Job sent, then idle and busy in turn; dead is final.
+    enum class State { kHello, kJob, kIdle, kBusy, kDead } state =
+        State::kHello;
+    /// In the poll set.  A dead shard that loaded the Job stays in it until
+    /// its socket closes or a frame fails to read, so a zombie's late
+    /// frames are read and fenced, not left unread in a closed pipe.
+    bool polled = true;
+    Deadline handshake;  ///< budget for the Hello and the Job load
+    Clock::time_point last_heard = Clock::now();
     int outstanding = -1;  ///< leased tree index, -1 when idle
   };
 
@@ -86,14 +82,10 @@ struct ShardCoordinator::Impl {
   const SolverOptions opt;
   const CoordinatorOptions copt;
 
-  Mutex mu;
-  CondVar cv;
-  std::vector<std::unique_ptr<Shard>> shards HGP_GUARDED_BY(mu);
-  std::vector<Lease> leases HGP_GUARDED_BY(mu);
-  std::size_t leases_done HGP_GUARDED_BY(mu) = 0;
-  /// Set at teardown: reader exits stop being "shard lost" events.
-  bool stopping HGP_GUARDED_BY(mu) = false;
-  CoordinatorReport report;  // counters mutated under mu until solve() ends
+  std::vector<Shard> shards;
+  std::vector<Lease> leases;
+  std::size_t leases_done = 0;
+  CoordinatorReport report;
 
   SolveCheckpoint local_checkpoint;
   SolveCheckpoint* checkpoint = nullptr;
@@ -133,97 +125,83 @@ struct ShardCoordinator::Impl {
     job.heartbeat_ms = copt.heartbeat_ms;
     job.snapshot_blob = w.serialize();
     job_payload = net::encode_job(job);
-
-    const MutexLock lock(mu);
     leases.resize(static_cast<std::size_t>(opt.num_trees));
   }
 
   // --------------------------------------------------------- shard plumbing
 
+  /// Adds a connected shard and sends its Hello.  The loop carries the
+  /// handshake and the Job load on from there, each shard against its own
+  /// handshake_timeout_ms, so a silent shard delays no other.
   void add_shard(net::Socket sock) {
-    const MutexLock lock(mu);
-    auto shard = std::make_unique<Shard>();
-    shard->id = static_cast<int>(shards.size());
-    shard->channel = net::FrameChannel(std::move(sock));
-    Shard* raw = shard.get();
-    shards.push_back(std::move(shard));
-    // One reader per shard: it owns the inbound half of the conversation
-    // (handshake, job ack, heartbeats, results) and outlives the shard's
-    // death on purpose — a zombie's late frames must be observed to be
-    // fenced, not silently dropped with a closed socket.
-    // hgp-lint: allow(naked-thread)
-    raw->reader = std::thread([this, raw] { reader_main(raw); });
+    Shard& s = shards.emplace_back();
+    s.channel = net::FrameChannel(std::move(sock));
+    s.handshake = Deadline::after_ms(copt.handshake_timeout_ms);
+    try {
+      net::send_hello(s.channel, net::kRoleCoordinator, s.handshake);
+    } catch (...) {
+      declare_dead(static_cast<int>(shards.size()) - 1);
+    }
   }
 
-  void reader_main(Shard* s) {
+  /// Reads one whole frame from a shard whose socket polled ready and acts
+  /// on it.  A frame stalled mid-read gets lease_ms.  A close, that stall,
+  /// or a torn, malformed or unexpected frame (already classified by the
+  /// net layer) kills the shard and takes it out of the poll set.
+  void receive(int id) {
+    Shard& s = shards[static_cast<std::size_t>(id)];
     try {
-      const Deadline hs = Deadline::after_ms(copt.handshake_timeout_ms);
-      net::handshake_client(s->channel, net::kRoleCoordinator, hs);
-      {
-        const MutexLock lock(s->send_mu);
-        s->channel.send(net::kMsgJob, job_payload, hs);
+      if (std::optional<net::Frame> frame =
+              s.channel.recv(Deadline::after_ms(copt.lease_ms))) {
+        s.last_heard = Clock::now();
+        dispatch(id, *frame);
+        return;
       }
-      std::optional<net::Frame> ack_frame = s->channel.recv(hs);
-      if (!ack_frame.has_value()) {
-        throw SolveError(StatusCode::kUnavailable,
-                         "shard closed before acking the job");
-      }
-      if (ack_frame->type != net::kMsgJobAck) {
+    } catch (...) {
+      // Whatever went wrong, the net layer classified it; all the loop
+      // does with it is declare the shard dead.
+    }
+    s.polled = false;
+    if (s.state != Shard::State::kDead) declare_dead(id);
+  }
+
+  /// Acts on one frame by the shard's state: a HelloAck that checks out
+  /// sends the Job, a JobAck naming this instance makes the shard idle,
+  /// and after that come heartbeats and results.  Anything else throws.
+  void dispatch(int id, const net::Frame& frame) {
+    Shard& s = shards[static_cast<std::size_t>(id)];
+    if (s.state == Shard::State::kHello) {
+      net::check_hello_ack(frame);
+      s.channel.send(net::kMsgJob, job_payload, s.handshake);
+      s.state = Shard::State::kJob;
+    } else if (s.state == Shard::State::kJob) {
+      if (frame.type != net::kMsgJobAck) {
         throw SolveError(StatusCode::kDataLoss,
                          "expected JobAck, got frame type " +
-                             std::to_string(ack_frame->type));
+                             std::to_string(frame.type));
       }
-      const net::JobAckMsg ack = net::decode_job_ack(ack_frame->payload);
+      const net::JobAckMsg ack = net::decode_job_ack(frame.payload);
       if (ack.graph_fingerprint != fingerprint ||
           ack.num_trees != opt.num_trees) {
         throw SolveError(StatusCode::kDataLoss,
                          "shard acked a different instance");
       }
-      {
-        const MutexLock lock(mu);
-        if (s->state == Shard::State::kConnecting) {
-          s->state = Shard::State::kIdle;
-          s->last_beat = Clock::now();
-          ++report.shards_up;
-          HGP_COUNTER_ADD("shard.up", 1);
-          HGP_JOURNAL(kShardUp, rid, 0, s->id, 0);
-          cv.notify_all();
-        }
+      s.state = Shard::State::kIdle;
+      ++report.shards_up;
+      HGP_COUNTER_ADD("shard.up", 1);
+      HGP_JOURNAL(kShardUp, rid, 0, id, 0);
+    } else if (frame.type == net::kMsgHeartbeat) {
+      if (!frame.payload.empty()) {
+        throw SolveError(StatusCode::kDataLoss, "heartbeat carries a payload");
       }
-      for (;;) {
-        // No read deadline: supervision is lease-based (a silent shard is
-        // handled by the lease scan, not by this thread) and teardown wakes
-        // the read with shutdown().
-        std::optional<net::Frame> frame = s->channel.recv(Deadline::never());
-        if (!frame.has_value()) break;  // peer departed
-        if (frame->type == net::kMsgHeartbeat) {
-          if (!frame->payload.empty()) {
-            throw SolveError(StatusCode::kDataLoss,
-                             "heartbeat carries a payload");
-          }
-          const MutexLock lock(mu);
-          s->last_beat = Clock::now();
-          HGP_COUNTER_ADD("shard.heartbeats", 1);
-        } else if (frame->type == net::kMsgTreeResult) {
-          accept_result(s, net::decode_tree_result(frame->payload));
-        } else {
-          throw SolveError(StatusCode::kDataLoss,
-                           "unexpected frame type " +
-                               std::to_string(frame->type) +
-                               " from shard");
-        }
-      }
-    } catch (...) {
-      // Connection-level death (reset, torn frame, version skew, stall past
-      // a handshake deadline) — the classification already happened in the
-      // net layer; all the reader does with it is declare the shard dead.
+      HGP_COUNTER_ADD("shard.heartbeats", 1);
+    } else if (frame.type == net::kMsgTreeResult) {
+      accept_result(id, net::decode_tree_result(frame.payload));
+    } else {
+      throw SolveError(StatusCode::kDataLoss,
+                       "unexpected frame type " + std::to_string(frame.type) +
+                           " from shard");
     }
-    const MutexLock lock(mu);
-    if (!stopping && s->state != Shard::State::kDead) {
-      declare_dead_locked(*s);
-    }
-    s->state = Shard::State::kDead;
-    cv.notify_all();
   }
 
   /// Exactly-once admission of a shard's tree result.  Anything that is
@@ -231,16 +209,16 @@ struct ShardCoordinator::Impl {
   /// the shard was declared dead and the tree reassigned (stale epoch), or
   /// the tree already completed (double delivery).  Fenced results are
   /// counted and dropped — never recorded.
-  void accept_result(Shard* s, net::TreeResultMsg res) {
-    const MutexLock lock(mu);
+  void accept_result(int id, net::TreeResultMsg res) {
+    Shard& s = shards[static_cast<std::size_t>(id)];
     const bool in_range =
         res.tree_index >= 0 &&
         static_cast<std::size_t>(res.tree_index) < leases.size();
     Lease* l = in_range ? &leases[static_cast<std::size_t>(res.tree_index)]
                         : nullptr;
     const bool current = l != nullptr && l->state == Lease::State::kLeased &&
-                         l->owner == s->id && l->epoch == res.epoch &&
-                         s->state == Shard::State::kBusy;
+                         l->owner == id && l->epoch == res.epoch &&
+                         s.state == Shard::State::kBusy;
     if (!current) {
       ++report.zombies_fenced;
       HGP_COUNTER_ADD("shard.zombies_fenced", 1);
@@ -273,25 +251,25 @@ struct ShardCoordinator::Impl {
     ++leases_done;
     ++report.batches_completed;
     HGP_COUNTER_ADD("shard.batches_completed", 1);
-    s->outstanding = -1;
-    s->state = Shard::State::kIdle;
-    s->last_beat = Clock::now();
-    cv.notify_all();
+    s.outstanding = -1;
+    s.state = Shard::State::kIdle;
   }
 
-  /// mu held.  Marks the shard dead and re-queues its lease under a bumped
-  /// epoch.  The socket stays OPEN and the reader keeps draining: a zombie
-  /// (declared dead but actually alive) will deliver its stale result into
-  /// accept_result's fence rather than into a closed pipe, which is what
-  /// makes the exactly-once accounting observable.
-  void declare_dead_locked(Shard& s) HGP_REQUIRES(mu) {
+  /// Marks the shard dead and re-queues its lease under a bumped epoch.  A
+  /// shard that never loaded the Job holds no lease, so nothing it could
+  /// still send needs fencing: it leaves the poll set.
+  void declare_dead(int id) {
+    Shard& s = shards[static_cast<std::size_t>(id)];
+    if (s.state == Shard::State::kHello || s.state == Shard::State::kJob) {
+      s.polled = false;
+    }
     s.state = Shard::State::kDead;
     ++report.shards_lost;
     HGP_COUNTER_ADD("shard.lost", 1);
-    HGP_JOURNAL(kShardLost, rid, 0, s.id, 0);
+    HGP_JOURNAL(kShardLost, rid, 0, id, 0);
     if (s.outstanding >= 0) {
       Lease& l = leases[static_cast<std::size_t>(s.outstanding)];
-      if (l.state == Lease::State::kLeased && l.owner == s.id) {
+      if (l.state == Lease::State::kLeased && l.owner == id) {
         ++l.epoch;
         l.state = Lease::State::kPending;
         l.owner = -1;
@@ -376,7 +354,6 @@ struct ShardCoordinator::Impl {
         if (accepted + exited >= want || until.expired()) break;
       }
     }
-    const MutexLock lock(mu);
     for (std::size_t i = accepted; i < want; ++i) {
       ++report.shards_lost;
       HGP_COUNTER_ADD("shard.lost", 1);
@@ -390,11 +367,14 @@ struct ShardCoordinator::Impl {
     return opt.cancel != nullptr && opt.cancel->cancelled();
   }
 
-  /// The coordinator's main loop: lease pending trees to idle shards,
-  /// expire leases, respawn within budget, stop when the work is done, the
-  /// deadline passed, or no shard can make progress (the final in-process
+  /// The coordinator's one loop.  Each pass waits for any shard socket to
+  /// turn readable, reads one frame from each that did, then expires
+  /// leases and late handshakes, leases pending trees to idle shards and
+  /// respawns within budget.  It stops when the work is done, the deadline
+  /// passed, or no shard can make progress (the final in-process
   /// aggregation covers whatever is left).
   void supervise() {
+    const double wait_ms = std::max(5.0, std::min(50.0, copt.lease_ms / 4));
     int respawn_attempt = 0;
     for (;;) {
       if (cancelled()) {
@@ -403,135 +383,107 @@ struct ShardCoordinator::Impl {
       }
       if (deadline.expired()) return;
 
-      struct PendingSend {
-        Shard* shard;
-        net::AssignMsg msg;
-      };
-      std::vector<PendingSend> sends;
-      bool need_respawn = false;
-      {
-        const MutexLock lock(mu);
-        if (leases_done == leases.size()) return;
+      std::vector<const net::Socket*> polled;
+      for (Shard& s : shards) {
+        polled.push_back(s.polled ? &s.channel.socket() : nullptr);
+      }
+      const std::vector<bool> ready = net::poll_readable(polled, wait_ms);
+      const Clock::time_point polled_at = Clock::now();
+      for (std::size_t i = 0; i < ready.size(); ++i) {
+        if (ready[i]) receive(static_cast<int>(i));
+      }
+      if (leases_done == leases.size()) return;
 
-        // Lease scan: a busy shard silent past the lease is dead and its
-        // tree goes back in the queue under a fresh epoch.  Frames still
-        // unread in its socket are a late reader here, not its silence.
-        for (const std::unique_ptr<Shard>& sp : shards) {
-          Shard& s = *sp;
-          if (s.state != Shard::State::kBusy) continue;
-          if (ms_since(s.last_beat) <= copt.lease_ms) continue;
-          if (s.channel.socket().input_pending()) continue;
-          ++report.lease_expiries;
-          HGP_COUNTER_ADD("shard.lease_expiries", 1);
-          HGP_JOURNAL(kLeaseExpire, rid, 0, s.outstanding, 0);
-          declare_dead_locked(s);
+      // Deadline scan.  A shard still in its handshake past its budget is
+      // lost.  A busy shard whose socket polled empty, last heard from
+      // more than lease_ms before the poll, is dead and its tree goes back
+      // in the queue under a fresh epoch: what it sent by then was read
+      // above, so its silence is its own, never a late read here.
+      for (std::size_t i = 0; i < shards.size(); ++i) {
+        const Shard& s = shards[i];
+        const bool handshaking = s.state == Shard::State::kHello ||
+                                 s.state == Shard::State::kJob;
+        if (handshaking && s.handshake.expired()) {
+          declare_dead(static_cast<int>(i));
+          continue;
         }
+        if (s.state != Shard::State::kBusy || ready[i]) continue;
+        if (ms_between(s.last_heard, polled_at) <= copt.lease_ms) continue;
+        ++report.lease_expiries;
+        HGP_COUNTER_ADD("shard.lease_expiries", 1);
+        HGP_JOURNAL(kLeaseExpire, rid, 0, s.outstanding, 0);
+        declare_dead(static_cast<int>(i));
+      }
 
-        // Assignment: one outstanding tree per shard keeps reassignment
-        // loss bounded to a single tree per failure.
-        for (const std::unique_ptr<Shard>& sp : shards) {
-          Shard& s = *sp;
-          if (s.state != Shard::State::kIdle) continue;
-          const auto next =
-              std::find_if(leases.begin(), leases.end(), [](const Lease& l) {
-                return l.state == Lease::State::kPending;
-              });
-          if (next == leases.end()) break;
-          next->state = Lease::State::kLeased;
-          next->owner = s.id;
-          s.state = Shard::State::kBusy;
-          s.outstanding = static_cast<int>(next - leases.begin());
-          s.last_beat = Clock::now();  // a fresh lease starts a fresh clock
-          ++report.batches_assigned;
-          HGP_COUNTER_ADD("shard.batches_assigned", 1);
-          sends.push_back(PendingSend{&s, {next->epoch, s.outstanding}});
-        }
-
-        const bool any_alive =
-            std::any_of(shards.begin(), shards.end(),
-                        [](const std::unique_ptr<Shard>& sp) {
-                          return sp->state != Shard::State::kDead;
-                        });
-        const bool work_left = leases_done < leases.size();
-        if (!any_alive && work_left && sends.empty()) {
-          const bool can_respawn = listener.valid() &&
-                                   report.respawns < copt.respawn_limit;
-          if (!can_respawn) return;  // degrade: finish in-process
-          need_respawn = true;
-        }
-        if (!need_respawn && sends.empty()) {
-          // Nothing actionable: sleep until a heartbeat/result/death pokes
-          // the cv, capped so lease scans stay timely.
-          const double wait_ms =
-              std::max(5.0, std::min(50.0, copt.lease_ms / 4));
-          cv.wait_for_ms(mu, wait_ms);
+      // Assignment: one outstanding tree per shard keeps reassignment
+      // loss bounded to a single tree per failure.
+      for (std::size_t i = 0; i < shards.size(); ++i) {
+        Shard& s = shards[i];
+        if (s.state != Shard::State::kIdle) continue;
+        const auto next =
+            std::find_if(leases.begin(), leases.end(), [](const Lease& l) {
+              return l.state == Lease::State::kPending;
+            });
+        if (next == leases.end()) break;
+        next->state = Lease::State::kLeased;
+        next->owner = static_cast<int>(i);
+        s.state = Shard::State::kBusy;
+        s.outstanding = static_cast<int>(next - leases.begin());
+        s.last_heard = Clock::now();  // a fresh lease starts a fresh clock
+        ++report.batches_assigned;
+        HGP_COUNTER_ADD("shard.batches_assigned", 1);
+        try {
+          s.channel.send(net::kMsgAssign,
+                         net::encode_assign({next->epoch, s.outstanding}),
+                         Deadline::after_ms(10000));
+        } catch (...) {
+          declare_dead(static_cast<int>(i));
         }
       }
 
-      for (PendingSend& ps : sends) {
-        std::vector<std::byte> wire = net::encode_assign(ps.msg);
-        try {
-          const MutexLock lock(ps.shard->send_mu);
-          ps.shard->channel.send(net::kMsgAssign, wire,
-                                 Deadline::after_ms(10000));
-        } catch (...) {
-          const MutexLock lock(mu);
-          if (ps.shard->state != Shard::State::kDead) {
-            declare_dead_locked(*ps.shard);
-          }
-        }
+      if (std::any_of(shards.begin(), shards.end(), [](const Shard& s) {
+            return s.state != Shard::State::kDead;
+          })) {
+        continue;
       }
-
-      if (need_respawn) {
-        // Replacement workers reuse the retry loop's backoff-with-jitter
-        // schedule so a crash-looping binary cannot hot-spin the spawner.
-        const double sleep_ms =
-            backoff_for_retry(copt.reconnect, respawn_attempt++, jitter);
-        const Deadline until = Deadline::after_ms(sleep_ms);
-        while (!until.expired() && !cancelled() && !deadline.expired()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              static_cast<int>(std::max(1.0, std::min(20.0, until.remaining_ms())))));
-        }
-        if (cancelled() || deadline.expired()) continue;
-        {
-          const MutexLock lock(mu);
-          ++report.respawns;
-        }
-        HGP_COUNTER_ADD("shard.respawns", 1);
-        try {
-          accept_workers({spawn_worker()});
-        } catch (...) {
-          // Spawn or accept failed; budget was consumed, loop decides again.
-        }
+      if (!listener.valid() || report.respawns >= copt.respawn_limit) {
+        return;  // degrade: finish in-process
+      }
+      // Replacement workers reuse the retry loop's backoff-with-jitter
+      // schedule so a crash-looping binary cannot hot-spin the spawner.
+      // The nap blocks the loop, but no shard is alive to be served.
+      const double sleep_ms =
+          backoff_for_retry(copt.reconnect, respawn_attempt++, jitter);
+      const Deadline until = Deadline::after_ms(sleep_ms);
+      while (!until.expired() && !cancelled() && !deadline.expired()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            static_cast<int>(std::max(1.0, std::min(20.0, until.remaining_ms())))));
+      }
+      if (cancelled() || deadline.expired()) continue;
+      ++report.respawns;
+      HGP_COUNTER_ADD("shard.respawns", 1);
+      try {
+        accept_workers({spawn_worker()});
+      } catch (...) {
+        // Spawn or accept failed; budget was consumed, loop decides again.
       }
     }
   }
 
   // --------------------------------------------------------------- teardown
 
-  /// Idempotent: shuts channels down (waking every reader), joins readers,
-  /// closes the listener and reaps spawned children.  Runs on every exit
-  /// path of solve(), including throws.
+  /// Idempotent: sends every shard Shutdown and closes its socket, closes
+  /// the listener and reaps spawned children.  Runs on every exit path of
+  /// solve(), including throws.
   void cleanup() noexcept {
-    std::vector<Shard*> live;
-    {
-      const MutexLock lock(mu);
-      stopping = true;
-      for (const std::unique_ptr<Shard>& sp : shards) live.push_back(sp.get());
-    }
-    for (Shard* s : live) {
+    for (Shard& s : shards) {
       try {
-        const MutexLock lock(s->send_mu);
-        s->channel.send(net::kMsgShutdown, {}, Deadline::after_ms(500));
+        s.channel.send(net::kMsgShutdown, {}, Deadline::after_ms(500));
       } catch (...) {
-        // Best-effort courtesy; the shutdown() below is what ends things.
+        // Best-effort courtesy; the close below is what ends things.
       }
+      s.channel.close();
     }
-    for (Shard* s : live) s->channel.shutdown();
-    for (Shard* s : live) {
-      if (s->reader.joinable()) s->reader.join();
-    }
-    for (Shard* s : live) s->channel.close();
     listener.close();
     // Workers exit on Shutdown/EOF within about a millisecond: poll with a
     // doubling nap rather than a fixed sleep, and give them one shared
@@ -587,8 +539,7 @@ struct ShardCoordinator::Impl {
     Clock::time_point mark = Clock::now();
     const auto lap = [&mark] {
       const Clock::time_point now = Clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(now - mark).count();
+      const double ms = ms_between(mark, now);
       mark = now;
       return ms;
     };
@@ -611,11 +562,8 @@ struct ShardCoordinator::Impl {
     cleanup();
     report.teardown_ms = lap();
 
-    {
-      const MutexLock lock(mu);
-      report.degraded_inprocess =
-          checkpoint->size() < static_cast<std::size_t>(opt.num_trees);
-    }
+    report.degraded_inprocess =
+        checkpoint->size() < static_cast<std::size_t>(opt.num_trees);
 
     // Final aggregation IS solve_hgp, so the one forest executor: every
     // shard-delivered tree is served from the checkpoint without re-running

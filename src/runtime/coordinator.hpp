@@ -11,19 +11,24 @@
 //
 // The forest arg-min is embarrassingly shardable (trees are independent
 // until the final comparison), so the coordinator's only hard job is
-// failure handling:
+// failure handling.  It runs as one loop on the calling thread, with no
+// thread or lock of its own: each pass polls every shard socket, reads one
+// whole frame from each that is ready, and only then judges handshakes
+// and leases, assigns trees and sends the Assigns.
 //
 //   * every Assign leases exactly one tree, and the tree index is the
-//     lease id — a shard that misses heartbeats past
-//     CoordinatorOptions::lease_ms, with none of its frames left unread,
-//     is declared dead and its leased tree is reassigned to a survivor;
+//     lease id — a shard whose socket polls empty with nothing heard from
+//     it for CoordinatorOptions::lease_ms is declared dead and its leased
+//     tree is reassigned to a survivor;
 //   * every lease carries an epoch, bumped on reassignment — a zombie
 //     shard (declared dead but still running) delivers results under a
 //     stale epoch and they are fenced and discarded, so each tree is
 //     accounted exactly once;
 //   * a shard whose socket resets is dead immediately (crash detection is
-//     faster than lease expiry), and so is a spawn-local worker that exits
-//     before it connects; spawn-local shards are respawned within a
+//     faster than lease expiry), and so is one that sends a torn or
+//     malformed frame, stalls mid-frame for lease_ms, or misses its
+//     handshake_timeout_ms, and a spawn-local worker that exits before it
+//     connects; spawn-local shards are respawned within a
 //     budget, spaced by the retry loop's backoff-with-jitter policy;
 //   * when every shard is lost and the respawn budget is spent, the
 //     remaining trees are solved in-process — the PR-1 fallback-chain
@@ -103,7 +108,7 @@ struct CoordinatorReport {
   double job_ms = 0;       ///< Job encode (graph + hierarchy snapshot)
   double connect_ms = 0;   ///< worker spawn (before the encode) + accept
   double trees_ms = 0;     ///< leasing trees out until they are delivered
-  double teardown_ms = 0;  ///< Shutdown, reader joins, worker reaping
+  double teardown_ms = 0;  ///< Shutdown, socket close, worker reaping
 };
 
 /// One coordinated solve.  Construct, optionally adopt pre-connected

@@ -348,11 +348,10 @@ TEST(Coordinator, ZombieResultIsFencedExactlyOnce) {
 
 TEST(Coordinator, LaggingReaderDoesNotExpireABeatingShard) {
   // The shard beats every 5 ms, but while it holds its tree every read in
-  // this process stalls 100 ms (the net.recv fault), so the coordinator's
-  // reader processes its beats far apart and they pile up unread past the
-  // 30 ms lease.  Frames waiting in the coordinator's own socket buffer
-  // are the coordinator's lateness, not the shard's silence: the lease
-  // must hold.
+  // this process stalls 100 ms (the net.recv fault), so the coordinator
+  // reads its beats far apart and they pile up unread past the 30 ms
+  // lease.  A socket that polls ready is not silent, whatever the time
+  // since the coordinator last read from it: the lease must hold.
   const Graph g = workload(29);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(29, 1));
   std::deque<ShardThread> pool;
@@ -374,6 +373,80 @@ TEST(Coordinator, LaggingReaderDoesNotExpireABeatingShard) {
   expect_bit_identical(got, baseline);
   EXPECT_EQ(coord.report().lease_expiries, 0);
   EXPECT_EQ(coord.report().trees_from_shards, 1);
+  EXPECT_FALSE(coord.report().degraded_inprocess);
+}
+
+TEST(Coordinator, SilentHandshakeDoesNotDelayOtherShards) {
+  // Shard 0 reads its Hello and never answers.  Its handshake budget is
+  // 20 s, but the honest shard beside it must serve every tree at once.
+  const Graph g = workload(30);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(30));
+  std::deque<ShardThread> pool;
+  CoordinatorOptions copt;
+  copt.handshake_timeout_ms = 20000;
+  ShardCoordinator coord(g, hier(), base_options(30), copt);
+  auto [mine, theirs] = net::socket_pair();
+  pool.emplace_back().thread = std::thread([sock = std::move(theirs)]() mutable {
+    net::FrameChannel ch(std::move(sock));
+    try {
+      (void)ch.recv(Deadline::after_ms(20000));  // the Hello
+      (void)ch.recv(Deadline::after_ms(20000));  // held until teardown
+    } catch (...) {
+      // Teardown closing the socket ends the silence either way.
+    }
+  });
+  coord.adopt_shard(std::move(mine));
+  coord.adopt_shard(start_shard(pool));
+  const auto start = std::chrono::steady_clock::now();
+  const HgpResult got = coord.solve();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(coord.report().shards_up, 1);
+  EXPECT_EQ(coord.report().trees_from_shards, 4);
+  EXPECT_FALSE(coord.report().degraded_inprocess);
+  EXPECT_LT(elapsed_ms, 10000) << "waited on the silent handshake";
+}
+
+TEST(Coordinator, TornMidFrameShardIsDeclaredDead) {
+  // Shard 0 answers its lease with the first half of a TreeResult frame
+  // and then stalls with the socket open.  The stalled read gets lease_ms,
+  // after which the shard is dead and its tree moves to the honest shard.
+  const Graph g = workload(31);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(31));
+  LeaseGate gate;  // outlives the shard threads, which pool joins
+  std::deque<ShardThread> pool;
+  CoordinatorOptions copt;
+  copt.lease_ms = 200;
+  ShardCoordinator coord(g, hier(), base_options(31), copt);
+  coord.adopt_shard(
+      start_scripted_shard(pool, g, [&gate](net::FrameChannel& ch) {
+        auto assign_frame = ch.recv(Deadline::after_ms(20000));
+        ASSERT_TRUE(assign_frame.has_value());
+        const net::AssignMsg assign =
+            net::decode_assign(assign_frame->payload);
+        net::TreeResultMsg res;
+        res.epoch = assign.epoch;
+        res.tree_index = assign.tree_index;
+        res.status = static_cast<std::uint8_t>(StatusCode::kOk);
+        res.leaf_of.assign(static_cast<std::size_t>(20), 0);
+        const std::vector<std::byte> wire = net::encode_frame(
+            net::kMsgTreeResult, net::encode_tree_result(res));
+        ch.socket().send_all(std::span(wire).first(wire.size() / 2),
+                             Deadline::after_ms(20000));
+        gate.open();
+        (void)ch.recv(Deadline::after_ms(20000));  // held until teardown
+      }));
+  coord.adopt_shard(start_shard(pool, held_by(gate)));
+  const HgpResult got = coord.solve();
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(coord.report().shards_lost, 1);
+  EXPECT_EQ(coord.report().batches_reassigned, 1);
+  EXPECT_EQ(coord.report().zombies_fenced, 0);
+  EXPECT_EQ(coord.report().trees_from_shards, 4);
   EXPECT_FALSE(coord.report().degraded_inprocess);
 }
 

@@ -389,6 +389,29 @@ TEST(Channel, RecvDeadlineExpires) {
             StatusCode::kDeadlineExceeded);
 }
 
+TEST(Channel, RecvReadsAnArrivedFramePastItsDeadline) {
+  // The deadline bounds waiting, not the reading of bytes already there.
+  auto [a, b] = socket_pair();
+  FrameChannel left{std::move(a)}, right{std::move(b)};
+  right.send(100, bytes_of({7}), Deadline::after_ms(5000));
+  auto frame = left.recv(Deadline::after_ms(0));
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, 100);
+  EXPECT_EQ(frame->payload, bytes_of({7}));
+}
+
+TEST(Socket, PollReadableFlagsOnlyReadySockets) {
+  auto [a, b] = socket_pair();
+  auto [c, d] = socket_pair();
+  FrameChannel writer{std::move(d)};
+  const std::vector<const Socket*> set = {&a, nullptr, &c};
+  EXPECT_EQ(poll_readable(set, 0), (std::vector<bool>{false, false, false}));
+  writer.send(100, {}, Deadline::after_ms(5000));
+  EXPECT_EQ(poll_readable(set, 5000), (std::vector<bool>{false, false, true}));
+  b.close();  // EOF is readable too: the next recv reports it
+  EXPECT_EQ(poll_readable(set, 5000), (std::vector<bool>{true, false, true}));
+}
+
 TEST(Channel, CleanCloseBetweenFramesIsNullopt) {
   auto [a, b] = socket_pair();
   FrameChannel left{std::move(a)}, right{std::move(b)};

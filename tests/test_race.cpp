@@ -6,6 +6,7 @@
 // the sanitizer matrix (scripts/check_sanitizers.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -40,6 +41,7 @@
 #include "util/fault_injector.hpp"
 #include "util/memory_budget.hpp"
 #include "util/status.hpp"
+#include "util/sync.hpp"
 
 namespace hgp {
 namespace {
@@ -105,7 +107,7 @@ TEST(Race, ConcurrentTreeSolvesShareOnePool) {
   std::vector<double> costs(forest.size(), 0.0);
   parallel_for(pool, 0, forest.size(), [&](std::size_t i) {
     const TreeHgpSolution sol = solve_hgpt(forest[i].tree(), h);
-    costs[i] = sol.cost;
+    costs[i] = assignment_cost(forest[i].tree(), h, sol.assignment);
   });
   for (double c : costs) EXPECT_GE(c, 0.0);
 }
@@ -851,10 +853,12 @@ TEST(Race, IntrospectScrapeDuringServiceStorm) {
 #endif  // HGP_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
-// Sharded-coordinator bookkeeping under TSan.  The coordinator's mutable
-// state (shard states, lease epochs, lease clocks, the report) is touched by
-// one reader thread per shard, the supervision loop, and the caller — these
-// tests drive all of them at once so any missing lock shows up as a report.
+// Sharded-coordinator traffic under TSan.  The coordinator's state (shard
+// states, lease epochs, lease clocks, the report) belongs to its one loop on
+// the caller's thread, while in-process shards beat, solve and reply from
+// their own threads and a canceller fires from another — these tests drive
+// all of them at once so any state shared across threads shows up as a
+// report.
 
 struct RaceShardThread {
   std::thread thread;
@@ -874,9 +878,8 @@ net::Socket race_start_shard(std::deque<RaceShardThread>& pool,
   return std::move(mine);
 }
 
-// Many shards beating fast while trees flow: reader threads update lease
-// clocks and accept results concurrently with the supervision loop's lease
-// scan and assignment pass.
+// Many shards beating fast while trees flow: the loop reads heartbeats and
+// results from every socket between its lease scans and assignment passes.
 TEST(Race, CoordinatorConcurrentHeartbeatsAndResults) {
   const Graph g = demand_graph(31, 20);
   SolverOptions opt;
@@ -897,30 +900,58 @@ TEST(Race, CoordinatorConcurrentHeartbeatsAndResults) {
   EXPECT_EQ(coord.report().trees_from_shards, 6);
 }
 
-// Lease expiry + reassignment racing live result delivery: slow shards
-// (gated trees) with a tiny lease force the supervision loop to declare
-// deaths and bump epochs while reader threads are mid-accept.
+// Lease expiry + reassignment racing live result delivery: laggards that
+// stop beating lose their leases and deliver their results late, under
+// stale epochs, while the honest shards solve the reassigned trees.  The
+// lease is far above the beat gaps an overloaded host has shown (36-92 ms
+// between an honest shard's beats), and each laggard holds its tree until
+// an honest shard has started it, so the laggards' expiry and the honest
+// shards' survival do not depend on the scheduler.
 TEST(Race, CoordinatorReassignmentRacesResultDelivery) {
   const Graph g = demand_graph(32, 20);
   SolverOptions opt;
   opt.num_trees = 8;
   opt.seed = 32;
 
+  Mutex mu;
+  CondVar cv;
+  bool laggard_leased = false;
+  std::vector<int> honest_started;
+  const auto wait_until = [&](const std::function<bool()>& done) {
+    const Deadline bound = Deadline::after_ms(30000);
+    MutexLock lock(mu);
+    while (!done() && !bound.expired()) cv.wait_for_ms(mu, 20);
+  };
+
   std::deque<RaceShardThread> pool;
   CoordinatorOptions copt;
-  copt.lease_ms = 30;  // tight: honest-but-slow shards WILL lose leases
+  copt.lease_ms = 400;
   ShardCoordinator coord(g, hier(), opt, copt);
 
-  // Half the fleet heartbeats normally; the other half stalls each tree
-  // past the lease WITHOUT beating (heartbeat thread suppressed by a huge
-  // interval), so their trees are reassigned and their eventual results
-  // arrive as zombies.
+  // The honest shards beat every 5 ms and hold their first tree until a
+  // laggard has taken a lease, so the laggards cannot be left without one.
   ShardServerOptions honest;
   honest.heartbeat_ms = 5;
+  honest.on_tree_start = [&](int tree) {
+    wait_until([&] { return laggard_leased; });
+    const MutexLock lock(mu);
+    honest_started.push_back(tree);
+    cv.notify_all();
+  };
+  // The laggards never beat, and hold each tree until an honest shard has
+  // started it, which it does only once the laggard's lease has expired.
   ShardServerOptions laggard;
   laggard.heartbeat_ms = 60000;
-  laggard.on_tree_start = [](int) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  laggard.on_tree_start = [&](int tree) {
+    {
+      const MutexLock lock(mu);
+      laggard_leased = true;
+      cv.notify_all();
+    }
+    wait_until([&] {
+      return std::find(honest_started.begin(), honest_started.end(), tree) !=
+             honest_started.end();
+    });
   };
   for (int i = 0; i < 2; ++i) coord.adopt_shard(race_start_shard(pool, honest));
   for (int i = 0; i < 2; ++i)
@@ -931,11 +962,12 @@ TEST(Race, CoordinatorReassignmentRacesResultDelivery) {
   EXPECT_EQ(got.placement.leaf_of, want.placement.leaf_of);
   EXPECT_EQ(std::memcmp(&got.cost, &want.cost, sizeof got.cost), 0);
   EXPECT_EQ(coord.report().batches_completed, 8);
+  EXPECT_GE(coord.report().batches_reassigned, 1);
 }
 
 // Caller cancellation from another thread while shards stream results: the
-// cancel path (supervise throws -> cleanup shuts channels -> readers
-// unwind) must not race teardown of the shard table.
+// cancel path (supervise throws -> cleanup sends Shutdown and closes every
+// channel) must not race the shards' own threads.
 TEST(Race, CoordinatorCancelRacesShardTraffic) {
   const Graph g = demand_graph(33, 20);
   CancelToken cancel;
