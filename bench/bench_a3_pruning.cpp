@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "core/tree_dp.hpp"
 #include "exp/report.hpp"
@@ -30,6 +31,8 @@ int run() {
   Table table({"h", "jobs", "states (off)", "states (on)", "ms (off)",
                "ms (on)", "speedup", "same cost"});
   bool all_equal = true;
+  // One record per h for scripts/run_benches.sh (BENCH_JSON line below).
+  std::string json;
   for (const int height : {1, 2, 3}) {
     const Hierarchy h = hier_of(height);
     const Tree t = exp::make_tree_workload(60, h, 7, 0.6);
@@ -54,10 +57,19 @@ int run() {
         .add(ms_on > 0 ? ms_off / ms_on : 0.0, 1)
         .add(equal ? "yes" : "NO");
     all_equal &= equal;
+    char rec[256];
+    std::snprintf(rec, sizeof rec,
+                  "%s{\"h\": %d, \"states_off\": %zu, \"states_on\": %zu, "
+                  "\"ms_off\": %.1f, \"ms_on\": %.1f}",
+                  json.empty() ? "" : ", ", height,
+                  roff.stats.feasible_states, ron.stats.feasible_states,
+                  ms_off, ms_on);
+    json += rec;
   }
   table.print(std::cout);
   std::printf("\n");
   const bool ok = exp::check("pruned and unpruned optima identical", all_equal);
+  std::printf("BENCH_JSON: {\"per_h\": [%s]}\n", json.c_str());
   return ok ? 0 : 1;
 }
 

@@ -132,9 +132,15 @@ int run() {
 
   std::printf("\n-- (c) height sweep (n = 120, ~1.5 units per job)\n");
   Table tc({"h", "leaves(H)", "ms", "signatures", "merge ops"});
-  double prev_ms = 0;
-  double growth_factor = 0;
-  for (const int height : {1, 2, 3}) {
+  // The h = 1 and h = 2 points solve in under a millisecond, so a check
+  // between neighbouring heights can find no pair above the timing floor.
+  // The growth check compares h = 3 with h = 1 instead, each the fastest
+  // of kSweepRounds rounds as in the n sweep; the table and the record
+  // keep the first round's time, as they always have.
+  constexpr std::array<int, 3> kHeights{1, 2, 3};
+  std::array<double, kHeights.size()> height_best{};
+  for (std::size_t i = 0; i < kHeights.size(); ++i) {
+    const int height = kHeights[i];
     const Hierarchy hh = hier_of(height);
     const Tree theight = exp::make_tree_workload(120, hh, 99, 0.6);
     TreeDpOptions opt;
@@ -142,6 +148,12 @@ int run() {
     Timer timer;
     const TreeDpResult r = solve_rhgpt(theight, hh, opt);
     const double ms = timer.millis();
+    height_best[i] = ms;
+    for (int round = 1; round < kSweepRounds; ++round) {
+      Timer again;
+      (void)solve_rhgpt(theight, hh, opt);
+      height_best[i] = std::min(height_best[i], again.millis());
+    }
     tc.row()
         .add(height)
         .add(static_cast<std::int64_t>(hh.leaf_count()))
@@ -150,9 +162,9 @@ int run() {
         .add(static_cast<std::int64_t>(r.stats.merge_operations));
     csv.row().add(std::string("h")).add(static_cast<std::int64_t>(height)).add(ms);
     tally(120, ms, r.stats);
-    if (prev_ms > 0.5) growth_factor = std::max(growth_factor, ms / prev_ms);
-    prev_ms = ms;
   }
+  const double growth_factor =
+      height_best.back() > 0.5 ? height_best.back() / height_best.front() : 0;
   tc.print(std::cout);
 
   std::printf("\n-- (d) dominance pruning A/B (h = 2, largest n)\n");

@@ -98,6 +98,22 @@ class SignatureSpace {
   std::size_t merge(std::size_t a, int j1, std::size_t b, int j2,
                     int present) const;
 
+  /// Pack key of `id`'s demand tuple masked above its presence, i.e. of
+  /// the projected DP key (D^(1..p), p) with p = present(id).
+  std::size_t prefix_pack(std::size_t id) const {
+    return prefix_key(tuple_of(id), present(id));
+  }
+
+  /// merge(a, present(a), b, present(b), present) from the prefix packs of
+  /// two keys whose demands fit every level bound together; skips the
+  /// capacity check, which such a pair passes (the packing is linear).
+  std::size_t merge_packed(std::size_t pack_a, std::size_t pack_b,
+                           int present) const {
+    const std::size_t tuple = pack_to_tuple_[pack_a + pack_b];
+    HGP_ASSERT(tuple != npos);
+    return compose(tuple, present);
+  }
+
   /// Single-child variant.
   std::size_t lift(std::size_t a, int j1, int present) const;
 

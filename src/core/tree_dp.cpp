@@ -59,10 +59,270 @@ using Back = DpBack;
 /// space.lift(s, j, j) interns (D^(1..j), j) with j = space.present(key);
 /// `g` is the minimum of cost[s] + w·(PS[p] − PS[j]) over the child states
 /// sharing it, first attained (ascending id) by child signature `sig`.
+/// `pack` = space.prefix_pack(key), so the merge of a fitting pair is one
+/// table read.
 struct ProjectedKey {
   std::uint32_t key;
   std::uint32_t sig;
   double g;
+  std::size_t pack = 0;
+};
+
+/// Pareto-dominance index of one node's pruning pass, reused by every node
+/// of a sweep.  A class-p state has zero demand above level p, so walked in
+/// cost order it is dominated iff the least D¹ among the kept class-p
+/// states whose (D², …, Dᵖ) lie componentwise at or below its own is at
+/// most its D¹.  For p ≤ 3 that least D¹ lives in a dense prefix-min table
+/// over (D², D³) (rows D², columns D³; a level above p has extent 1): a
+/// query is one read, and admitting a state lowers the cells above it.
+/// Corollary 1 (D² ≥ D³) leaves the cells with D³ > D² unused.  A class
+/// with p ≥ 4 or more than kDpDenseIndexCells cells keeps the pairwise
+/// scan.  Between nodes every cell is kNone again: reset() restores only
+/// the cells the node touched.
+class DominanceIndex {
+ public:
+  explicit DominanceIndex(const SignatureSpace& space)
+      : space_(space),
+        classes_(static_cast<std::size_t>(space.height()) + 1),
+        kept_(static_cast<std::size_t>(space.height()) + 1) {
+    for (int p = 0; p <= std::min(space.height(), 3); ++p) {
+      const std::size_t rows =
+          p >= 2 ? static_cast<std::size_t>(space.level_bound(2)) + 1 : 1;
+      const std::size_t cols =
+          p >= 3 ? static_cast<std::size_t>(space.level_bound(3)) + 1 : 1;
+      if (rows * cols > kDpDenseIndexCells) continue;
+      classes_[static_cast<std::size_t>(p)] = {cells_.size(), rows, cols};
+      cells_.resize(cells_.size() + rows * cols, kNone);
+    }
+  }
+
+  /// Called in cost order: false if a kept state of s's presence class
+  /// dominates s, else keeps s and returns true.
+  bool admit(std::uint32_t s) {
+    const auto p = static_cast<std::size_t>(space_.present(s));
+    const Class& c = classes_[p];
+    if (c.offset == kScan) return admit_by_scan(kept_[p], s);
+    const DemandUnits d1 = space_.level(s, 1);
+    const auto d2 =
+        c.rows > 1 ? static_cast<std::size_t>(space_.level(s, 2)) : 0;
+    const auto d3 =
+        c.cols > 1 ? static_cast<std::size_t>(space_.level(s, 3)) : 0;
+    DemandUnits* const table = cells_.data() + c.offset;
+    if (table[d2 * c.cols + d3] <= d1) return false;
+    // Lower every cell (r, q) ≥ (d2, d3) to d1.  The table is
+    // non-increasing along each row and column, so the walk stops at the
+    // first cell already ≤ d1: the rest of its row, and (at the row's
+    // start) every later row, are ≤ d1 too.
+    for (std::size_t r = d2; r < c.rows; ++r) {
+      DemandUnits* const row = table + r * c.cols;
+      if (row[d3] <= d1) break;
+      const std::size_t last = std::min(r, c.cols - 1);
+      for (std::size_t q = d3; q <= last && row[q] > d1; ++q) {
+        if (row[q] == kNone) touched_.push_back(c.offset + r * c.cols + q);
+        row[q] = d1;
+      }
+    }
+    return true;
+  }
+
+  /// Forgets every admitted state.
+  void reset() {
+    for (const std::size_t cell : touched_) cells_[cell] = kNone;
+    touched_.clear();
+    for (std::vector<std::uint32_t>& k : kept_) k.clear();
+  }
+
+  /// Cost-ordered copy of the node's feasible list (pruning scratch).
+  std::vector<std::uint32_t>& order() { return order_; }
+
+ private:
+  static constexpr DemandUnits kNone = std::numeric_limits<DemandUnits>::max();
+  static constexpr std::size_t kScan = std::numeric_limits<std::size_t>::max();
+  struct Class {
+    std::size_t offset = kScan;
+    std::size_t rows = 1;
+    std::size_t cols = 1;
+  };
+
+  bool admit_by_scan(std::vector<std::uint32_t>& kept, std::uint32_t s) const {
+    const int height = space_.height();
+    for (const std::uint32_t k : kept) {
+      bool leq = true;
+      for (int j = 1; j <= height && leq; ++j) {
+        leq = space_.level(k, j) <= space_.level(s, j);
+      }
+      if (leq) return false;
+    }
+    kept.push_back(s);
+    return true;
+  }
+
+  const SignatureSpace& space_;
+  std::vector<Class> classes_;                    // by presence p
+  std::vector<DemandUnits> cells_;                // all dense tables
+  std::vector<std::size_t> touched_;              // cells set this node
+  std::vector<std::vector<std::uint32_t>> kept_;  // scan classes
+  std::vector<std::uint32_t> order_;
+};
+
+/// Capacity compatibility of one binary node's key pairs.  Keys k1 and k2
+/// merge iff level(k1, k) + level(k2, k) ≤ bound_k at every level k: keys
+/// are masked prefixes (0 above their presence), so this is exactly the
+/// test SignatureSpace::merge applies, and it does not depend on pv.  Keys
+/// ascend by id and so by D¹: the level-1 test keeps a prefix of keys2.
+/// Each deeper level k has cumulative bitsets over keys2's positions, one
+/// row per threshold t (bit i set iff level(keys2[i], k) ≤ t); a k1 ANDs
+/// the rows for t = bound_k − level(k1, k) and walks the set bits, so it
+/// visits its compatible k2 in ascending order and nothing else.  Rows
+/// are built only for thresholds some k1 asks for that exclude some k2,
+/// and at most kMaxRows per level, so the bitsets take about one word per
+/// key of keys2 and level; a level that needs more rows is tested pair by
+/// pair on the walked candidates instead.
+class PairIndex {
+ public:
+  /// `pv_range(j1, j2)` is the [lo, hi] pv span of a (j1, j2) key pair.
+  template <class PvRange>
+  void build(const SignatureSpace& space,
+             const std::vector<ProjectedKey>& keys1,
+             const std::vector<ProjectedKey>& keys2, PvRange&& pv_range) {
+    const int height = space.height();
+    const std::size_t n = keys2.size();
+    words_ = (n + 63) / 64;
+    d1_.resize(n);
+    presence_count_.assign(static_cast<std::size_t>(height) + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      d1_[i] = space.level(keys2[i].key, 1);
+      const int j2 = space.present(keys2[i].key);
+      ++presence_count_[static_cast<std::size_t>(j2)];
+    }
+    steps_.assign(static_cast<std::size_t>(height) + 1, 0);
+    for (int j1 = 0; j1 <= height; ++j1) {
+      for (int j2 = 0; j2 <= height; ++j2) {
+        const auto [lo, hi] = pv_range(j1, j2);
+        if (hi >= lo) {
+          steps_[static_cast<std::size_t>(j1)] +=
+              presence_count_[static_cast<std::size_t>(j2)] *
+              static_cast<std::size_t>(hi - lo + 1);
+        }
+      }
+    }
+    levels_.assign(static_cast<std::size_t>(height) + 1, Level{});
+    bits_.clear();
+    for (int k = 2; k <= height; ++k) {
+      DemandUnits max1 = 0;
+      DemandUnits max2 = 0;
+      for (const ProjectedKey& k1 : keys1) {
+        max1 = std::max(max1, space.level(k1.key, k));
+      }
+      for (const ProjectedKey& k2 : keys2) {
+        max2 = std::max(max2, space.level(k2.key, k));
+      }
+      // Thresholds t ≥ max2 pass every k2; below lo no k1 asks.
+      Level& level = levels_[static_cast<std::size_t>(k)];
+      level.lo = std::max<DemandUnits>(0, space.level_bound(k) - max1);
+      if (level.lo >= max2) continue;
+      level.hi = max2;
+      const auto rows = static_cast<std::size_t>(level.hi - level.lo);
+      if (rows > kMaxRows) {
+        level.offset = kPerPair;
+        continue;
+      }
+      level.offset = bits_.size();
+      bits_.resize(level.offset + rows * words_, 0);
+      std::uint64_t* const base = bits_.data() + level.offset;
+      for (std::size_t i = 0; i < n; ++i) {
+        const DemandUnits b = space.level(keys2[i].key, k);
+        if (b >= level.hi) continue;
+        const auto row = static_cast<std::size_t>(std::max(b, level.lo) -
+                                                  level.lo);
+        base[row * words_ + i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+      for (std::size_t row = 1; row < rows; ++row) {
+        for (std::size_t w = 0; w < words_; ++w) {
+          base[row * words_ + w] |= base[(row - 1) * words_ + w];
+        }
+      }
+    }
+  }
+
+  /// pv steps of a presence-j1 k1 against every k2, compatible or not.
+  std::size_t steps(int j1) const {
+    return steps_[static_cast<std::size_t>(j1)];
+  }
+
+  /// Calls visit(i) for every position i of a k2 of `keys2` (the list
+  /// passed to build) compatible with `key1`, ascending.
+  template <class Visit>
+  void for_each_compatible(const SignatureSpace& space,
+                           const std::vector<ProjectedKey>& keys2,
+                           std::size_t key1, Visit&& visit) {
+    const DemandUnits room1 = space.level_bound(1) - space.level(key1, 1);
+    const auto limit = static_cast<std::size_t>(
+        std::upper_bound(d1_.begin(), d1_.end(), room1) - d1_.begin());
+    rows_.clear();
+    checks_.clear();
+    for (int k = 2; k <= space.present(key1); ++k) {
+      const Level& level = levels_[static_cast<std::size_t>(k)];
+      const DemandUnits t = space.level_bound(k) - space.level(key1, k);
+      if (t >= level.hi) continue;
+      if (level.offset == kPerPair) {
+        checks_.emplace_back(k, t);
+      } else {
+        rows_.push_back(bits_.data() + level.offset +
+                        static_cast<std::size_t>(t - level.lo) * words_);
+      }
+    }
+    if (checks_.empty()) {
+      walk(limit, visit);
+      return;
+    }
+    walk(limit, [&](std::size_t i) {
+      for (const auto& [k, t] : checks_) {
+        if (space.level(keys2[i].key, k) > t) return;
+      }
+      visit(i);
+    });
+  }
+
+ private:
+  /// Calls visit(i) for every i < limit whose bit is set in all of rows_.
+  template <class Visit>
+  void walk(std::size_t limit, Visit&& visit) const {
+    if (rows_.empty()) {
+      for (std::size_t i = 0; i < limit; ++i) visit(i);
+      return;
+    }
+    for (std::size_t w = 0; w * 64 < limit; ++w) {
+      std::uint64_t word = rows_[0][w];
+      for (std::size_t r = 1; r < rows_.size(); ++r) word &= rows_[r][w];
+      if (limit - w * 64 < 64) {
+        word &= (std::uint64_t{1} << (limit - w * 64)) - 1;
+      }
+      while (word != 0) {
+        visit(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+        word &= word - 1;
+      }
+    }
+  }
+
+  static constexpr std::size_t kMaxRows = 64;
+  static constexpr std::size_t kPerPair =
+      std::numeric_limits<std::size_t>::max();
+  /// Rows for thresholds t in [lo, hi); t ≥ hi passes every k2.  Offset
+  /// kPerPair: the level has no rows and is tested pair by pair.
+  struct Level {
+    DemandUnits lo = 0;
+    DemandUnits hi = 0;
+    std::size_t offset = 0;
+  };
+  std::size_t words_ = 0;
+  std::vector<DemandUnits> d1_;              // D¹ of keys2, ascending
+  std::vector<std::size_t> presence_count_;  // keys2 per presence
+  std::vector<std::size_t> steps_;           // by j1
+  std::vector<Level> levels_;                // by level k (2..h)
+  std::vector<std::uint64_t> bits_;
+  std::vector<const std::uint64_t*> rows_;
+  std::vector<std::pair<int, DemandUnits>> checks_;  // (level, threshold)
 };
 
 /// Recycled dense DP scratch.  Every node needs a |Sig|-sized cost array
@@ -73,7 +333,8 @@ struct ProjectedKey {
 /// allocations total instead of O(nodes).
 class DenseTablePool {
  public:
-  explicit DenseTablePool(std::size_t size) : size_(size) {}
+  explicit DenseTablePool(const SignatureSpace& space)
+      : size_(space.size()), dominance_(space) {}
 
   /// Cost spans are handed out all-∞.  A fresh span is filled once; a
   /// released span comes back already clean, because its table resets
@@ -133,6 +394,9 @@ class DenseTablePool {
   }
   /// Reused per-child key lists of the node being built.
   std::vector<ProjectedKey>& keys(std::size_t child) { return keys_[child]; }
+  /// Reused pruning and pairing scratch of the node being built.
+  DominanceIndex& dominance() { return dominance_; }
+  PairIndex& pairs() { return pairs_; }
 
   std::size_t bytes_reserved() const { return arena_.bytes_reserved(); }
 
@@ -143,6 +407,8 @@ class DenseTablePool {
   std::vector<std::span<Back>> free_back_;
   Projection projection_;
   std::vector<ProjectedKey> keys_[2];
+  DominanceIndex dominance_;
+  PairIndex pairs_;
 };
 
 /// Per-node DP table.  `cost` is scratch read by the parent's merge and
@@ -163,44 +429,26 @@ struct NodeTable {
   /// passes the same capacity checks (smaller demands), and produces a
   /// dominating parent entry — so dropping dominated states preserves the
   /// optimum.  This is what keeps deep hierarchies tractable in practice.
-  /// Returns the number of entries dropped.
-  std::size_t prune_dominated(const SignatureSpace& space) {
-    const int height = space.height();
-    std::vector<std::uint32_t> order = feasible;
+  /// States are walked by (cost, id), and each is checked against the
+  /// cheaper survivors of its presence class (DominanceIndex).  Returns the
+  /// number of entries dropped.
+  std::size_t prune_dominated(DominanceIndex& index) {
+    std::vector<std::uint32_t>& order = index.order();
+    order.assign(feasible.begin(), feasible.end());
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 return cost[a] != cost[b] ? cost[a] < cost[b] : a < b;
               });
-    // kept[p] = surviving entries of presence class p, in cost order; a
-    // candidate is dominated iff some earlier (cheaper) kept entry has
-    // componentwise-smaller demand.
-    std::vector<std::vector<std::uint32_t>> kept(
-        static_cast<std::size_t>(height) + 1);
-    std::vector<std::uint32_t> survivors;
-    survivors.reserve(order.size());
+    feasible.clear();
     for (const std::uint32_t s : order) {
-      const auto p = static_cast<std::size_t>(space.present(s));
-      bool dominated = false;
-      for (const std::uint32_t k : kept[p]) {
-        bool leq = true;
-        for (int j = 1; j <= height && leq; ++j) {
-          leq = space.level(k, j) <= space.level(s, j);
-        }
-        if (leq) {
-          dominated = true;
-          break;
-        }
-      }
-      if (dominated) {
-        cost[s] = kInf;
+      if (index.admit(s)) {
+        feasible.push_back(s);
       } else {
-        kept[p].push_back(s);
-        survivors.push_back(s);
+        cost[s] = kInf;
       }
     }
-    const std::size_t pruned = feasible.size() - survivors.size();
-    feasible = std::move(survivors);
-    return pruned;
+    index.reset();
+    return order.size() - feasible.size();
   }
 
   void compact(DenseTablePool& pool) {
@@ -521,6 +769,7 @@ struct DpEngine {
     for (ProjectedKey& k : out) {
       k.sig = arg[k.key];
       k.g = best[k.key];
+      k.pack = space.prefix_pack(k.key);
       best[k.key] = kInf;
     }
   }
@@ -580,29 +829,37 @@ struct DpEngine {
       project(t2, inf2, w2, pool, keys2);
       t1.release_cost(pool);
       t2.release_cost(pool);
+      // Parent presence: at least the kept prefixes, optionally extended
+      // by phantom regions entering from above; dummy edges pin it to the
+      // child's presence.
+      auto pv_range = [&](int j1, int j2) {
+        int lo = std::max(j1, j2);
+        int hi = height;
+        if (inf1) lo = hi = j1;
+        if (inf2) {
+          lo = std::max(lo, j2);
+          hi = std::min(hi, j2);
+        }
+        return std::pair{lo, hi};
+      };
+      // Every key pair counts its pv steps in merge_operations; the steps
+      // of capacity-incompatible pairs are never visited and count as
+      // rejected.
+      PairIndex& pairs = pool.pairs();
+      pairs.build(space, keys1, keys2, pv_range);
       for (const ProjectedKey& k1 : keys1) {
         const int j1 = space.present(k1.key);
-        for (const ProjectedKey& k2 : keys2) {
+        std::size_t visited = 0;
+        pairs.for_each_compatible(space, keys2, k1.key, [&](std::size_t i) {
+          const ProjectedKey& k2 = keys2[i];
           const int j2 = space.present(k2.key);
           const double g12 = k1.g + k2.g;
-          // Parent presence: at least the kept prefixes, optionally
-          // extended by phantom regions entering from above; dummy edges
-          // pin it to the child's presence.
-          int pv_lo = std::max(j1, j2);
-          int pv_hi = height;
-          if (inf1) pv_lo = pv_hi = j1;
-          if (inf2) {
-            pv_lo = std::max(pv_lo, j2);
-            pv_hi = std::min(pv_hi, j2);
-          }
+          const auto [pv_lo, pv_hi] = pv_range(j1, j2);
           for (int pv = pv_lo; pv <= pv_hi; ++pv) {
-            const std::size_t up = space.merge(k1.key, j1, k2.key, j2, pv);
-            ++stats.merge_operations;
+            const std::size_t up = space.merge_packed(k1.pack, k2.pack, pv);
+            HGP_ASSERT(up == space.merge(k1.key, j1, k2.key, j2, pv));
+            ++visited;
             guard.tick();
-            if (up == SignatureSpace::npos) {
-              ++stats.merges_rejected;
-              continue;
-            }
             const double ps_v = ps[static_cast<std::size_t>(pv)];
             relax(table, up,
                   g12 + w1 * (ps_v - ps[static_cast<std::size_t>(j1)]) +
@@ -610,11 +867,13 @@ struct DpEngine {
                   Back{k1.sig, k2.sig, narrow<std::int8_t>(j1),
                        narrow<std::int8_t>(j2)});
           }
-        }
+        });
+        stats.merge_operations += pairs.steps(j1);
+        stats.merges_rejected += pairs.steps(j1) - visited;
       }
     }
     if (prune) {
-      stats.states_pruned += table.prune_dominated(space);
+      stats.states_pruned += table.prune_dominated(pool.dominance());
     }
     table.compact(pool);
     stats.feasible_states += table.feasible.size();
@@ -672,7 +931,7 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
                         prune,  tables,
                         reuse_plan.has_value() ? &*reuse_plan : nullptr,
                         opt.reuse_out != nullptr ? &capture_slots : nullptr};
-  DenseTablePool pool(space.size());
+  DenseTablePool pool(space);
   for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend(); ++it) {
     engine.process(*it, pool, result.stats, guard);
   }

@@ -25,6 +25,14 @@
 //    keeping the minimum g per key; the merge then pairs keys, not states,
 //    so a node costs O(|keys1| · |keys2| · h) instead of
 //    O(|feasible1| · |feasible2| · h³), with the same feasible tables;
+//  * compatible pairs only: a key pair is merged iff its demands fit every
+//    level bound, which does not depend on pv, so the binary merge walks
+//    for each k1 only the k2 that fit (a D¹ prefix of keys2, AND-ed with
+//    per-level threshold bitsets; a level needing more than 64 thresholds
+//    is tested pair by pair) and counts the skipped pairs' pv steps
+//    arithmetically into merge_operations / merges_rejected;
+//  * pruning keeps the least D¹ per presence class in a dense prefix-min
+//    table over (D², D³), so a dominance query is one read;
 //  * tie rule: within a key the smallest child signature attaining the
 //    minimum g wins (states walked in ascending id, strict <); keys are
 //    paired in ascending id order (pv ascending innermost) and a parent
@@ -34,6 +42,7 @@
 //    sharded solve traces back the same solution.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -102,6 +111,12 @@ struct DpReuseStore {
 std::vector<std::uint64_t> dp_subtree_hashes(const Tree& bt,
                                              const ScaledDemands& sd);
 
+/// Largest dense dominance index (see docs/PERFORMANCE.md §2) that pruning
+/// keeps for one presence class p ≤ 3: the cells of its prefix-min table
+/// over (D², D³), a level above p contributing one.  A larger class, or one
+/// with p ≥ 4, is pruned by the pairwise scan.
+inline constexpr std::size_t kDpDenseIndexCells = 4096;
+
 struct TreeDpOptions {
   /// Demand rounding accuracy; U = ⌈n/ε⌉ units per leaf capacity.
   double epsilon = 0.25;
@@ -135,7 +150,9 @@ struct TreeDpStats {
   std::size_t signature_count = 0;   ///< |Sig| for this instance
   std::size_t feasible_states = 0;   ///< Σ_v |feasible signatures at v|
   std::size_t merge_operations = 0;  ///< projected (key pair, pv) steps
-  std::size_t merges_rejected = 0;   ///< of those, merges outside the space
+  /// Of those, steps whose key pair overflows a level bound; counted, not
+  /// executed (the merge visits only capacity-compatible pairs).
+  std::size_t merges_rejected = 0;
   std::size_t states_pruned = 0;     ///< dominance-pruned DP entries
   std::size_t arena_bytes = 0;       ///< workspace arena high-water, bytes
   std::size_t nodes_built = 0;       ///< node tables computed by merging

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/obs.hpp"
+
 namespace hgp {
 
 namespace {
@@ -53,6 +55,9 @@ std::vector<double> fiedler_vector(const Graph& g, Rng& rng,
   for (const Edge& e : edges) ++first[static_cast<std::size_t>(e.u) + 1];
   for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
   for (std::size_t v = 0; v < n; ++v) y[v] = (c - wdeg[v]) * x[v];
+  // A call that never meets the tolerance (nor a zero step) runs to the
+  // iteration cap: decomp.fiedler_capped counts those calls.
+  bool capped = true;
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     // y = (cI - L) x = (c - wdeg(v)) x_v + Σ_u w(u,v) x_u.
     double sum = 0;
@@ -74,7 +79,10 @@ std::vector<double> fiedler_vector(const Graph& g, Rng& rng,
       norm += v * v;
     }
     norm = std::sqrt(norm);
-    if (norm < 1e-14) break;
+    if (norm < 1e-14) {
+      capped = false;
+      break;
+    }
     double diff = 0;
     for (std::size_t v = 0; v < n; ++v) {
       const double next = y[v] / norm;
@@ -83,8 +91,13 @@ std::vector<double> fiedler_vector(const Graph& g, Rng& rng,
       x[v] = (c - wdeg[v]) * next;
     }
     x.swap(y);
-    if (diff < opt.tolerance) break;
+    if (diff < opt.tolerance) {
+      capped = false;
+      break;
+    }
   }
+  HGP_COUNTER_ADD("decomp.fiedler_calls", 1);
+  HGP_COUNTER_ADD("decomp.fiedler_capped", capped ? 1 : 0);
   return x;
 }
 

@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "core/binarize.hpp"
@@ -195,6 +197,224 @@ TEST(DpDifferential, ProjectedMergeMatchesPairLoopReference) {
       ASSERT_EQ(fed.stats.nodes_reused, 0u);
       ASSERT_EQ(fed.stats.feasible_states, got.stats.feasible_states);
     }
+  }
+}
+
+/// A fixed instance with a name, for the node-by-node index checks and the
+/// pinned work counters.
+struct NamedInstance {
+  const char* name;
+  Instance inst;
+};
+
+/// A random n-vertex tree whose leaves all have demand `demand`, on
+/// Hierarchy::uniform(height, 2, …).  Equal demands make the signature
+/// bounds predictable; equal edge weights make equal-cost ties common, and
+/// zero weights make every candidate a tie.
+Instance uniform_instance(int height, Vertex n, gen::WeightRange weights,
+                          DemandUnits units, std::uint64_t seed,
+                          double demand) {
+  Rng rng(seed);
+  Tree t = Tree::from_graph(gen::random_tree(n, rng, weights), 0);
+  std::vector<double> cm(static_cast<std::size_t>(height) + 1, 0.0);
+  for (int j = 0; j < height; ++j) {
+    cm[static_cast<std::size_t>(j)] = 2.0 * (height - j);
+  }
+  t.set_leaf_demands(std::vector<double>(
+      static_cast<std::size_t>(t.leaf_count()), demand));
+  return Instance{std::move(t), Hierarchy::uniform(height, 2, std::move(cm)),
+                  units};
+}
+
+/// Instances whose every presence class p ≤ 3 prunes on the dense
+/// dominance index (h = 1, 2, 3), two that push classes onto the pairwise
+/// scan (an h = 3 space whose (D², D³) table exceeds kDpDenseIndexCells,
+/// and an h = 4 space, whose class 4 always scans), two with zero edge
+/// weights, where every candidate of a parent entry ties, and two whose
+/// level-2 bounds are wide enough (120 and 2 × 60 units) that the merge
+/// tests level 2 pair by pair instead of by threshold bitsets.
+std::vector<NamedInstance> index_instances() {
+  std::vector<NamedInstance> out;
+  for (const std::uint64_t seed : {33u, 48u, 70u, 10u, 32u}) {
+    out.push_back({"random seed", make_instance(seed)});
+  }
+  const gen::WeightRange unit{1.0, 1.0};
+  const gen::WeightRange light{1.0, 4.0};
+  const gen::WeightRange heavy{1.0, 9.0};
+  const gen::WeightRange zero{0.0, 0.0};
+  out.push_back({"h2 tight", uniform_instance(2, 30, unit, 3, 21, 0.5)});
+  out.push_back({"h3 tight", uniform_instance(3, 30, unit, 4, 21, 0.5)});
+  out.push_back({"h3 tighter", uniform_instance(3, 30, light, 3, 21, 0.75)});
+  out.push_back({"h3 unit weights", uniform_instance(3, 40, unit, 3, 21, 0.5)});
+  out.push_back({"h3 table over limit",
+                 uniform_instance(3, 18, heavy, 70, 13, 1.0 / 6.0)});
+  out.push_back({"h4 scan", uniform_instance(4, 30, unit, 4, 21, 0.75)});
+  out.push_back({"h2 zero weights", uniform_instance(2, 26, zero, 4, 22, 0.3)});
+  out.push_back({"h3 zero weights", uniform_instance(3, 30, zero, 4, 23, 0.5)});
+  out.push_back(
+      {"h2 per-pair level", uniform_instance(2, 40, light, 120, 7, 0.25)});
+  out.push_back({"h3 per-pair level",
+                 uniform_instance(3, 30, light, 60, 7, 1.0 / 3.0)});
+  return out;
+}
+
+/// Cells of presence class p's dense index: (D², D³) extents, each level
+/// above p contributing one cell.
+std::size_t index_cells(const SignatureSpace& space, int p) {
+  std::size_t cells = 1;
+  for (int j = 2; j <= std::min(p, 3); ++j) {
+    cells *= static_cast<std::size_t>(space.level_bound(j)) + 1;
+  }
+  return cells;
+}
+
+TEST(DpDifferential, DominanceIndexMatchesQuadraticPrune) {
+  // Pruning keeps, per presence class, the least D¹ over kept states in a
+  // prefix-min table over (D², D³) and falls back to the pairwise scan for
+  // classes above 3 or past kDpDenseIndexCells.  Either way every node
+  // must keep exactly the survivors of the reference's quadratic prune,
+  // and drop as many states in total.
+  bool saw_dense[4] = {false, false, false, false};
+  bool saw_size_fallback = false;
+  bool saw_deep_fallback = false;
+  for (const NamedInstance& ni : index_instances()) {
+    const Instance& inst = ni.inst;
+    SCOPED_TRACE(::testing::Message()
+                 << ni.name << " leaves=" << inst.tree.leaf_count()
+                 << " h=" << inst.hierarchy.height()
+                 << " units=" << inst.units);
+    const BinarizedTree bin = binarize(inst.tree);
+    DpReuseStore tables;
+    TreeDpOptions opt;
+    opt.units_override = inst.units;
+    opt.reuse_out = &tables;
+    const TreeDpResult got = solve_rhgpt(inst.tree, inst.hierarchy, opt);
+    const ScaledDemands sd = scale_demands(bin.tree, inst.hierarchy,
+                                           opt.epsilon, opt.units_override);
+    const testref::RefDpResult ref = testref::reference_pair_loop_dp(
+        bin.tree, inst.hierarchy, sd, /*prune=*/true);
+
+    const SignatureSpace space(sd, inst.hierarchy.height());
+    for (int p = 1; p <= inst.hierarchy.height(); ++p) {
+      if (p > 3) {
+        saw_deep_fallback = true;
+      } else if (index_cells(space, p) > kDpDenseIndexCells) {
+        saw_size_fallback = true;
+      } else {
+        saw_dense[p] = true;
+      }
+    }
+
+    const std::vector<std::uint64_t> hash = dp_subtree_hashes(bin.tree, sd);
+    for (Vertex v = 0; v < bin.tree.node_count(); ++v) {
+      const auto it = tables.entries.find(hash[static_cast<std::size_t>(v)]);
+      ASSERT_NE(it, tables.entries.end()) << "node " << v;
+      ASSERT_EQ(it->second.feasible,
+                ref.nodes[static_cast<std::size_t>(v)].feasible)
+          << "node " << v;
+    }
+    ASSERT_EQ(got.stats.states_pruned, ref.states_pruned);
+    ASSERT_EQ(got.stats.feasible_states, ref.feasible_states);
+    ASSERT_GT(got.stats.states_pruned, 0u);
+  }
+  EXPECT_TRUE(saw_dense[1] && saw_dense[2] && saw_dense[3]);
+  EXPECT_TRUE(saw_size_fallback);
+  EXPECT_TRUE(saw_deep_fallback);
+}
+
+/// FNV-1a over the traced-back level collections, so a change in which
+/// equal-cost back-pointer wins shows up as a different value.
+std::uint64_t solution_fingerprint(const RhgptSolution& sol) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  for (const auto& level : sol.sets) {
+    mix(level.size());
+    for (const auto& set : level) {
+      mix(set.size());
+      for (const Vertex v : set) mix(static_cast<std::uint64_t>(v));
+    }
+  }
+  return h;
+}
+
+/// FNV-1a over every binarized node's captured table: its feasible ids,
+/// their cost bits and their back-pointers.  Within one k1, equal-cost
+/// candidates from keys2 that differ only in presence lead to the same
+/// level collections, so only the back-pointers show the pairing order.
+std::uint64_t table_fingerprint(const Instance& inst) {
+  DpReuseStore tables;
+  TreeDpOptions opt;
+  opt.units_override = inst.units;
+  opt.reuse_out = &tables;
+  (void)solve_rhgpt(inst.tree, inst.hierarchy, opt);
+  const BinarizedTree bin = binarize(inst.tree);
+  const ScaledDemands sd = scale_demands(bin.tree, inst.hierarchy,
+                                         opt.epsilon, opt.units_override);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  for (const std::uint64_t key : dp_subtree_hashes(bin.tree, sd)) {
+    const DpSubtreeEntry& e = tables.entries.at(key);
+    for (std::size_t i = 0; i < e.feasible.size(); ++i) {
+      mix(e.feasible[i]);
+      mix(std::bit_cast<std::uint64_t>(e.cost[i]));
+      mix(e.back[i].sig1);
+      mix(e.back[i].sig2);
+      mix(static_cast<std::uint64_t>(e.back[i].j1 + 1));
+      mix(static_cast<std::uint64_t>(e.back[i].j2 + 1));
+    }
+  }
+  return h;
+}
+
+TEST(DpDifferential, MergeCountersArePinned) {
+  // The binary merge visits only capacity-compatible key pairs and counts
+  // the pv steps of the skipped ones arithmetically.  merge_operations and
+  // merges_rejected must still equal the values of the kernel that
+  // visited every pair, recorded here from it, and the pairs it does visit
+  // must run in the same order: which equal-cost back-pointer wins is
+  // pinned through every node's table and the traced-back solution.
+  struct Pinned {
+    std::uint64_t merge_operations;
+    std::uint64_t merges_rejected;
+    std::uint64_t solution;
+    std::uint64_t tables;
+  };
+  const std::vector<NamedInstance> instances = index_instances();
+  // Recorded from the all-pairs kernel, in index_instances() order:
+  // merge_operations, merges_rejected, solution, tables.
+  const Pinned want[] = {
+      {288, 2, 0x1879c9158f6755d5ull, 0xb3dbe360c81be7e8ull},
+      {220, 11, 0xff7b3f4a7f695e36ull, 0x6a9ab3458385ab23ull},
+      {918, 78, 0x08078ef6fde5f23eull, 0x3be65ab286a3da79ull},
+      {1008, 22, 0x8ada5e2d7ce6d6b7ull, 0xe588b9b1788cf307ull},
+      {2315, 235, 0x14a9488d0d3fee87ull, 0xb80c9b503364500bull},
+      {553, 20, 0x3dc5d3f97fa2dfbfull, 0xb88aa6dae22d17e5ull},
+      {1723, 120, 0x42801eb6e1374adcull, 0x53e9fa60b3cae8ceull},
+      {3459, 900, 0x04d890cda1fd9803ull, 0x88d91c963ccf1da0ull},
+      {3475, 183, 0xf00da5377efea479ull, 0xb8e4743a6f47dbd9ull},
+      {1248, 0, 0x275efa2665ddace5ull, 0xeb5d341ad6fc0efdull},
+      {4446, 393, 0xbae16c62c382fd21ull, 0xb164d6942cee9d8full},
+      {160, 0, 0x941f66e5f7270599ull, 0xf49f55b1c8fb4b13ull},
+      {370, 0, 0xfa61ef5e57c23305ull, 0xc42d74c80bca3870ull},
+      {1185, 95, 0x56b815180a889b4bull, 0x770e0f53d911c645ull},
+      {3609, 222, 0x88956b782d81fd62ull, 0x1e88aeb0621012feull},
+  };
+  ASSERT_EQ(std::size(want), instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Instance& inst = instances[i].inst;
+    SCOPED_TRACE(::testing::Message() << "instance " << i << " ("
+                                      << instances[i].name << ")");
+    const TreeDpResult got = run_dp(inst, /*prune=*/true);
+    EXPECT_EQ(got.stats.merge_operations, want[i].merge_operations);
+    EXPECT_EQ(got.stats.merges_rejected, want[i].merges_rejected);
+    EXPECT_EQ(solution_fingerprint(got.solution), want[i].solution);
+    EXPECT_EQ(table_fingerprint(inst), want[i].tables);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "fm_reference.hpp"
 #include "graph/generators.hpp"
 #include "graph/spectral.hpp"
+#include "obs/obs.hpp"
 
 namespace hgp {
 namespace {
@@ -52,6 +53,26 @@ TEST(Fiedler, PathGraphIsMonotone) {
   }
   for (std::size_t i = 0; i + 1 < f.size(); ++i) {
     EXPECT_LE(f[i], f[i + 1] + 1e-5);
+  }
+}
+
+TEST(Fiedler, CountsCallsAndCallsStoppedAtTheCap) {
+  // decomp.fiedler_calls counts every call; decomp.fiedler_capped the
+  // ones that ran all max_iterations without meeting the tolerance.
+  const auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t calls0 = reg.counter_value("decomp.fiedler_calls");
+  const std::uint64_t capped0 = reg.counter_value("decomp.fiedler_capped");
+  const Graph g = gen::grid2d(4, 4);
+  Rng rng(5);
+  // A tolerance no step can miss stops after one iteration.
+  const auto converged = fiedler_vector(g, rng, {300, 1e9});
+  // A zero tolerance is never met, so all 5 iterations run.
+  const auto capped = fiedler_vector(g, rng, {5, 0.0});
+  EXPECT_EQ(converged.size(), 16u);
+  EXPECT_EQ(capped.size(), 16u);
+  if (HGP_OBS_ENABLED) {
+    EXPECT_EQ(reg.counter_value("decomp.fiedler_calls"), calls0 + 2);
+    EXPECT_EQ(reg.counter_value("decomp.fiedler_capped"), capped0 + 1);
   }
 }
 
