@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <iostream>
+#include <string>
 
 #include "runtime/solver.hpp"
 #include "decomp/builder.hpp"
@@ -45,6 +46,7 @@ int run() {
   bool ablation_ok = true;
   Table table({"family", "tree family", "mean stretch", "max stretch",
                "min stretch", "final cost"});
+  std::string rows;  // BENCH_JSON records, one per table row
   for (const auto family :
        {exp::Family::PlantedPartition, exp::Family::StreamDag,
         exp::Family::Grid, exp::Family::Random}) {
@@ -77,6 +79,15 @@ int run() {
         }
         final_cost = placement_cost(g, h, p);
       }
+      char record[256];
+      std::snprintf(record, sizeof record,
+                    "%s{\"family\": \"%s\", \"tree\": \"%s\", "
+                    "\"mean_stretch\": %.4f, \"max_stretch\": %.4f, "
+                    "\"min_stretch\": %.4f, \"final_cost\": %.3f}",
+                    rows.empty() ? "" : ", ", exp::family_name(family),
+                    bx.name.c_str(), q.mean_ratio, q.max_ratio, q.min_ratio,
+                    final_cost);
+      rows += record;
       table.row()
           .add(exp::family_name(family))
           .add(bx.name)
@@ -97,6 +108,9 @@ int run() {
   bool ok = exp::check("Proposition 1: stretch >= 1 on every sample", prop1_ok);
   ok &= exp::check("spectral+fm trees never lose to random trees (within 15%)",
                    ablation_ok);
+  // For scripts/run_benches.sh.
+  std::printf("BENCH_JSON: {\"machine\": %s, \"rows\": [%s]}\n",
+              exp::machine_fingerprint_json().c_str(), rows.c_str());
   return ok ? 0 : 1;
 }
 

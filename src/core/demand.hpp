@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "graph/tree.hpp"
@@ -43,5 +45,26 @@ struct ScaledDemands {
 /// > 0, then rounds every leaf demand of `t`.
 ScaledDemands scale_demands(const Tree& t, const Hierarchy& h, double epsilon,
                             DemandUnits units_override = 0);
+
+/// The U and the rounded total D = Σ max(1, ⌊d·U⌋) that scale_demands
+/// picks for these leaf demands, and the root capacity CP(0) · U.  It reads
+/// only the demands (in any order: their sum is taken in sorted order), so
+/// solve_hgp checks D against the capacity before it builds any tree.
+/// Demands must lie in (0, 1].
+struct RoundedTotal {
+  DemandUnits units_per_capacity = 0;
+  DemandUnits total = 0;
+  DemandUnits capacity = 0;
+};
+RoundedTotal round_demands(std::span<const double> demands, const Hierarchy& h,
+                           double epsilon, DemandUnits units_override = 0);
+
+/// Why no placement of the rounded demands fits the hierarchy (the
+/// rounded total exceeds the root capacity); empty when it fits.
+std::string rounded_total_overflow(const RoundedTotal& rounded);
+
+/// Throws SolveError(kInfeasible, rounded_total_overflow(rounded)) unless
+/// that is empty.
+void require_rounded_total_fits(const RoundedTotal& rounded);
 
 }  // namespace hgp

@@ -896,13 +896,8 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
   const Tree& bt = bin.tree;
   const ScaledDemands sd =
       scale_demands(bt, h, opt.epsilon, opt.units_override);
-  if (sd.total > sd.capacity_at(0)) {
-    std::ostringstream os;
-    os << "instance infeasible: total rounded demand " << sd.total
-       << " units exceeds hierarchy capacity " << sd.capacity_at(0)
-       << " units";
-    throw SolveError(StatusCode::kInfeasible, os.str());
-  }
+  require_rounded_total_fits({sd.units_per_capacity, sd.total,
+                              sd.capacity_at(0)});
 
   // 2. Signature space and the Δ/2 prefix sums.
   const SignatureSpace space(sd, height);

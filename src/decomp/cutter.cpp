@@ -6,6 +6,7 @@
 
 #include "graph/mincut.hpp"
 #include "graph/spectral.hpp"
+#include "obs/obs.hpp"
 
 namespace hgp {
 
@@ -81,6 +82,8 @@ Weight fm_refine_kernel(const Graph& g, std::vector<char>& side, int passes,
   std::vector<Vertex> moves;
   moves.reserve(n);
   Weight cut = g.cut_weight(side);
+  // Far above the running cut's rounding error, far below any weight.
+  const Weight floor_margin = 1e-9 * g.total_edge_weight();
   for (int pass = 0; pass < passes; ++pass) {
     locked.assign(n, 0);
     moves.clear();
@@ -93,6 +96,11 @@ Weight fm_refine_kernel(const Graph& g, std::vector<char>& side, int passes,
     std::size_t best_moves = 0;
     Weight running = cut;
     double running_load1 = load1;
+    // Cut weight between locked vertices: they never move again this pass,
+    // so every later prefix cuts at least this much.  Once it exceeds
+    // best_cut by the margin no later prefix can win, and the moves the
+    // pass would still make are all rolled back: end it there.
+    Weight locked_cut = 0;
     for (;;) {
       // Pop to the first current entry whose move is admissible; the
       // inadmissible ones go back afterwards.
@@ -131,9 +139,19 @@ Weight fm_refine_kernel(const Graph& g, std::vector<char>& side, int passes,
       // Only the moved vertex's neighbours see a side change, so only their
       // gains move; each is recomputed in full, as a rescan would.
       for (const HalfEdge& h : g.neighbors(pick)) {
-        if (locked[static_cast<std::size_t>(h.to)]) continue;
-        gain[static_cast<std::size_t>(h.to)] = gain_of(h.to);
+        const auto to = static_cast<std::size_t>(h.to);
+        if (locked[to]) {
+          if (side[to] != side[static_cast<std::size_t>(pick)]) {
+            locked_cut += h.weight;
+          }
+          continue;
+        }
+        gain[to] = gain_of(h.to);
         push(h.to);
+      }
+      if (locked_cut > best_cut + floor_margin) {
+        HGP_COUNTER_ADD("decomp.fm_floor_stops", 1);
+        break;
       }
     }
     // Roll back the moves after the best prefix.

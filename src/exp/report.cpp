@@ -2,6 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <unistd.h>
+
+#include "obs/json_escape.hpp"
 
 namespace hgp::exp {
 
@@ -18,6 +23,31 @@ void print_header(const std::string& id, const std::string& title,
 bool check(const std::string& what, bool ok) {
   std::printf("   [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());  // hgp-lint: allow(no-stdout)
   return ok;
+}
+
+std::string machine_fingerprint_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t start =
+          line.find_first_not_of(" \t", line.find(':') + 1);
+      if (start != std::string::npos) cpu = line.substr(start);
+      break;
+    }
+  }
+#if defined(__clang__)
+  const std::string compiler = __VERSION__;  // names clang itself
+#else
+  const std::string compiler = std::string("g++ ") + __VERSION__;
+#endif
+  std::ostringstream os;
+  os << "{\"cpu\": \"" << obs::json_escaped(cpu)
+     << "\", \"nproc\": " << sysconf(_SC_NPROCESSORS_ONLN)
+     << ", \"compiler\": \"" << obs::json_escaped(compiler)
+     << "\", \"build_type\": \"" << obs::json_escaped(HGP_BUILD_TYPE)
+     << "\"}";
+  return os.str();
 }
 
 void maybe_write_csv(const CsvWriter& csv, const std::string& name) {

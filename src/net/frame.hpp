@@ -36,7 +36,7 @@ static_assert(std::endian::native == std::endian::little,
 /// Bumped on any frame- or message-layout change; both the frame header
 /// and the Hello handshake carry it, so skew is caught before any typed
 /// payload is trusted.
-constexpr std::uint16_t kProtocolVersion = 5;
+constexpr std::uint16_t kProtocolVersion = 6;
 
 /// Upper bound on one frame's payload: large enough for a job frame
 /// embedding a graph+hierarchy snapshot blob, small enough that a hostile

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 
 #include "obs/json_escape.hpp"
@@ -39,7 +40,9 @@ void write_prometheus_value(std::ostream& os, double v) {
 }  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
+    : bounds_(std::move(upper_bounds)),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {
   HGP_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()) &&
                     std::adjacent_find(bounds_.begin(), bounds_.end()) ==
                         bounds_.end(),
@@ -52,6 +55,14 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 }
 
 void Histogram::observe(double x) {
+  double low = min_.load(std::memory_order_relaxed);
+  while (x < low &&
+         !min_.compare_exchange_weak(low, x, std::memory_order_relaxed)) {
+  }
+  double high = max_.load(std::memory_order_relaxed);
+  while (x > high &&
+         !max_.compare_exchange_weak(high, x, std::memory_order_relaxed)) {
+  }
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), x) - bounds_.begin());
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
@@ -76,6 +87,10 @@ void Histogram::reset() {
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -197,12 +212,17 @@ std::vector<HistogramSnapshot> MetricsRegistry::histogram_snapshots() const {
     snap.buckets = h->bucket_counts();
     snap.count = h->count();
     snap.sum = h->sum();
+    snap.min = h->min();
+    snap.max = h->max();
     out.push_back(std::move(snap));
   }
   return out;
 }
 
-double histogram_quantile(const HistogramSnapshot& h, double q) {
+namespace {
+
+/// histogram_quantile before the clamp to the observed range.
+double bucket_quantile(const HistogramSnapshot& h, double q) {
   std::uint64_t total = 0;
   for (const std::uint64_t b : h.buckets) total += b;
   if (total == 0) return std::nan("");
@@ -216,17 +236,24 @@ double histogram_quantile(const HistogramSnapshot& h, double q) {
     const double before = static_cast<double>(cumulative);
     cumulative += in_bucket;
     if (static_cast<double>(cumulative) < rank) continue;
-    if (i >= h.upper_bounds.size()) {
-      // Overflow bucket: unbounded above, so report its lower edge (the
-      // largest finite boundary) rather than inventing a width.
-      return h.upper_bounds.empty() ? std::nan("") : h.upper_bounds.back();
-    }
-    const double hi = h.upper_bounds[i];
     const double lo = i == 0 ? 0.0 : h.upper_bounds[i - 1];
+    // The overflow bucket ends at the largest observation.
+    const double hi =
+        i < h.upper_bounds.size() ? h.upper_bounds[i] : std::max(h.max, lo);
     const double frac = (rank - before) / static_cast<double>(in_bucket);
     return lo + (hi - lo) * std::min(std::max(frac, 0.0), 1.0);
   }
   return h.upper_bounds.empty() ? std::nan("") : h.upper_bounds.back();
+}
+
+}  // namespace
+
+double histogram_quantile(const HistogramSnapshot& h, double q) {
+  const double estimate = bucket_quantile(h, q);
+  // A snapshot taken during an observe() may count an observation whose
+  // min and max it does not hold yet; it is not clamped.
+  if (std::isnan(estimate) || !(h.min <= h.max)) return estimate;
+  return std::clamp(estimate, h.min, h.max);
 }
 
 void MetricsRegistry::write_prometheus(std::ostream& os) const {

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -79,8 +80,9 @@ class Gauge {
 
 /// Fixed-bucket histogram: `upper_bounds` are the inclusive bucket tops in
 /// strictly increasing order, plus an implicit +inf overflow bucket.
-/// observe() is one atomic bucket increment, one count increment and a
-/// CAS-loop on the running sum — safe under arbitrary concurrency.
+/// observe() is one atomic bucket increment, one count increment and
+/// CAS-loops on the running sum, minimum and maximum — safe under
+/// arbitrary concurrency.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
@@ -91,6 +93,9 @@ class Histogram {
     return count_.load(std::memory_order_relaxed);
   }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// Smallest and largest observation; +inf and -inf while empty.
+  double min() const { return min_.load(std::memory_order_relaxed); }
+  double max() const { return max_.load(std::memory_order_relaxed); }
   const std::vector<double>& upper_bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
   std::vector<std::uint64_t> bucket_counts() const;
@@ -101,6 +106,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0};
+  std::atomic<double> min_;
+  std::atomic<double> max_;
 };
 
 /// Point-in-time copies of one instrument, for exporters and percentile
@@ -122,12 +129,15 @@ struct HistogramSnapshot {
   std::vector<std::uint64_t> buckets;
   std::uint64_t count = 0;
   double sum = 0;
+  /// Smallest and largest observation; +inf and -inf while empty.
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
 };
 
 /// Quantile estimate (q in [0, 1]) from a histogram snapshot: finds the
 /// bucket holding the q-th observation and interpolates linearly inside it
-/// (the overflow bucket reports its lower bound — the largest finite
-/// boundary — since its width is unknown).  Returns NaN for an empty
+/// (the overflow bucket ends at the largest observation), then clamps the
+/// estimate to the observed [min, max].  Returns NaN for an empty
 /// histogram.
 double histogram_quantile(const HistogramSnapshot& h, double q);
 

@@ -6,9 +6,15 @@ namespace hgp {
 namespace {
 
 /// Millisecond bucket tops shared by the wait and run histograms: spans
-/// from "dequeued immediately" to "stuck behind a multi-second DP".
+/// from "dequeued immediately" to "stuck behind a multi-second DP", 1-2-5
+/// per decade so an interpolated quantile is off by at most one such step.
 std::vector<double> latency_buckets_ms() {
-  return {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0};
+  std::vector<double> tops;
+  for (const double decade : {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0}) {
+    for (const double step : {1.0, 2.0, 5.0}) tops.push_back(step * decade);
+  }
+  tops.push_back(10000.0);
+  return tops;
 }
 
 obs::Histogram& wait_histogram() {

@@ -8,6 +8,7 @@
 
 #include "baseline/greedy.hpp"
 #include "baseline/multilevel.hpp"
+#include "core/demand.hpp"
 #include "graph/fingerprint.hpp"
 #include "obs/event_journal.hpp"  // stage constants under HGP_OBS=OFF
 #include "obs/obs.hpp"
@@ -77,6 +78,35 @@ Status classify_forest_failure(const ExecContext& exec,
     }
   }
   return Status(StatusCode::kInternal, "no decomposition trees were solved");
+}
+
+/// The classified failure of a solve whose rounded demand total exceeds
+/// the root capacity, decided before any tree is built: every tree's DP
+/// would reject it with the same message.  Each of the `count` attempts is
+/// recorded as kInfeasible with that message, no build and no time.
+/// Returns kOk, touching nothing, when the total fits or a demand lies
+/// outside (0, 1] (the trees' DP reports that).
+Status reject_rounded_overflow(const Graph& g, const Hierarchy& h,
+                               std::size_t count, double epsilon,
+                               DemandUnits units_override, HgpResult& result) {
+  const std::vector<double>& demands = g.demands();
+  if (!std::all_of(demands.begin(), demands.end(),
+                   [](double d) { return d > 0.0 && d <= 1.0; })) {
+    return Status();
+  }
+  const std::string overflow = rounded_total_overflow(
+      round_demands(demands, h, epsilon, units_override));
+  if (overflow.empty()) return Status();
+  TreeAttempt rejected;
+  rejected.status = StatusCode::kInfeasible;
+  rejected.error = overflow;
+  result.attempts.assign(count, rejected);
+  result.tree_costs.assign(count, rejected.cost);
+  result.telemetry.trees_attempted = narrow<int>(count);
+  HGP_COUNTER_ADD("solver.tree_failures", count);
+  return Status(StatusCode::kInfeasible,
+                "every decomposition tree reported an infeasible instance: " +
+                    overflow);
 }
 
 /// Where an attempt takes tree i when the checkpoint holds no fitting
@@ -346,14 +376,17 @@ HgpResult solve_sampled(const Graph& g, const Hierarchy& h,
   fo.checkpoint = opt.checkpoint;
   fo.reuse_out = reuse_out;
   HgpResult result;
-  Status reason =
-      solve_forest_trees(g, h, static_cast<std::size_t>(opt.num_trees),
-                         source, fo, exec, entry, result);
+  const auto count = static_cast<std::size_t>(opt.num_trees);
+  Status reason = reject_rounded_overflow(g, h, count, opt.epsilon,
+                                          opt.units_override, result);
+  if (reason.ok()) {
+    reason = solve_forest_trees(g, h, count, source, fo, exec, entry, result);
+  }
   result.telemetry.forest_cache_hit =
       whole != nullptr ||
       std::all_of(result.attempts.begin(), result.attempts.end(),
                   [](const TreeAttempt& a) { return a.from_checkpoint; });
-  if (whole == nullptr &&
+  if (whole == nullptr && !source.built_ok.empty() &&
       std::all_of(source.built_ok.begin(), source.built_ok.end(),
                   [](char ok) { return ok != 0; })) {
     whole = std::make_shared<const std::vector<DecompTree>>(

@@ -3,25 +3,21 @@
 // Each function here is the whole-graph form the library used before its
 // per-node kernels were made local to their part: FM refinement that rescans
 // every vertex's gain for each move and copies the side vector on each
-// improvement, the induced subgraph and part boundary by a scan of every
-// edge, and the Fiedler power iteration with one pass per step.  The library
-// kernels must reproduce these bit for bit; the tests compare the two on
-// non-integer weights, with and without demands, across balance floors and
-// pass counts, on connected and disconnected graphs.  Quadratic: keep
-// instances to a few hundred vertices.
+// improvement, and the induced subgraph and part boundary by a scan of every
+// edge.  The library kernels must reproduce these bit for bit; the tests
+// compare the two on non-integer weights, with and without demands, across
+// balance floors and pass counts, on connected and disconnected graphs.
+// Quadratic: keep instances to a few hundred vertices.
 #pragma once
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/spectral.hpp"
 #include "util/prng.hpp"
 
 namespace hgp::testref {
@@ -189,51 +185,6 @@ inline Weight boundary_weight(const Graph& g,
   std::vector<char> in_set(static_cast<std::size_t>(g.vertex_count()), 0);
   for (Vertex v : vertices) in_set[static_cast<std::size_t>(v)] = 1;
   return g.cut_weight(in_set);
-}
-
-inline bool deflate_and_normalize(std::vector<double>& x) {
-  const double n = static_cast<double>(x.size());
-  double mean = std::accumulate(x.begin(), x.end(), 0.0) / n;
-  for (double& v : x) v -= mean;
-  double norm = 0;
-  for (double v : x) norm += v * v;
-  norm = std::sqrt(norm);
-  if (norm < 1e-14) return false;
-  for (double& v : x) v /= norm;
-  return true;
-}
-
-/// The Fiedler power iteration with its seven passes per step.
-inline std::vector<double> fiedler_vector(const Graph& g, Rng& rng,
-                                          const FiedlerOptions& opt = {}) {
-  const auto n = static_cast<std::size_t>(g.vertex_count());
-  double max_wdeg = 0;
-  std::vector<double> wdeg(n, 0);
-  for (Vertex v = 0; v < g.vertex_count(); ++v) {
-    wdeg[static_cast<std::size_t>(v)] = g.weighted_degree(v);
-    max_wdeg = std::max(max_wdeg, wdeg[static_cast<std::size_t>(v)]);
-  }
-  const double c = 2.0 * max_wdeg + 1.0;
-
-  std::vector<double> x(n), y(n);
-  for (double& v : x) v = rng.next_double() - 0.5;
-  if (!deflate_and_normalize(x)) x[0] = 1.0;
-
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    for (std::size_t v = 0; v < n; ++v) y[v] = (c - wdeg[v]) * x[v];
-    for (const Edge& e : g.edges()) {
-      y[static_cast<std::size_t>(e.u)] +=
-          e.weight * x[static_cast<std::size_t>(e.v)];
-      y[static_cast<std::size_t>(e.v)] +=
-          e.weight * x[static_cast<std::size_t>(e.u)];
-    }
-    if (!deflate_and_normalize(y)) break;
-    double diff = 0;
-    for (std::size_t v = 0; v < n; ++v) diff += std::abs(y[v] - x[v]);
-    x.swap(y);
-    if (diff < opt.tolerance) break;
-  }
-  return x;
 }
 
 }  // namespace hgp::testref

@@ -8,6 +8,7 @@
 #include "fm_reference.hpp"
 #include "graph/generators.hpp"
 #include "hierarchy/cost.hpp"
+#include "obs/obs.hpp"
 
 namespace hgp {
 namespace {
@@ -164,7 +165,27 @@ TEST(Multilevel, CoarseningPreservesTotalDemandAndWeight) {
 
 TEST(Baselines, RecursiveBisectionFmMatchesReference) {
   // The baseline's FM runs on the shared kernel with its own window test;
-  // it must make the quadratic rescan's moves exactly.
+  // it must make the quadratic rescan's moves exactly, also where a pass
+  // ends on the locked-cut floor.
+  const auto floor_stops = [] {
+    return obs::MetricsRegistry::global().counter_value(
+        "decomp.fm_floor_stops");
+  };
+  {
+    Rng rng(1);
+    const Graph g = testref::random_instance(rng, 10, false, false);
+    std::vector<char> side(10, 0);
+    for (auto& c : side) c = rng.next_bool(0.5) ? 1 : 0;
+    std::vector<char> expected = side;
+    const std::uint64_t stops0 = floor_stops();
+    testref::fm_refine_target(g, expected, 0.5, 0.25, 4);
+    fm_refine_target(g, side, 0.5, 0.25, 4);
+    ASSERT_EQ(side, expected);
+    if (HGP_OBS_ENABLED) {
+      EXPECT_GT(floor_stops(), stops0);
+    }
+  }
+  const std::uint64_t stops0 = floor_stops();
   Rng rng(77);
   const double slacks[] = {0.0, 0.02, 0.1, 0.2, 0.45};
   for (int round = 0; round < 200; ++round) {
@@ -181,6 +202,9 @@ TEST(Baselines, RecursiveBisectionFmMatchesReference) {
     testref::fm_refine_target(g, expected, target, slack, passes);
     fm_refine_target(g, side, target, slack, passes);
     ASSERT_EQ(side, expected);
+  }
+  if (HGP_OBS_ENABLED) {
+    EXPECT_GT(floor_stops(), stops0);
   }
 }
 

@@ -4,6 +4,7 @@
 #include "fm_reference.hpp"
 #include "graph/generators.hpp"
 #include "graph/spectral.hpp"
+#include "obs/obs.hpp"
 
 namespace hgp {
 namespace {
@@ -105,6 +106,29 @@ TEST(Cutters, MinCutFallsBackOnEdgelessGraphs) {
 TEST(Cutters, FmRefineMatchesQuadraticReference) {
   // The cached-gain kernel must make the quadratic rescan's moves exactly:
   // same side bits and same cut bits, on random and spectral seeds.
+  const auto floor_stops = [] {
+    return obs::MetricsRegistry::global().counter_value(
+        "decomp.fm_floor_stops");
+  };
+  {
+    // A 10-vertex instance whose passes end on the locked-cut floor: moves
+    // lock cut edges heavier than the best cut, and the pass stops there
+    // with the bits the full pass would leave.
+    Rng rng(1);
+    const Graph g = testref::random_instance(rng, 10, false, false);
+    std::vector<char> side(10, 0);
+    for (auto& c : side) c = rng.next_bool(0.5) ? 1 : 0;
+    std::vector<char> expected = side;
+    const std::uint64_t stops0 = floor_stops();
+    const Weight want = testref::fm_refine(g, expected, 4, 0.25);
+    const Weight got = fm_refine(g, side, 4, 0.25);
+    ASSERT_EQ(side, expected);
+    ASSERT_TRUE(testref::same_bits(got, want)) << got << " vs " << want;
+    if (HGP_OBS_ENABLED) {
+      EXPECT_GT(floor_stops(), stops0);
+    }
+  }
+  const std::uint64_t stops0 = floor_stops();
   Rng rng(2024);
   const double floors[] = {0.0, 0.1, 0.2, 0.25, 0.3, 0.45};
   for (int round = 0; round < 240; ++round) {
@@ -128,6 +152,10 @@ TEST(Cutters, FmRefineMatchesQuadraticReference) {
     const Weight got = fm_refine(g, side, passes, floor);
     ASSERT_EQ(side, expected);
     ASSERT_TRUE(testref::same_bits(got, want)) << got << " vs " << want;
+  }
+  // Most rounds end some pass on the floor.
+  if (HGP_OBS_ENABLED) {
+    EXPECT_GT(floor_stops(), stops0 + 100);
   }
 }
 

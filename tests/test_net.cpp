@@ -249,14 +249,14 @@ std::vector<std::byte> unhex(const std::string& text) {
 }
 
 TEST(Protocol, EncodingsAreByteStable) {
-  // One fixed instance of every message, against the bytes protocol v5
+  // One fixed instance of every message, against the bytes protocol v6
   // puts on the wire (docs/FORMATS.md).  A codec change that
   // moves a single byte fails here before it can strand a deployed
   // hgp_shardd; a deliberate layout change bumps kProtocolVersion and
   // regenerates these literals.
-  ASSERT_EQ(kProtocolVersion, 5);
-  const std::string kHello = "0500000001000000";
-  const std::string kHelloAck = "05000000";
+  ASSERT_EQ(kProtocolVersion, 6);
+  const std::string kHello = "0600000001000000";
+  const std::string kHelloAck = "06000000";
   const std::string kJob =
       "000000000000d03fe80300000000000007000000000000000800000000000000"
       "0000494005000000010203fffe";
@@ -487,7 +487,7 @@ TEST(Handshake, CompletesAndReportsRole) {
 }
 
 TEST(Handshake, VersionMismatchRejected) {
-  // A stale worker from the previous protocol (v4 against v5) and one from
+  // A stale worker from the previous protocol (v5 against v6) and one from
   // a future protocol.  The frame itself is valid (frame versions match),
   // the handshake payload is what skews.
   const std::uint32_t ours = kProtocolVersion;

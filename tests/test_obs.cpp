@@ -321,10 +321,52 @@ TEST(Metrics, HistogramQuantileInterpolatesWithinBuckets) {
   const obs::HistogramSnapshot& s = snaps[0];
   EXPECT_EQ(s.name, "test.quantile");
   EXPECT_EQ(s.count, 100u);
-  // All mass in the first bucket: quantiles interpolate inside [0, 10].
+  // All mass in the first bucket: quantiles interpolate inside [0, 10],
+  // clamped to the observed [5, 5].
   EXPECT_NEAR(obs::histogram_quantile(s, 0.5), 5.0, 1e-9);
-  EXPECT_NEAR(obs::histogram_quantile(s, 1.0), 10.0, 1e-9);
-  EXPECT_GT(obs::histogram_quantile(s, 0.1), 0.0);
+  EXPECT_NEAR(obs::histogram_quantile(s, 1.0), 5.0, 1e-9);
+  EXPECT_NEAR(obs::histogram_quantile(s, 0.1), 5.0, 1e-9);
+  EXPECT_EQ(s.min, 5.0);
+  EXPECT_EQ(s.max, 5.0);
+}
+
+TEST(Metrics, HistogramQuantileLiesWithinTheObservedRange) {
+  // Four pool tasks of 1.3–1.6 s once read p50 5,500 ms off decade
+  // buckets.  Whatever the buckets, every quantile of recorded values lies
+  // within their [min, max].
+  MetricsRegistry reg;
+  Histogram& decades = reg.histogram(
+      "test.decades", {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0});
+  for (const double ms : {1300.0, 1400.0, 1500.0, 1600.0}) decades.observe(ms);
+  std::vector<double> tops;  // 1-2-5 per decade
+  for (const double decade : {0.01, 0.1, 1.0, 10.0, 100.0}) {
+    for (const double step : {1.0, 2.0, 5.0}) tops.push_back(step * decade);
+  }
+  Rng rng(9);
+  for (int round = 0; round < 50; ++round) {
+    Histogram& h = reg.histogram("test.range." + std::to_string(round), tops);
+    const double base = std::pow(10.0, rng.next_double(-3.0, 4.0));
+    const double spread = rng.next_double(1.0, 3.0);
+    const int count = 1 + static_cast<int>(rng.next_below(20));
+    for (int i = 0; i < count; ++i) {
+      h.observe(base * rng.next_double(1.0, spread));
+    }
+  }
+  for (const obs::HistogramSnapshot& s : reg.histogram_snapshots()) {
+    SCOPED_TRACE(s.name);
+    ASSERT_LE(s.min, s.max);
+    for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+      const double v = obs::histogram_quantile(s, q);
+      EXPECT_GE(v, s.min) << "q " << q;
+      EXPECT_LE(v, s.max) << "q " << q;
+    }
+  }
+  const auto snaps = reg.histogram_snapshots();
+  const auto it = std::find_if(snaps.begin(), snaps.end(), [](const auto& s) {
+    return s.name == "test.decades";
+  });
+  ASSERT_NE(it, snaps.end());
+  EXPECT_NEAR(obs::histogram_quantile(*it, 0.5), 1600.0, 1e-9);
 }
 
 TEST(Metrics, HistogramQuantileHandlesEmptyAndOverflow) {
@@ -333,12 +375,13 @@ TEST(Metrics, HistogramQuantileHandlesEmptyAndOverflow) {
   const auto empty = reg.histogram_snapshots();
   ASSERT_EQ(empty.size(), 1u);
   EXPECT_TRUE(std::isnan(obs::histogram_quantile(empty[0], 0.5)));
-  // All mass beyond the last finite bound: the estimate reports that
-  // bound (the histogram cannot see further).
+  // All mass beyond the last finite bound: the overflow bucket ends at the
+  // largest observation, and the estimate stays within [100, 200].
   h.observe(100.0);
   h.observe(200.0);
   const auto snaps = reg.histogram_snapshots();
-  EXPECT_EQ(obs::histogram_quantile(snaps[0], 0.99), 2.0);
+  EXPECT_NEAR(obs::histogram_quantile(snaps[0], 0.99), 2.0 + 198.0 * 0.99,
+              1e-9);
 }
 
 TEST(Metrics, PrometheusExpositionShape) {

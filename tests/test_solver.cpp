@@ -4,6 +4,7 @@
 #include "baseline/random_placement.hpp"
 #include "runtime/solver.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 
 namespace hgp {
 namespace {
@@ -203,6 +204,45 @@ TEST(Solver, DisconnectedWorkload) {
   EXPECT_EQ(r.placement[0], r.placement[1]);
   EXPECT_EQ(r.placement[2], r.placement[3]);
   EXPECT_EQ(r.placement[4], r.placement[5]);
+}
+
+TEST(Solver, RoundedDemandOverflowFailsBeforeAnyTreeIsBuilt) {
+  // Five tasks of 0.9 against a hierarchy of 4 leaves: the rounded total
+  // exceeds the root capacity whatever the trees, so no tree is built.
+  // The outcome is the one every tree's DP reported before: kInfeasible
+  // with the DP's message, then the fallback chain's placement.
+  GraphBuilder b(5);
+  for (Vertex v = 0; v + 1 < 5; ++v) b.add_edge(v, v + 1, 1.0);
+  for (Vertex v = 0; v < 5; ++v) b.set_demand(v, 0.9);
+  const Graph g = b.build();
+  SolverOptions opt;
+  opt.num_trees = 3;
+  opt.units_override = 10;
+  const auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t built0 = reg.counter_value("decomp.trees_built");
+  const HgpResult r = solve_hgp(g, hier(), opt);
+  EXPECT_EQ(reg.counter_value("decomp.trees_built"), built0);
+  EXPECT_TRUE(r.degraded());
+  EXPECT_EQ(r.method, SolveMethod::kMultilevel);
+  EXPECT_EQ(r.status.code, StatusCode::kInfeasible);
+  EXPECT_EQ(r.status.message,
+            "every decomposition tree reported an infeasible instance: "
+            "instance infeasible: total rounded demand 45 units exceeds "
+            "hierarchy capacity 40 units");
+  EXPECT_EQ(r.placement.leaf_of.size(), 5u);
+  ASSERT_EQ(r.attempts.size(), 3u);
+  for (const TreeAttempt& a : r.attempts) {
+    EXPECT_EQ(a.status, StatusCode::kInfeasible);
+    EXPECT_EQ(a.build_ms, 0.0);
+  }
+  opt.fallback = FallbackPolicy::kNone;
+  try {
+    solve_hgp(g, hier(), opt);
+    FAIL() << "expected SolveError";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kInfeasible);
+  }
+  EXPECT_EQ(reg.counter_value("decomp.trees_built"), built0);
 }
 
 }  // namespace
