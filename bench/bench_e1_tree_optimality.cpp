@@ -33,7 +33,7 @@ int run() {
       const Tree t = exp::make_tree_workload(16, h, seed * 977, 0.8);
       const ExactTreeResult exact = solve_exact_hgpt(t, h);
       if (!exact.feasible) continue;
-      TreeSolverOptions opt;
+      TreeDpOptions opt;
       opt.epsilon = eps;
       const TreeHgpSolution sol = solve_hgpt(t, h, opt);
       const double cost = assignment_cost(t, h, sol.assignment);

@@ -31,7 +31,7 @@ int run() {
     for (const Vertex n : {40, 90, 180}) {
       const Tree t = exp::make_tree_workload(
           n, h, static_cast<std::uint64_t>(height) * 1000 + n, 0.6);
-      TreeSolverOptions opt;
+      TreeDpOptions opt;
       opt.units_override = exp::auto_units(t, h, 2.0);
       const TreeHgpSolution sol = solve_hgpt(t, h, opt);
       const double cost = assignment_cost(t, h, sol.assignment);

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <iostream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/tree_dp.hpp"
@@ -44,12 +45,24 @@ int run() {
   double solve_ms_total = 0;
   std::uint64_t sig_total = 0, feasible_total = 0, merge_total = 0;
   Vertex n_max = 0;
-  auto tally = [&](Vertex n, double ms, const TreeDpStats& stats) {
+  // One record row per point of sweeps (a)-(c).
+  std::string rows;
+  auto tally = [&](const char* sweep, std::int64_t x, Vertex n, double ms,
+                   const TreeDpStats& stats) {
     n_max = std::max(n_max, n);
     solve_ms_total += ms;
     sig_total += stats.signature_count;
     feasible_total += stats.feasible_states;
     merge_total += stats.merge_operations;
+    char row[256];
+    std::snprintf(row, sizeof row,
+                  "%s{\"sweep\": \"%s\", \"x\": %lld, \"ms\": %.2f, "
+                  "\"signatures\": %zu, \"feasible_states\": %zu, "
+                  "\"merge_operations\": %zu}",
+                  rows.empty() ? "" : ", ", sweep,
+                  static_cast<long long>(x), ms, stats.signature_count,
+                  stats.feasible_states, stats.merge_operations);
+    rows += row;
   };
 
   std::printf("-- (a) n sweep (h = 2, ~2 units per job)\n");
@@ -95,7 +108,7 @@ int run() {
         .add(static_cast<std::int64_t>(stats.feasible_states))
         .add(static_cast<std::int64_t>(stats.merge_operations));
     csv.row().add(std::string("n")).add(static_cast<std::int64_t>(n)).add(ms);
-    tally(n, ms, stats);
+    tally("n", n, n, ms, stats);
     // Sub-millisecond points are timing noise, not growth signal; the
     // arena/pruning layer pushed the small sizes under that floor.
     if (last_ms > 0.5 && ms > 0.5) {
@@ -126,7 +139,7 @@ int run() {
         .add(static_cast<std::int64_t>(r.stats.signature_count))
         .add(static_cast<std::int64_t>(r.stats.merge_operations));
     csv.row().add(std::string("U")).add(static_cast<std::int64_t>(u)).add(ms);
-    tally(160, ms, r.stats);
+    tally("U", u, 160, ms, r.stats);
   }
   tb.print(std::cout);
 
@@ -161,7 +174,7 @@ int run() {
         .add(static_cast<std::int64_t>(r.stats.signature_count))
         .add(static_cast<std::int64_t>(r.stats.merge_operations));
     csv.row().add(std::string("h")).add(static_cast<std::int64_t>(height)).add(ms);
-    tally(120, ms, r.stats);
+    tally("h", height, 120, ms, r.stats);
   }
   const double growth_factor =
       height_best.back() > 0.5 ? height_best.back() / height_best.front() : 0;
@@ -199,14 +212,16 @@ int run() {
   ok &= exp::check("height sweep shows super-linear state growth",
                    growth_factor > 1.0);
   std::printf(
-      "BENCH_JSON: {\"n\": %d, \"solve_ms\": %.1f, \"signatures\": %llu, "
-      "\"feasible_states\": %llu, \"merge_operations\": %llu, "
-      "\"merges_per_ms\": %.0f, \"sequential_ms\": %.1f}\n",
-      n_max, solve_ms_total, static_cast<unsigned long long>(sig_total),
+      "BENCH_JSON: {\"machine\": %s, \"n\": %d, \"solve_ms\": %.1f, "
+      "\"signatures\": %llu, \"feasible_states\": %llu, "
+      "\"merge_operations\": %llu, \"merges_per_ms\": %.0f, "
+      "\"sequential_ms\": %.1f, \"rows\": [%s]}\n",
+      exp::machine_fingerprint_json().c_str(), n_max, solve_ms_total,
+      static_cast<unsigned long long>(sig_total),
       static_cast<unsigned long long>(feasible_total),
       static_cast<unsigned long long>(merge_total),
       static_cast<double>(merge_total) / std::max(solve_ms_total, 1e-9),
-      seq_ms);
+      seq_ms, rows.c_str());
   return ok ? 0 : 1;
 }
 

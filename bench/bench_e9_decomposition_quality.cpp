@@ -68,7 +68,7 @@ int run() {
         final_cost = solve_hgp(g, h, opt).cost;
       } else {
         // FRT trees go through the tree solver directly (one sample).
-        TreeSolverOptions topt;
+        TreeDpOptions topt;
         topt.units_override = 8;
         const TreeHgpSolution sol = solve_hgpt(dt.tree(), h, topt);
         Placement p;

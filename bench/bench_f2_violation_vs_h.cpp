@@ -32,7 +32,7 @@ int run() {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       const Tree t = exp::make_tree_workload(
           60, h, seed * 613 + static_cast<std::uint64_t>(height), 0.6);
-      TreeSolverOptions opt;
+      TreeDpOptions opt;
       opt.units_override = exp::auto_units(t, h, 2.0);
       const TreeHgpSolution sol = solve_hgpt(t, h, opt);
       viol.add(sol.max_violation());

@@ -46,7 +46,7 @@ AllNodesReduction reduce_all_nodes(const Tree& t,
 AllNodesSolution solve_hgpt_all_nodes(const Tree& t,
                                       const std::vector<double>& demand,
                                       const Hierarchy& h,
-                                      const TreeSolverOptions& opt) {
+                                      const TreeDpOptions& opt) {
   const AllNodesReduction red = reduce_all_nodes(t, demand);
   const TreeHgpSolution sol = solve_hgpt(red.tree, h, opt);
   AllNodesSolution out;

@@ -43,6 +43,6 @@ struct AllNodesSolution {
 AllNodesSolution solve_hgpt_all_nodes(const Tree& t,
                                       const std::vector<double>& demand,
                                       const Hierarchy& h,
-                                      const TreeSolverOptions& opt = {});
+                                      const TreeDpOptions& opt = {});
 
 }  // namespace hgp

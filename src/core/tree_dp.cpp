@@ -325,102 +325,55 @@ class PairIndex {
   std::vector<std::pair<int, DemandUnits>> checks_;  // (level, threshold)
 };
 
-/// Recycled dense DP scratch.  Every node needs a |Sig|-sized cost array
-/// (read by its parent's merge) and a parallel back-pointer array (read by
-/// compaction); heap-allocating them per node used to dominate small-node
-/// time.  The pool hands out arena-backed spans and recycles released ones
-/// through free lists, so a DP sweep performs O(tree depth) real
-/// allocations total instead of O(nodes).
-class DenseTablePool {
+/// A finished node's DP table: its feasible signature ids (sorted), their
+/// costs and their back-pointers, all compact.  The parent's projection
+/// and the root selection read `cost[i]` by position; backtracking finds a
+/// signature's back-pointer by binary search.
+using NodeTable = DpSubtreeEntry;
+
+const Back& lookup(const NodeTable& table, std::uint32_t sig) {
+  const auto it =
+      std::lower_bound(table.feasible.begin(), table.feasible.end(), sig);
+  HGP_CHECK_MSG(it != table.feasible.end() && *it == sig,
+                "backtracking hit an infeasible signature");
+  return table.back[static_cast<std::size_t>(it - table.feasible.begin())];
+}
+
+/// The dense |Sig|-sized scratch of one solve.  Only one node is built at
+/// a time (children before parents), so one cost array and one back array
+/// serve every node: relax() writes into them at random, pruning and
+/// compaction read them, and compact() hands the survivors to the node's
+/// table and resets the entries it set, so the cost array is all-∞ again
+/// and set-up costs O(states) per node, not O(|Sig|).  The projection's
+/// per-key `best`/`arg` work the same way.  The arrays come from one
+/// arena, allocated once, so arena_bytes does not depend on the tree.
+class DpScratch {
  public:
-  explicit DenseTablePool(const SignatureSpace& space)
-      : size_(space.size()), dominance_(space) {}
+  explicit DpScratch(const SignatureSpace& space)
+      : cost_(arena_.allocate_filled<double>(space.size(), kInf)),
+        back_(arena_.allocate<Back>(space.size())),
+        best_(arena_.allocate_filled<double>(space.size(), kInf)),
+        arg_(arena_.allocate<std::uint32_t>(space.size())),
+        dominance_(space) {}
 
-  /// Cost spans are handed out all-∞.  A fresh span is filled once; a
-  /// released span comes back already clean, because its table resets
-  /// exactly the entries it set (NodeTable::release_cost, with pruning
-  /// resetting the entries it drops), so recycling costs O(states), not
-  /// O(|Sig|).  A stale finite entry would silently hide its signature
-  /// from relax(), so contract builds check every recycled span.
-  std::span<double> acquire_cost() {
-    if (!free_cost_.empty()) {
-      const std::span<double> s = free_cost_.back();
-      free_cost_.pop_back();
-      HGP_INVARIANT_MSG(
-          std::all_of(s.begin(), s.end(), [](double c) { return c == kInf; }),
-          "recycled DP cost span still holds a finite entry");
-      return s;
+  /// Starts a node.  A stale finite cost would silently hide its
+  /// signature from relax(), so contract builds check the whole array.
+  void begin() {
+    HGP_INVARIANT_MSG(std::all_of(cost_.begin(), cost_.end(),
+                                  [](double c) { return c == kInf; }),
+                      "DP scratch cost span still holds a finite entry");
+  }
+
+  /// Keeps the first candidate reaching a signature's minimum (strict <).
+  /// Back entries are written by the first relax() of their signature
+  /// before any read, so the back array is never initialized.
+  void relax(std::size_t sig, double cost, const Back& back) {
+    if (cost < cost_[sig]) {
+      if (cost_[sig] == kInf) feasible_.push_back(narrow<std::uint32_t>(sig));
+      cost_[sig] = cost;
+      back_[sig] = back;
     }
-    const std::span<double> s = arena_.allocate<double>(size_);
-    std::fill(s.begin(), s.end(), kInf);
-    return s;
   }
-  void release_cost(std::span<double> s) {
-    if (!s.empty()) free_cost_.push_back(s);
-  }
-
-  /// Back arrays are returned uninitialized: entries are written by the
-  /// first relax() of their signature before any read (compaction only
-  /// copies entries of feasible signatures).
-  std::span<Back> acquire_back() {
-    std::span<Back> s;
-    if (!free_back_.empty()) {
-      s = free_back_.back();
-      free_back_.pop_back();
-    } else {
-      s = arena_.allocate<Back>(size_);
-    }
-    return s;
-  }
-  void release_back(std::span<Back> s) {
-    if (!s.empty()) free_back_.push_back(s);
-  }
-
-  /// Dense per-key minimum g (`best`) and its child signature (`arg`) for
-  /// projecting one child table.  Allocated once per pool and kept all-∞
-  /// between projections (each resets exactly the keys it touched), so
-  /// projecting costs O(child states), not O(|Sig|).
-  struct Projection {
-    std::span<double> best;
-    std::span<std::uint32_t> arg;
-  };
-  Projection projection() {
-    if (projection_.best.empty()) {
-      projection_.best = arena_.allocate<double>(size_);
-      std::fill(projection_.best.begin(), projection_.best.end(), kInf);
-      projection_.arg = arena_.allocate<std::uint32_t>(size_);
-    }
-    return projection_;
-  }
-  /// Reused per-child key lists of the node being built.
-  std::vector<ProjectedKey>& keys(std::size_t child) { return keys_[child]; }
-  /// Reused pruning and pairing scratch of the node being built.
-  DominanceIndex& dominance() { return dominance_; }
-  PairIndex& pairs() { return pairs_; }
-
-  std::size_t bytes_reserved() const { return arena_.bytes_reserved(); }
-
- private:
-  std::size_t size_;
-  Arena arena_;
-  std::vector<std::span<double>> free_cost_;
-  std::vector<std::span<Back>> free_back_;
-  Projection projection_;
-  std::vector<ProjectedKey> keys_[2];
-  DominanceIndex dominance_;
-  PairIndex pairs_;
-};
-
-/// Per-node DP table.  `cost` is scratch read by the parent's merge and
-/// recycled afterwards; the dense back array is compacted to the feasible
-/// entries right after the node is built (reconstruction only queries
-/// feasible signatures, and dense back-pointers for every node would
-/// dominate memory).
-struct NodeTable {
-  std::span<double> cost;
-  std::span<Back> back_dense;
-  std::vector<std::uint32_t> feasible;  // sorted after compaction
-  std::vector<Back> back_compact;       // parallel to `feasible`
 
   /// Pareto dominance pruning.  An entry (D, p, cost) is dominated by
   /// (D', p, cost') with D' ≤ D componentwise and cost' ≤ cost: every
@@ -432,61 +385,67 @@ struct NodeTable {
   /// States are walked by (cost, id), and each is checked against the
   /// cheaper survivors of its presence class (DominanceIndex).  Returns the
   /// number of entries dropped.
-  std::size_t prune_dominated(DominanceIndex& index) {
-    std::vector<std::uint32_t>& order = index.order();
-    order.assign(feasible.begin(), feasible.end());
+  std::size_t prune_dominated() {
+    std::vector<std::uint32_t>& order = dominance_.order();
+    order.assign(feasible_.begin(), feasible_.end());
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                return cost[a] != cost[b] ? cost[a] < cost[b] : a < b;
+                return cost_[a] != cost_[b] ? cost_[a] < cost_[b] : a < b;
               });
-    feasible.clear();
+    feasible_.clear();
     for (const std::uint32_t s : order) {
-      if (index.admit(s)) {
-        feasible.push_back(s);
+      if (dominance_.admit(s)) {
+        feasible_.push_back(s);
       } else {
-        cost[s] = kInf;
+        cost_[s] = kInf;
       }
     }
-    index.reset();
-    return order.size() - feasible.size();
+    dominance_.reset();
+    return order.size() - feasible_.size();
   }
 
-  void compact(DenseTablePool& pool) {
-    std::sort(feasible.begin(), feasible.end());
-    back_compact.resize(feasible.size());
-    for (std::size_t i = 0; i < feasible.size(); ++i) {
-      back_compact[i] = back_dense[feasible[i]];
+  /// Gathers the node's surviving entries into `out`, ascending by id, and
+  /// resets them to ∞.
+  void compact(NodeTable& out) {
+    std::sort(feasible_.begin(), feasible_.end());
+    out.feasible = feasible_;
+    out.cost.resize(feasible_.size());
+    out.back.resize(feasible_.size());
+    for (std::size_t i = 0; i < feasible_.size(); ++i) {
+      const std::uint32_t s = feasible_[i];
+      out.cost[i] = cost_[s];
+      out.back[i] = back_[s];
+      cost_[s] = kInf;
     }
-    pool.release_back(back_dense);
-    back_dense = {};
+    feasible_.clear();
   }
 
-  const Back& lookup(std::uint32_t sig) const {
-    const auto it = std::lower_bound(feasible.begin(), feasible.end(), sig);
-    HGP_CHECK_MSG(it != feasible.end() && *it == sig,
-                  "backtracking hit an infeasible signature");
-    return back_compact[static_cast<std::size_t>(it - feasible.begin())];
-  }
+  /// Dense per-key minimum g (`best`, all-∞ between projections: each
+  /// resets exactly the keys it touched) and its child signature (`arg`)
+  /// for projecting one child table.
+  struct Projection {
+    std::span<double> best;
+    std::span<std::uint32_t> arg;
+  };
+  Projection projection() const { return {best_, arg_}; }
+  /// Reused per-child key lists of the node being built.
+  std::vector<ProjectedKey>& keys(std::size_t child) { return keys_[child]; }
+  /// Reused pairing scratch of the node being built.
+  PairIndex& pairs() { return pairs_; }
 
-  /// Returns the cost span clean: the feasible entries are the only ones
-  /// still set.
-  void release_cost(DenseTablePool& pool) {
-    if (cost.empty()) return;
-    for (const std::uint32_t s : feasible) cost[s] = kInf;
-    pool.release_cost(cost);
-    cost = {};
-  }
+  std::size_t bytes_reserved() const { return arena_.bytes_reserved(); }
+
+ private:
+  Arena arena_;
+  std::span<double> cost_;
+  std::span<Back> back_;
+  std::span<double> best_;
+  std::span<std::uint32_t> arg_;
+  std::vector<std::uint32_t> feasible_;  // ids set in cost_, unsorted
+  std::vector<ProjectedKey> keys_[2];
+  DominanceIndex dominance_;
+  PairIndex pairs_;
 };
-
-void relax(NodeTable& table, std::size_t sig, double cost, const Back& back) {
-  if (cost < table.cost[sig]) {
-    if (table.cost[sig] == kInf) {
-      table.feasible.push_back(narrow<std::uint32_t>(sig));
-    }
-    table.cost[sig] = cost;
-    table.back_dense[sig] = back;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Clean-subtree reuse (incremental re-solve).
@@ -496,8 +455,7 @@ void relax(NodeTable& table, std::size_t sig, double cost, const Back& back) {
 // signature-space parameters.  We hash that content bottom-up (SplitMix64
 // finalizer mixing); a node whose hash — and every descendant's — is found
 // in a compatible DpReuseStore is *rehydrated*: its compacted table is
-// copied in and its dense cost span is materialized only when the parent's
-// merge (or the root selection) will read it.  Everything else builds
+// copied in, the form a built node keeps too.  Everything else builds
 // normally, so the sweep stays a single children-before-parents pass that
 // dispatches through process() instead of build_node().
 //
@@ -557,13 +515,10 @@ std::vector<std::uint64_t> dp_subtree_hashes(const Tree& bt,
 namespace {
 
 /// Per-node rehydrate/build decisions for one solve.  `entry[v]` non-null
-/// means v rehydrates from that table (already in the *current* space);
-/// `needs_dense[v]` means v's dense cost span will be read (by a built
-/// parent or the root selection) and must be materialized.
+/// means v rehydrates from that table (already in the *current* space).
 struct ReusePlan {
   std::vector<std::uint64_t> hash;
   std::vector<const DpSubtreeEntry*> entry;
-  std::vector<char> needs_dense;
   /// Owns tables translated from the store's space into the current one
   /// (empty feasible = cached translation failure).  Node-based map:
   /// pointers into it stay valid across inserts.
@@ -577,7 +532,6 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
   ReusePlan plan;
   plan.hash = dp_subtree_hashes(bt, sd);
   plan.entry.assign(n, nullptr);
-  plan.needs_dense.assign(n, 1);
   const bool usable = store != nullptr && !store->entries.empty() &&
                       store->height == height && store->prune == prune &&
                       store->units_per_capacity == sd.units_per_capacity &&
@@ -653,12 +607,6 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
     }
     if (kids_hit) plan.entry[vi] = resolve(plan.hash[vi]);
   }
-  for (Vertex v = 0; v < bt.node_count(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    plan.needs_dense[vi] =
-        v == bt.root() ||
-        plan.entry[static_cast<std::size_t>(bt.parent(v))] == nullptr;
-  }
   return plan;
 }
 
@@ -689,52 +637,22 @@ struct DpEngine {
   std::vector<NodeTable>& tables;
   /// Rehydrate/build decisions; nullptr = build everything.
   const ReusePlan* plan = nullptr;
-  /// Per-node capture slots for TreeDpOptions::reuse_out; nullptr = no
-  /// capture.
-  std::vector<DpSubtreeEntry>* capture = nullptr;
 
-  /// Node dispatch: rehydrate a clean subtree's table or build it by
-  /// merging.  Bit-identical either way.
-  void process(Vertex v, DenseTablePool& pool, TreeDpStats& stats,
+  /// Node dispatch: rehydrate a clean subtree's table (a plain copy) or
+  /// build it by merging.  Bit-identical either way.
+  void process(Vertex v, DpScratch& scratch, TreeDpStats& stats,
                PeriodicCheck& guard) const {
     const auto vi = static_cast<std::size_t>(v);
     const DpSubtreeEntry* e = plan == nullptr ? nullptr : plan->entry[vi];
     if (e != nullptr) {
-      rehydrate(v, *e, pool, stats, guard);
-      return;
+      guard.tick();
+      tables[vi] = *e;
+      ++stats.nodes_reused;
+    } else {
+      build_node(v, scratch, stats, guard);
+      ++stats.nodes_built;
     }
-    build_node(v, pool, stats, guard);
-    ++stats.nodes_built;
-    if (capture != nullptr) {
-      // The dense cost span is still alive here (released only by the
-      // parent's merge), so gather the compacted costs now.
-      const NodeTable& table = tables[vi];
-      DpSubtreeEntry& slot = (*capture)[vi];
-      slot.feasible = table.feasible;
-      slot.back = table.back_compact;
-      slot.cost.resize(table.feasible.size());
-      for (std::size_t i = 0; i < table.feasible.size(); ++i) {
-        slot.cost[i] = table.cost[table.feasible[i]];
-      }
-    }
-  }
-
-  void rehydrate(Vertex v, const DpSubtreeEntry& e, DenseTablePool& pool,
-                 TreeDpStats& stats, PeriodicCheck& guard) const {
-    guard.tick();
-    const auto vi = static_cast<std::size_t>(v);
-    NodeTable& table = tables[vi];
-    table.feasible = e.feasible;
-    table.back_compact = e.back;
-    if (plan->needs_dense[vi] != 0) {
-      table.cost = pool.acquire_cost();
-      for (std::size_t i = 0; i < e.feasible.size(); ++i) {
-        table.cost[e.feasible[i]] = e.cost[i];
-      }
-    }
-    stats.feasible_states += e.feasible.size();
-    ++stats.nodes_reused;
-    if (capture != nullptr) (*capture)[vi] = e;
+    stats.feasible_states += tables[vi].feasible.size();
   }
 
   /// Projects child table `ct` (edge weight `w`; `uncut` = dummy edge,
@@ -744,14 +662,16 @@ struct DpEngine {
   /// own, so the minimum over states sharing a key can be taken before
   /// pairing.  Ties keep the smallest state id (ascending walk, strict <).
   void project(const NodeTable& ct, bool uncut, Weight w,
-               DenseTablePool& pool, std::vector<ProjectedKey>& out) const {
-    const auto [best, arg] = pool.projection();
+               const DpScratch& scratch,
+               std::vector<ProjectedKey>& out) const {
+    const auto [best, arg] = scratch.projection();
     out.clear();
-    for (const std::uint32_t s : ct.feasible) {
+    for (std::size_t i = 0; i < ct.feasible.size(); ++i) {
+      const std::uint32_t s = ct.feasible[i];
       const int p = space.present(s);
       for (int j = uncut ? p : 0; j <= p; ++j) {
         const std::size_t key = space.lift(s, j, j);
-        const double g = ct.cost[s] + w * (ps[static_cast<std::size_t>(p)] -
+        const double g = ct.cost[i] + w * (ps[static_cast<std::size_t>(p)] -
                                            ps[static_cast<std::size_t>(j)]);
         if (g < best[key]) {
           if (best[key] == kInf) {
@@ -774,13 +694,11 @@ struct DpEngine {
     }
   }
 
-  void build_node(Vertex v, DenseTablePool& pool, TreeDpStats& stats,
+  void build_node(Vertex v, DpScratch& scratch, TreeDpStats& stats,
                   PeriodicCheck& guard) const {
     const int height = space.height();
     guard.tick();
-    NodeTable& table = tables[static_cast<std::size_t>(v)];
-    table.cost = pool.acquire_cost();
-    table.back_dense = pool.acquire_back();
+    scratch.begin();
 
     const auto kids = bt.children(v);
     if (kids.empty()) {
@@ -790,15 +708,13 @@ struct DpEngine {
         throw SolveError(StatusCode::kInfeasible,
                          "leaf demand exceeds a level capacity");
       }
-      relax(table, sig, 0.0, Back{});
+      scratch.relax(sig, 0.0, Back{});
     } else if (kids.size() == 1) {
       const Vertex c = kids[0];
-      NodeTable& ct = tables[static_cast<std::size_t>(c)];
       const bool uncut = bt.parent_edge_infinite(c);
       const Weight w = uncut ? 0 : bt.parent_weight(c);
-      std::vector<ProjectedKey>& keys = pool.keys(0);
-      project(ct, uncut, w, pool, keys);
-      ct.release_cost(pool);
+      std::vector<ProjectedKey>& keys = scratch.keys(0);
+      project(tables[static_cast<std::size_t>(c)], uncut, w, scratch, keys);
       for (const ProjectedKey& k1 : keys) {
         const int j1 = space.present(k1.key);
         // Parent presence: at least the kept prefix, optionally extended
@@ -807,28 +723,26 @@ struct DpEngine {
         for (int pv = j1; pv <= pv_hi; ++pv) {
           const std::size_t up = space.lift(k1.key, j1, pv);
           HGP_ASSERT(up != SignatureSpace::npos);
-          relax(table, up,
-                k1.g + w * (ps[static_cast<std::size_t>(pv)] -
-                            ps[static_cast<std::size_t>(j1)]),
-                Back{k1.sig, kNoSig, narrow<std::int8_t>(j1), -1});
+          scratch.relax(up,
+                        k1.g + w * (ps[static_cast<std::size_t>(pv)] -
+                                    ps[static_cast<std::size_t>(j1)]),
+                        Back{k1.sig, kNoSig, narrow<std::int8_t>(j1), -1});
           ++stats.merge_operations;
           guard.tick();
         }
       }
     } else {
       HGP_CHECK_MSG(kids.size() == 2, "tree must be binarized");
-      NodeTable& t1 = tables[static_cast<std::size_t>(kids[0])];
-      NodeTable& t2 = tables[static_cast<std::size_t>(kids[1])];
+      const NodeTable& t1 = tables[static_cast<std::size_t>(kids[0])];
+      const NodeTable& t2 = tables[static_cast<std::size_t>(kids[1])];
       const bool inf1 = bt.parent_edge_infinite(kids[0]);
       const bool inf2 = bt.parent_edge_infinite(kids[1]);
       const Weight w1 = inf1 ? 0 : bt.parent_weight(kids[0]);
       const Weight w2 = inf2 ? 0 : bt.parent_weight(kids[1]);
-      std::vector<ProjectedKey>& keys1 = pool.keys(0);
-      std::vector<ProjectedKey>& keys2 = pool.keys(1);
-      project(t1, inf1, w1, pool, keys1);
-      project(t2, inf2, w2, pool, keys2);
-      t1.release_cost(pool);
-      t2.release_cost(pool);
+      std::vector<ProjectedKey>& keys1 = scratch.keys(0);
+      std::vector<ProjectedKey>& keys2 = scratch.keys(1);
+      project(t1, inf1, w1, scratch, keys1);
+      project(t2, inf2, w2, scratch, keys2);
       // Parent presence: at least the kept prefixes, optionally extended
       // by phantom regions entering from above; dummy edges pin it to the
       // child's presence.
@@ -845,7 +759,7 @@ struct DpEngine {
       // Every key pair counts its pv steps in merge_operations; the steps
       // of capacity-incompatible pairs are never visited and count as
       // rejected.
-      PairIndex& pairs = pool.pairs();
+      PairIndex& pairs = scratch.pairs();
       pairs.build(space, keys1, keys2, pv_range);
       for (const ProjectedKey& k1 : keys1) {
         const int j1 = space.present(k1.key);
@@ -861,22 +775,20 @@ struct DpEngine {
             ++visited;
             guard.tick();
             const double ps_v = ps[static_cast<std::size_t>(pv)];
-            relax(table, up,
-                  g12 + w1 * (ps_v - ps[static_cast<std::size_t>(j1)]) +
-                      w2 * (ps_v - ps[static_cast<std::size_t>(j2)]),
-                  Back{k1.sig, k2.sig, narrow<std::int8_t>(j1),
-                       narrow<std::int8_t>(j2)});
+            scratch.relax(
+                up,
+                g12 + w1 * (ps_v - ps[static_cast<std::size_t>(j1)]) +
+                    w2 * (ps_v - ps[static_cast<std::size_t>(j2)]),
+                Back{k1.sig, k2.sig, narrow<std::int8_t>(j1),
+                     narrow<std::int8_t>(j2)});
           }
         });
         stats.merge_operations += pairs.steps(j1);
         stats.merges_rejected += pairs.steps(j1) - visited;
       }
     }
-    if (prune) {
-      stats.states_pruned += table.prune_dominated(pool.dominance());
-    }
-    table.compact(pool);
-    stats.feasible_states += table.feasible.size();
+    if (prune) stats.states_pruned += scratch.prune_dominated();
+    scratch.compact(tables[static_cast<std::size_t>(v)]);
   }
 };
 
@@ -908,38 +820,34 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
         ps[static_cast<std::size_t>(k - 1)] + (h.cm(k - 1) - h.cm(k)) / 2.0;
   }
 
-  // 3. Bottom-up DP: one children-before-parents sweep over one pool.
-  //    The pool outlives step 4: the root's cost span is read there.
+  // 3. Bottom-up DP: one children-before-parents sweep over one scratch.
+  //    Every node keeps its compact table until the solve ends.
   std::vector<NodeTable> tables(static_cast<std::size_t>(bt.node_count()));
   const bool prune = opt.prune_dominated;
   std::optional<ReusePlan> reuse_plan;
-  std::vector<DpSubtreeEntry> capture_slots;
   if (opt.reuse_in != nullptr || opt.reuse_out != nullptr) {
     reuse_plan.emplace(
         make_reuse_plan(bt, sd, space, height, prune, opt.reuse_in));
   }
-  if (opt.reuse_out != nullptr) {
-    capture_slots.resize(static_cast<std::size_t>(bt.node_count()));
+  const DpEngine engine{bt,    space,  sd, ps,
+                        prune, tables, reuse_plan ? &*reuse_plan : nullptr};
+  {
+    DpScratch scratch(space);
+    for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend();
+         ++it) {
+      engine.process(*it, scratch, result.stats, guard);
+    }
+    result.stats.arena_bytes = scratch.bytes_reserved();
   }
-  const DpEngine engine{bt,     space,
-                        sd,     ps,
-                        prune,  tables,
-                        reuse_plan.has_value() ? &*reuse_plan : nullptr,
-                        opt.reuse_out != nullptr ? &capture_slots : nullptr};
-  DenseTablePool pool(space);
-  for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend(); ++it) {
-    engine.process(*it, pool, result.stats, guard);
-  }
-  result.stats.arena_bytes = pool.bytes_reserved();
 
   // 4. Pick the best root signature.
   const NodeTable& root_table = tables[static_cast<std::size_t>(bt.root())];
   std::size_t best_sig = SignatureSpace::npos;
   double best_cost = kInf;
-  for (const std::uint32_t s : root_table.feasible) {
-    if (root_table.cost[s] < best_cost) {
-      best_cost = root_table.cost[s];
-      best_sig = s;
+  for (std::size_t i = 0; i < root_table.feasible.size(); ++i) {
+    if (root_table.cost[i] < best_cost) {
+      best_cost = root_table.cost[i];
+      best_sig = root_table.feasible[i];
     }
   }
   if (best_sig == SignatureSpace::npos) {
@@ -1002,7 +910,7 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
       }
       return;
     }
-    const Back& back = tables[static_cast<std::size_t>(v)].lookup(sig);
+    const Back& back = lookup(tables[static_cast<std::size_t>(v)], sig);
     self(self, kids[0], back.sig1,
          child_active(back.sig1, back.j1, active));
     if (kids.size() == 2) {
@@ -1046,10 +954,10 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
     store.total = sd.total;
     store.capacity = sd.capacity;
     store.entries.clear();
-    store.entries.reserve(capture_slots.size());
+    store.entries.reserve(tables.size());
     for (Vertex v = 0; v < bt.node_count(); ++v) {
       const auto vi = static_cast<std::size_t>(v);
-      store.entries[reuse_plan->hash[vi]] = std::move(capture_slots[vi]);
+      store.entries[reuse_plan->hash[vi]] = std::move(tables[vi]);
     }
   }
   publish_dp_metrics(result.stats, bt, sd);

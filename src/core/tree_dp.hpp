@@ -33,6 +33,12 @@
 //    arithmetically into merge_operations / merges_rejected;
 //  * pruning keeps the least D¹ per presence class in a dense prefix-min
 //    table over (D², D³), so a dominance query is one read;
+//  * a finished node keeps only its compact table (sorted feasible ids,
+//    their costs and back-pointers: a DpSubtreeEntry), read by position.
+//    The only |Sig|-sized arrays are one solve's scratch: the cost
+//    (∞ at rest) and back arrays of the node being built, and the
+//    projection's per-key minimum, so memory does not grow with the
+//    tree's depth;
 //  * tie rule: within a key the smallest child signature attaining the
 //    minimum g wins (states walked in ascending id, strict <); keys are
 //    paired in ascending id order (pv ascending innermost) and a parent
@@ -69,7 +75,8 @@ struct DpBack {
 
 /// Compacted DP table of one (binarized) subtree root: feasible signature
 /// ids (sorted), their costs, and their back-pointers, all in the space of
-/// the solve that captured them.
+/// the solve that captured them.  The DP keeps every finished node in this
+/// form.
 struct DpSubtreeEntry {
   std::vector<std::uint32_t> feasible;
   std::vector<double> cost;

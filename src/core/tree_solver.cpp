@@ -16,16 +16,10 @@ constexpr Vertex kDeepAuditLeafLimit = 96;
 }  // namespace
 
 TreeHgpSolution solve_hgpt(const Tree& t, const Hierarchy& h,
-                           const TreeSolverOptions& opt) {
+                           const TreeDpOptions& opt) {
   if (contracts_enabled()) validate_hierarchy(h);
 
-  TreeDpOptions dp_opt;
-  dp_opt.epsilon = opt.epsilon;
-  dp_opt.units_override = opt.units_override;
-  dp_opt.exec = opt.exec;
-  dp_opt.reuse_in = opt.reuse_in;
-  dp_opt.reuse_out = opt.reuse_out;
-  TreeDpResult dp = solve_rhgpt(t, h, dp_opt);
+  TreeDpResult dp = solve_rhgpt(t, h, opt);
 
   // Theorem 3: the DP's relaxed optimum is a *nice* solution (BS = 0) and
   // a Definition-4 solution with respect to the rounded demands.

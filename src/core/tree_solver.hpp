@@ -13,17 +13,6 @@
 
 namespace hgp {
 
-struct TreeSolverOptions {
-  double epsilon = 0.25;
-  DemandUnits units_override = 0;
-  /// Cooperative deadline/cancellation, forwarded to the DP.
-  const ExecContext* exec = nullptr;
-  /// Clean-subtree reuse across solves, forwarded to
-  /// TreeDpOptions::reuse_in / reuse_out (incremental re-solve path).
-  const DpReuseStore* reuse_in = nullptr;
-  DpReuseStore* reuse_out = nullptr;
-};
-
 struct TreeHgpSolution {
   /// Final HGPT solution: T-leaf → H-leaf.
   TreeAssignment assignment;
@@ -46,8 +35,8 @@ struct TreeHgpSolution {
   }
 };
 
-/// Requires leaf demands on `t`.
+/// Requires leaf demands on `t`.  `opt` goes to the DP unchanged.
 TreeHgpSolution solve_hgpt(const Tree& t, const Hierarchy& h,
-                           const TreeSolverOptions& opt = {});
+                           const TreeDpOptions& opt = {});
 
 }  // namespace hgp

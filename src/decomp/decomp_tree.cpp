@@ -27,12 +27,4 @@ DecompTree::DecompTree(Tree tree, std::vector<Vertex> leaf_vertex,
   }
 }
 
-std::vector<Vertex> DecompTree::map_leaf_set(
-    std::span<const Vertex> t_leaves) const {
-  std::vector<Vertex> out;
-  out.reserve(t_leaves.size());
-  for (Vertex t : t_leaves) out.push_back(vertex_of_leaf(t));
-  return out;
-}
-
 }  // namespace hgp

@@ -45,10 +45,6 @@ class DecompTree {
     return vertex_leaf_[static_cast<std::size_t>(g_vertex)];
   }
 
-  /// Translates a subset of T-leaves into the corresponding G-vertex set
-  /// (the paper's m(P_T)).
-  std::vector<Vertex> map_leaf_set(std::span<const Vertex> t_leaves) const;
-
   /// Vertex count of the underlying graph.
   Vertex graph_vertex_count() const {
     return narrow<Vertex>(vertex_leaf_.size());

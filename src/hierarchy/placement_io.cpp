@@ -51,10 +51,4 @@ Placement read_placement(std::istream& in) {
   return p;
 }
 
-Placement read_placement_file(const std::string& path) {
-  std::ifstream in(path);
-  HGP_CHECK_MSG(in.good(), "cannot open: " << path);
-  return read_placement(in);
-}
-
 }  // namespace hgp::io

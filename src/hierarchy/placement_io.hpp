@@ -17,6 +17,5 @@ void write_placement_file(const Placement& p, const std::string& path);
 /// Reads the format back; validates ids are non-negative and the tasks are
 /// exactly 0..n-1 (each assigned once).
 Placement read_placement(std::istream& in);
-Placement read_placement_file(const std::string& path);
 
 }  // namespace hgp::io

@@ -68,15 +68,4 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   parallel_for(ThreadPool::shared(), begin, end, body, min_chunk, exec);
 }
 
-/// Maps fn over [0, n) into a vector of results (fn(i) -> R).
-template <typename Fn>
-auto parallel_map(ThreadPool& pool, std::size_t n, const Fn& fn,
-                  const ExecContext* exec = nullptr) {
-  using R = decltype(fn(std::size_t{0}));
-  std::vector<R> out(n);
-  parallel_for(
-      pool, 0, n, [&](std::size_t i) { out[i] = fn(i); }, 1, exec);
-  return out;
-}
-
 }  // namespace hgp

@@ -525,6 +525,12 @@ struct ShardCoordinator::Impl {
     if (copt.lease_ms <= 0) {
       throw SolveError(StatusCode::kInvalidInput, "lease_ms must be > 0");
     }
+    // Every tree's DP would reject an instance whose rounded demand total
+    // overflows the root capacity, and solve_hgp rejects it before it
+    // builds a tree: such a solve leases nothing and spawns no worker.
+    const bool fits =
+        rounded_demand_overflow(g, h, opt.epsilon, opt.units_override)
+            .empty();
 
     rid = obs::next_library_request_id();
     deadline = opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
@@ -544,23 +550,25 @@ struct ShardCoordinator::Impl {
       return ms;
     };
 
-    try {
-      std::vector<pid_t> spawned = spawn_workers();
-      report.connect_ms = lap();
-      build_job();
-      report.job_ms = lap();
-      for (net::Socket& sock : adopted) add_shard(std::move(sock));
-      adopted.clear();
-      accept_workers(std::move(spawned));
-      report.connect_ms += lap();
-      supervise();
-      report.trees_ms = lap();
-    } catch (...) {
+    if (fits) {
+      try {
+        std::vector<pid_t> spawned = spawn_workers();
+        report.connect_ms = lap();
+        build_job();
+        report.job_ms = lap();
+        for (net::Socket& sock : adopted) add_shard(std::move(sock));
+        adopted.clear();
+        accept_workers(std::move(spawned));
+        report.connect_ms += lap();
+        supervise();
+        report.trees_ms = lap();
+      } catch (...) {
+        cleanup();
+        throw;
+      }
       cleanup();
-      throw;
+      report.teardown_ms = lap();
     }
-    cleanup();
-    report.teardown_ms = lap();
 
     report.degraded_inprocess =
         checkpoint->size() < static_cast<std::size_t>(opt.num_trees);

@@ -101,7 +101,7 @@ Status run_shard_server(net::FrameChannel& ch, const ShardServerOptions& opt) {
     }
     HGP_COUNTER_ADD("shard.jobs_loaded", 1);
 
-    TreeSolverOptions tree_opt;
+    TreeDpOptions tree_opt;
     tree_opt.epsilon = job.epsilon;
     tree_opt.units_override = job.units_override;
 

@@ -22,7 +22,7 @@ namespace hgp {
 
 ForestTreeResult solve_forest_tree(const Graph& g, const Hierarchy& h,
                                    const DecompTree& dt,
-                                   const TreeSolverOptions& tree_opt) {
+                                   const TreeDpOptions& tree_opt) {
   const TreeHgpSolution sol = solve_hgpt(dt.tree(), h, tree_opt);
   ForestTreeResult out;
   HGP_TRACE_SPAN("tree.map_back");
@@ -84,18 +84,12 @@ Status classify_forest_failure(const ExecContext& exec,
 /// the root capacity, decided before any tree is built: every tree's DP
 /// would reject it with the same message.  Each of the `count` attempts is
 /// recorded as kInfeasible with that message, no build and no time.
-/// Returns kOk, touching nothing, when the total fits or a demand lies
-/// outside (0, 1] (the trees' DP reports that).
+/// Returns kOk, touching nothing, when rounded_demand_overflow is empty.
 Status reject_rounded_overflow(const Graph& g, const Hierarchy& h,
                                std::size_t count, double epsilon,
                                DemandUnits units_override, HgpResult& result) {
-  const std::vector<double>& demands = g.demands();
-  if (!std::all_of(demands.begin(), demands.end(),
-                   [](double d) { return d > 0.0 && d <= 1.0; })) {
-    return Status();
-  }
-  const std::string overflow = rounded_total_overflow(
-      round_demands(demands, h, epsilon, units_override));
+  const std::string overflow =
+      rounded_demand_overflow(g, h, epsilon, units_override);
   if (overflow.empty()) return Status();
   TreeAttempt rejected;
   rejected.status = StatusCode::kInfeasible;
@@ -140,7 +134,7 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
     source.built.assign(count, DecompTree{});
     source.built_ok.assign(count, 0);
   }
-  TreeSolverOptions base_opt;
+  TreeDpOptions base_opt;
   base_opt.epsilon = opt.epsilon;
   base_opt.units_override = opt.units_override;
   base_opt.exec = &exec;
@@ -186,7 +180,7 @@ Status solve_forest_trees(const Graph& g, const Hierarchy& h,
         FaultInjector::instance().on_site("solve_one_tree",
                                           static_cast<int>(i));
         exec.check("tree solve start");
-        TreeSolverOptions tree_opt = base_opt;
+        TreeDpOptions tree_opt = base_opt;
         if (opt.reuse_in != nullptr) tree_opt.reuse_in = &(*opt.reuse_in)[i];
         if (opt.reuse_out != nullptr) {
           tree_opt.reuse_out = &(*opt.reuse_out)[i];
@@ -426,6 +420,18 @@ const char* solve_method_name(SolveMethod method) {
       return "greedy";
   }
   return "unknown";
+}
+
+std::string rounded_demand_overflow(const Graph& g, const Hierarchy& h,
+                                    double epsilon,
+                                    DemandUnits units_override) {
+  const std::vector<double>& demands = g.demands();
+  if (!std::all_of(demands.begin(), demands.end(),
+                   [](double d) { return d > 0.0 && d <= 1.0; })) {
+    return {};
+  }
+  return rounded_total_overflow(
+      round_demands(demands, h, epsilon, units_override));
 }
 
 void validate_solve_args(const Graph& g, int num_trees, double timeout_ms,

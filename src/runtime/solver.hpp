@@ -211,7 +211,7 @@ struct ForestTreeResult {
 };
 ForestTreeResult solve_forest_tree(const Graph& g, const Hierarchy& h,
                                    const DecompTree& dt,
-                                   const TreeSolverOptions& tree_opt);
+                                   const TreeDpOptions& tree_opt);
 
 // The request checks and result validation every forest-solve entry point
 // shares (solve_hgp, solve_on_forest, IncrementalSolver, ShardCoordinator).
@@ -220,6 +220,16 @@ ForestTreeResult solve_forest_tree(const Graph& g, const Hierarchy& h,
 /// num_trees >= 1, timeout_ms >= 0 and epsilon > 0.
 void validate_solve_args(const Graph& g, int num_trees, double timeout_ms,
                          double epsilon);
+
+/// Why no placement of `g`'s rounded demands fits `h` (round_demands,
+/// src/core/demand.hpp: the rounded total exceeds the root capacity), or
+/// empty when it fits or a demand lies outside (0, 1] (the trees' DP
+/// reports that).  It reads only the demands, so solve_hgp runs it before
+/// it builds any tree and the sharded coordinator before it spawns a
+/// worker.
+std::string rounded_demand_overflow(const Graph& g, const Hierarchy& h,
+                                    double epsilon,
+                                    DemandUnits units_override);
 
 /// True when a tree result that arrived from outside this solve (a
 /// recovered checkpoint spill, a shard's reply) fits the instance: one

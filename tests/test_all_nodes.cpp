@@ -58,7 +58,7 @@ TEST(AllNodes, CostEqualsDirectLcaCostOnTheOriginalTree) {
     std::vector<double> demand(static_cast<std::size_t>(t.node_count()));
     for (auto& d : demand) d = rng.next_double(0.2, 0.45);
     const Hierarchy h({2, 2}, {3.0, 1.0, 0.0});
-    TreeSolverOptions opt;
+    TreeDpOptions opt;
     opt.units_override = 8;
     const AllNodesSolution sol = solve_hgpt_all_nodes(t, demand, h, opt);
     double direct = 0;
@@ -77,7 +77,7 @@ TEST(AllNodes, MatchesExactOnTinyChain) {
   const Tree t = chain4();
   const std::vector<double> demand{0.4, 0.4, 0.4, 0.4};
   const Hierarchy h = Hierarchy::kbgp(2);
-  TreeSolverOptions opt;
+  TreeDpOptions opt;
   opt.units_override = 10;
   const AllNodesSolution sol = solve_hgpt_all_nodes(t, demand, h, opt);
   // Optimal: split at the cheap middle edge (1,2): {0,1} | {2,3}.
@@ -101,7 +101,7 @@ TEST(AllNodes, ViolationBoundStillHolds) {
   std::vector<double> demand(static_cast<std::size_t>(t.node_count()));
   for (auto& d : demand) d = rng.next_double(0.1, 0.3);
   const Hierarchy h({2, 2}, {3.0, 1.0, 0.0});
-  TreeSolverOptions opt;
+  TreeDpOptions opt;
   opt.epsilon = 0.5;
   const AllNodesSolution sol = solve_hgpt_all_nodes(t, demand, h, opt);
   for (int j = 0; j <= h.height(); ++j) {

@@ -757,6 +757,41 @@ TEST(Coordinator, CustomCutterRejectedBeforeAnySpawn) {
   EXPECT_TRUE(dir.no_socket_left());
 }
 
+TEST(Coordinator, RoundedDemandOverflowSpawnsNoWorker) {
+  // 20 tasks of 0.25 against a root capacity of 4: the rounded total
+  // overflows whatever the trees, so every tree's DP would reject the
+  // instance.  No worker is spawned and no tree is built; the answer is
+  // the in-process solve_hgp's, fallback placement included.
+  Graph g = workload(30);
+  gen::set_uniform_demands(g, 0.25);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(30));
+  ASSERT_EQ(baseline.status.code, StatusCode::kInfeasible);
+
+  const ScratchDir dir;
+  const std::filesystem::path marker = dir.path / "spawned";
+  const std::filesystem::path worker = dir.path / "marking-worker.sh";
+  std::ofstream(worker) << "#!/bin/sh\ntouch '" << marker.string()
+                        << "'\nexit 1\n";
+  std::filesystem::permissions(worker, std::filesystem::perms::owner_all);
+  const auto trees_built = [] {
+    return obs::MetricsRegistry::global().counter_value("decomp.trees_built");
+  };
+  const std::uint64_t built_before = trees_built();
+  CoordinatorReport rep;
+  const HgpResult got = solve_hgp_sharded(
+      g, hier(), base_options(30), spawn_local(dir, 2, worker.string()), &rep);
+
+  expect_bit_identical(got, baseline);
+  EXPECT_EQ(got.status.code, StatusCode::kInfeasible);
+  EXPECT_EQ(got.status.message, baseline.status.message);
+  EXPECT_EQ(rep.shards_up, 0);
+  EXPECT_EQ(rep.trees_from_shards, 0);
+  EXPECT_EQ(trees_built(), built_before);
+  expect_no_child_left();
+  EXPECT_FALSE(std::filesystem::exists(marker));
+  EXPECT_TRUE(dir.no_socket_left());
+}
+
 TEST(Coordinator, SpawnLocalCancelBeforeForestReapsWorkers) {
   const Graph g = workload(24);
   CancelToken cancel;

@@ -418,5 +418,49 @@ TEST(DpDifferential, MergeCountersArePinned) {
   }
 }
 
+TEST(DpDifferential, ScratchDoesNotGrowWithDepth) {
+  // A finished node keeps only its compact table, so the dense |Sig|-sized
+  // scratch is one solve's, not one per pending tree depth.  Both trees
+  // have 32 leaves of equal demand, hence one signature space: a balanced
+  // binary tree, and a caterpillar whose spine is each node's second
+  // child.  The sweep builds a node's first child's subtree first, so the
+  // caterpillar leaves one finished leaf pending on every spine level.
+  constexpr Vertex kLeaves = 32;
+  std::vector<Vertex> balanced(2 * kLeaves - 1);
+  for (std::size_t v = 0; v < balanced.size(); ++v) {
+    balanced[v] = v == 0 ? kInvalidVertex : static_cast<Vertex>((v - 1) / 2);
+  }
+  std::vector<Vertex> caterpillar{kInvalidVertex};
+  for (Vertex spine = 0, leaf = 1; leaf < kLeaves; ++leaf) {
+    caterpillar.push_back(spine);  // the leaf, first child
+    caterpillar.push_back(spine);  // the next spine node, or the last leaf
+    spine = static_cast<Vertex>(caterpillar.size() - 1);
+  }
+  ASSERT_EQ(caterpillar.size(), balanced.size());
+
+  const Hierarchy h = Hierarchy::uniform(2, 2, {4.0, 1.0, 0.0});
+  TreeDpOptions opt;
+  opt.units_override = 24;
+  TreeDpStats stats[2];
+  int depth[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    std::vector<Vertex> parents = i == 0 ? balanced : caterpillar;
+    const std::size_t n = parents.size();
+    Tree t = Tree::from_parents(std::move(parents),
+                                std::vector<Weight>(n, 1.0));
+    ASSERT_EQ(t.leaf_count(), kLeaves);
+    t.set_leaf_demands(std::vector<double>(kLeaves, 0.1));
+    for (Vertex v = 0; v < t.node_count(); ++v) {
+      depth[i] = std::max(depth[i], t.depth(v));
+    }
+    stats[i] = solve_rhgpt(t, h, opt).stats;
+  }
+  ASSERT_EQ(depth[0], 5);
+  ASSERT_EQ(depth[1], kLeaves - 1);
+  ASSERT_EQ(stats[0].signature_count, stats[1].signature_count);
+  EXPECT_EQ(stats[0].arena_bytes, stats[1].arena_bytes)
+      << "|Sig| " << stats[0].signature_count;
+}
+
 }  // namespace
 }  // namespace hgp

@@ -75,17 +75,6 @@ TEST(ParallelFor, ExceptionIsRethrownOnce) {
       std::runtime_error);
 }
 
-TEST(ParallelMap, ProducesOrderedResults) {
-  ThreadPool pool(3);
-  auto out = parallel_map(pool, 50, [](std::size_t i) {
-    return static_cast<int>(i * i);
-  });
-  ASSERT_EQ(out.size(), 50u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
 TEST(ParallelFor, SumMatchesSerial) {
   ThreadPool pool(4);
   const std::size_t n = 10000;

@@ -356,7 +356,7 @@ TEST(Resilience, TreeDpHonoursDeadline) {
   const DecompTree dt = build_decomp_tree(g, rng, cutter);
   ExecContext exec;
   exec.deadline = Deadline::after_ms(-1);
-  TreeSolverOptions opt;
+  TreeDpOptions opt;
   opt.exec = &exec;
   try {
     solve_hgpt(dt.tree(), hier(), opt);

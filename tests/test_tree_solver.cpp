@@ -25,7 +25,7 @@ TEST(TreeSolver, CostBelowExactOptimum) {
     const Hierarchy h({2, 2}, {3.0, 1.0, 0.0});
     const ExactTreeResult exact = solve_exact_hgpt(t, h);
     if (!exact.feasible) continue;
-    TreeSolverOptions opt;
+    TreeDpOptions opt;
     opt.epsilon = 0.25;
     const TreeHgpSolution sol = solve_hgpt(t, h, opt);
     EXPECT_LE(assignment_cost(t, h, sol.assignment), exact.cost + 1e-6) << "round " << round;
@@ -54,7 +54,7 @@ TEST_P(TreeSolverSweep, ViolationBoundHoldsAcrossHeightsAndSeeds) {
   const Hierarchy h = Hierarchy::uniform(height, 2, cm);
   Rng rng(seed);
   const Tree t = random_instance(12, rng, 0.2, 0.5);
-  TreeSolverOptions opt;
+  TreeDpOptions opt;
   opt.epsilon = eps;
   const TreeHgpSolution sol = solve_hgpt(t, h, opt);
   for (int j = 0; j <= height; ++j) {
@@ -75,9 +75,9 @@ TEST(TreeSolver, EpsilonTradesAccuracyForSpeed) {
   Rng rng(3);
   const Tree t = random_instance(18, rng, 0.1, 0.3);
   const Hierarchy h({2, 2}, {4.0, 1.0, 0.0});
-  TreeSolverOptions coarse;
+  TreeDpOptions coarse;
   coarse.units_override = 4;
-  TreeSolverOptions fine;
+  TreeDpOptions fine;
   fine.units_override = 24;
   const TreeHgpSolution sc = solve_hgpt(t, h, coarse);
   const TreeHgpSolution sf = solve_hgpt(t, h, fine);
@@ -91,7 +91,7 @@ TEST(TreeSolver, StarTreeHeavyEdgesStayTogether) {
   Tree t = Tree::from_parents({-1, 0, 0, 0, 0}, {0, 100.0, 100.0, 1.0, 1.0});
   t.set_leaf_demands(std::vector<double>{0.5, 0.5, 0.5, 0.5});
   const Hierarchy h = Hierarchy::kbgp(2);
-  TreeSolverOptions opt;
+  TreeDpOptions opt;
   opt.units_override = 2;
   const TreeHgpSolution sol = solve_hgpt(t, h, opt);
   EXPECT_EQ(sol.assignment.of(1), sol.assignment.of(2))
