@@ -41,6 +41,7 @@ struct ProfileResult {
   std::uint64_t nodes_reused = 0;
   Vertex moved = 0;
   Vertex surviving = 0;
+  double resolve_ms = 0;  ///< summed wall time of the incremental resolves
   bool identical = true;
 };
 
@@ -71,7 +72,9 @@ ProfileResult run_profile(const Hierarchy& h, const gen::ChurnOptions& copt,
     if (log->empty()) continue;
     out.touched += log->touched().size();
     ResolveStats rs;
+    const Timer resolve_timer;
     const HgpResult inc = solver.resolve(*log, ResolveOptions{}, &rs);
+    out.resolve_ms += resolve_timer.millis();
     ForestSolveOptions fo;
     fo.epsilon = iopt.epsilon;
     fo.units_override = solver.units();
@@ -157,14 +160,18 @@ int run() {
       "(<= 10% of vertices touched) saves >= 5x merges", all_ok);
 
   // scripts/run_benches.sh persists this as BENCH_e12_churn.json;
-  // scripts/ab_gate.py reads solve_ms for the same-machine A/B gate.
+  // scripts/ab_gate.py reads solve_ms (the whole run, scratch arms
+  // included) for the same-machine A/B gate; resolve_ms is the incremental
+  // resolves alone.
   std::printf(
-      "BENCH_JSON: {\"n\": %u, \"solve_ms\": %.1f, "
+      "BENCH_JSON: {\"machine\": %s, \"n\": %u, \"solve_ms\": %.1f, "
+      "\"resolve_ms\": %.2f, "
       "\"merge_operations\": %llu, \"drift_inc_merges\": %llu, "
       "\"drift_scratch_merges\": %llu, \"drift_merge_ratio\": %.2f, "
       "\"drift_touched\": %zu, \"mixed_inc_merges\": %llu, "
       "\"mixed_scratch_merges\": %llu, \"moved_pct_drift\": %.2f}\n",
-      n, bench_timer.millis(),
+      exp::machine_fingerprint_json().c_str(), n, bench_timer.millis(),
+      d.resolve_ms + m.resolve_ms,
       static_cast<unsigned long long>(d.inc_merges + m.inc_merges +
                                       d.scratch_merges + m.scratch_merges),
       static_cast<unsigned long long>(d.inc_merges),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -18,8 +19,8 @@ namespace {
 /// Publishes one solve's locally-counted DP work into the shared metrics
 /// registry (counters `dp.*` and the demand-rounding bucket histogram).
 /// One call per solve — the hot merge loop itself never touches atomics.
-void publish_dp_metrics(const TreeDpStats& stats, const Tree& bt,
-                        const ScaledDemands& sd) {
+void publish_dp_metrics(const TreeDpStats& stats, std::size_t translated,
+                        const Tree& bt, const ScaledDemands& sd) {
   HGP_COUNTER_ADD("dp.solves", 1);
   HGP_COUNTER_ADD("dp.signatures", stats.signature_count);
   HGP_COUNTER_ADD("dp.feasible_states", stats.feasible_states);
@@ -28,6 +29,7 @@ void publish_dp_metrics(const TreeDpStats& stats, const Tree& bt,
   HGP_COUNTER_ADD("dp.states_pruned", stats.states_pruned);
   HGP_COUNTER_ADD("dp.nodes_built", stats.nodes_built);
   HGP_COUNTER_ADD("dp.nodes_reused", stats.nodes_reused);
+  HGP_COUNTER_ADD("dp.nodes_translated", translated);
 #if HGP_OBS_ENABLED
   static obs::Histogram& units_hist =
       obs::MetricsRegistry::global().histogram(
@@ -328,8 +330,10 @@ class PairIndex {
 /// A finished node's DP table: its feasible signature ids (sorted), their
 /// costs and their back-pointers, all compact.  The parent's projection
 /// and the root selection read `cost[i]` by position; backtracking finds a
-/// signature's back-pointer by binary search.
+/// signature's back-pointer by binary search.  Immutable once finished and
+/// held by pointer, so a clean subtree's table is shared, never copied.
 using NodeTable = DpSubtreeEntry;
+using TablePtr = std::shared_ptr<const NodeTable>;
 
 const Back& lookup(const NodeTable& table, std::uint32_t sig) {
   const auto it =
@@ -454,20 +458,22 @@ class DpScratch {
 // (rounded leaf demands, edge weights, uncuttable flags, shape) plus the
 // signature-space parameters.  We hash that content bottom-up (SplitMix64
 // finalizer mixing); a node whose hash — and every descendant's — is found
-// in a compatible DpReuseStore is *rehydrated*: its compacted table is
-// copied in, the form a built node keeps too.  Everything else builds
+// in a compatible DpReuseStore takes the stored table by pointer: the same
+// immutable compact table a built node keeps.  Everything else builds
 // normally, so the sweep stays a single children-before-parents pass that
 // dispatches through process() instead of build_node().
 //
 // Bit-identity: stored entries were compacted+pruned exactly as a fresh
 // build would compact+prune them (the store pins the prune flag and
-// units_per_capacity).  When the demand *total* differs between solves
-// the signature spaces differ only in their per-level bounds; stored ids
-// are translated by decoding against the capturing space and re-interning
-// (translation is monotone in the lex enumeration, so sorted feasible
-// arrays stay sorted, and clean-subtree demands — bounded by the unchanged
-// subtree demand sum ≤ both totals — always re-intern successfully; an
-// npos can only mean a hash collision and demotes the node to a rebuild).
+// units_per_capacity).  A different demand *total* can only change the
+// per-level bounds min(capacity_j, total), which are all SignatureSpace
+// reads; when they agree the spaces are identical and stored ids are
+// valid as they are.  When they differ, stored ids are translated by
+// decoding against the capturing space and re-interning (translation is
+// monotone in the lex enumeration, so sorted feasible arrays stay sorted,
+// and clean-subtree demands — bounded by the unchanged subtree demand sum
+// ≤ both totals — always re-intern successfully; an npos can only mean a
+// hash collision and demotes the node to a rebuild).
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -514,34 +520,42 @@ std::vector<std::uint64_t> dp_subtree_hashes(const Tree& bt,
 
 namespace {
 
-/// Per-node rehydrate/build decisions for one solve.  `entry[v]` non-null
-/// means v rehydrates from that table (already in the *current* space).
+/// The subtree hashes of one solve, and how many clean nodes took a table
+/// re-interned from the store's space.
 struct ReusePlan {
   std::vector<std::uint64_t> hash;
-  std::vector<const DpSubtreeEntry*> entry;
-  /// Owns tables translated from the store's space into the current one
-  /// (empty feasible = cached translation failure).  Node-based map:
-  /// pointers into it stay valid across inserts.
-  std::unordered_map<std::uint64_t, DpSubtreeEntry> translated;
+  std::size_t translated = 0;
 };
 
+/// Sets `tables[v]` (all null on entry) to the stored table, already in
+/// the *current* space, of every node v whose subtree is clean; the sweep
+/// then builds only the nodes left null.
 ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
                           const SignatureSpace& space, int height,
-                          bool prune, const DpReuseStore* store) {
-  const auto n = static_cast<std::size_t>(bt.node_count());
+                          bool prune, const DpReuseStore* store,
+                          std::vector<TablePtr>& tables) {
   ReusePlan plan;
   plan.hash = dp_subtree_hashes(bt, sd);
-  plan.entry.assign(n, nullptr);
   const bool usable = store != nullptr && !store->entries.empty() &&
                       store->height == height && store->prune == prune &&
                       store->units_per_capacity == sd.units_per_capacity &&
                       store->capacity == sd.capacity;
   if (!usable) return plan;
 
-  const bool identity = store->total == sd.total;
+  // The space is a function of its per-level bounds alone.
+  bool same_space = true;
+  for (int j = 1; j <= height; ++j) {
+    same_space = same_space &&
+               space.level_bound(j) ==
+                   std::min(store->capacity[static_cast<std::size_t>(j)],
+                            store->total);
+  }
   std::optional<SignatureSpace> old_space;
   std::unordered_map<std::size_t, std::size_t> id_map;
-  if (!identity) {
+  // One translated table per stored entry, shared by every node hashing to
+  // it; nullptr caches a failed translation.
+  std::unordered_map<std::uint64_t, TablePtr> translated;
+  if (!same_space) {
     ScaledDemands old_sd;
     old_sd.units_per_capacity = store->units_per_capacity;
     old_sd.total = store->total;
@@ -560,19 +574,11 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
     id_map.emplace(old_id, nid);
     return nid;
   };
-  auto resolve = [&](std::uint64_t h) -> const DpSubtreeEntry* {
-    const auto sit = store->entries.find(h);
-    if (sit == store->entries.end()) return nullptr;
-    if (identity) return &sit->second;
-    const auto [tit, fresh] = plan.translated.try_emplace(h);
-    if (!fresh) {
-      return tit->second.feasible.empty() ? nullptr : &tit->second;
-    }
-    const DpSubtreeEntry& e = sit->second;
-    DpSubtreeEntry& out = tit->second;
-    out.feasible.reserve(e.feasible.size());
-    out.cost = e.cost;
-    out.back.reserve(e.back.size());
+  auto translate = [&](const DpSubtreeEntry& e) -> TablePtr {
+    auto out = std::make_shared<DpSubtreeEntry>();
+    out->feasible.reserve(e.feasible.size());
+    out->cost = e.cost;
+    out->back.reserve(e.back.size());
     for (std::size_t i = 0; i < e.feasible.size(); ++i) {
       const std::size_t f = translate_id(e.feasible[i]);
       Back b = e.back[i];
@@ -587,14 +593,20 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
         ok = t != SignatureSpace::npos;
         if (ok) b.sig2 = narrow<std::uint32_t>(t);
       }
-      if (!ok) {
-        out = DpSubtreeEntry{};
-        return nullptr;
-      }
-      out.feasible.push_back(narrow<std::uint32_t>(f));
-      out.back.push_back(b);
+      if (!ok) return nullptr;
+      out->feasible.push_back(narrow<std::uint32_t>(f));
+      out->back.push_back(b);
     }
-    return &out;
+    return out;
+  };
+  auto resolve = [&](std::uint64_t h) -> TablePtr {
+    const auto sit = store->entries.find(h);
+    if (sit == store->entries.end()) return nullptr;
+    if (same_space) return sit->second;
+    const auto [tit, fresh] = translated.try_emplace(h);
+    if (fresh) tit->second = translate(*sit->second);
+    if (tit->second != nullptr) ++plan.translated;
+    return tit->second;
   };
 
   const std::vector<Vertex>& pre = bt.preorder();
@@ -603,9 +615,9 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
     const auto vi = static_cast<std::size_t>(v);
     bool kids_hit = true;
     for (const Vertex c : bt.children(v)) {
-      kids_hit = kids_hit && plan.entry[static_cast<std::size_t>(c)] != nullptr;
+      kids_hit = kids_hit && tables[static_cast<std::size_t>(c)] != nullptr;
     }
-    if (kids_hit) plan.entry[vi] = resolve(plan.hash[vi]);
+    if (kids_hit) tables[vi] = resolve(plan.hash[vi]);
   }
   return plan;
 }
@@ -634,25 +646,23 @@ struct DpEngine {
   const ScaledDemands& sd;
   const std::vector<double>& ps;
   bool prune;
-  std::vector<NodeTable>& tables;
-  /// Rehydrate/build decisions; nullptr = build everything.
-  const ReusePlan* plan = nullptr;
+  /// One table per node; a clean node's is set (shared from the reuse
+  /// store) before the sweep starts.
+  std::vector<TablePtr>& tables;
 
-  /// Node dispatch: rehydrate a clean subtree's table (a plain copy) or
-  /// build it by merging.  Bit-identical either way.
+  /// Node dispatch: a clean node keeps the table it already points to,
+  /// every other node is built by merging.  Bit-identical either way.
   void process(Vertex v, DpScratch& scratch, TreeDpStats& stats,
                PeriodicCheck& guard) const {
     const auto vi = static_cast<std::size_t>(v);
-    const DpSubtreeEntry* e = plan == nullptr ? nullptr : plan->entry[vi];
-    if (e != nullptr) {
+    if (tables[vi] != nullptr) {
       guard.tick();
-      tables[vi] = *e;
       ++stats.nodes_reused;
     } else {
       build_node(v, scratch, stats, guard);
       ++stats.nodes_built;
     }
-    stats.feasible_states += tables[vi].feasible.size();
+    stats.feasible_states += tables[vi]->feasible.size();
   }
 
   /// Projects child table `ct` (edge weight `w`; `uncut` = dummy edge,
@@ -714,7 +724,7 @@ struct DpEngine {
       const bool uncut = bt.parent_edge_infinite(c);
       const Weight w = uncut ? 0 : bt.parent_weight(c);
       std::vector<ProjectedKey>& keys = scratch.keys(0);
-      project(tables[static_cast<std::size_t>(c)], uncut, w, scratch, keys);
+      project(*tables[static_cast<std::size_t>(c)], uncut, w, scratch, keys);
       for (const ProjectedKey& k1 : keys) {
         const int j1 = space.present(k1.key);
         // Parent presence: at least the kept prefix, optionally extended
@@ -733,8 +743,8 @@ struct DpEngine {
       }
     } else {
       HGP_CHECK_MSG(kids.size() == 2, "tree must be binarized");
-      const NodeTable& t1 = tables[static_cast<std::size_t>(kids[0])];
-      const NodeTable& t2 = tables[static_cast<std::size_t>(kids[1])];
+      const NodeTable& t1 = *tables[static_cast<std::size_t>(kids[0])];
+      const NodeTable& t2 = *tables[static_cast<std::size_t>(kids[1])];
       const bool inf1 = bt.parent_edge_infinite(kids[0]);
       const bool inf2 = bt.parent_edge_infinite(kids[1]);
       const Weight w1 = inf1 ? 0 : bt.parent_weight(kids[0]);
@@ -788,7 +798,9 @@ struct DpEngine {
       }
     }
     if (prune) stats.states_pruned += scratch.prune_dominated();
-    scratch.compact(tables[static_cast<std::size_t>(v)]);
+    auto table = std::make_shared<NodeTable>();
+    scratch.compact(*table);
+    tables[static_cast<std::size_t>(v)] = std::move(table);
   }
 };
 
@@ -822,15 +834,14 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
 
   // 3. Bottom-up DP: one children-before-parents sweep over one scratch.
   //    Every node keeps its compact table until the solve ends.
-  std::vector<NodeTable> tables(static_cast<std::size_t>(bt.node_count()));
+  std::vector<TablePtr> tables(static_cast<std::size_t>(bt.node_count()));
   const bool prune = opt.prune_dominated;
   std::optional<ReusePlan> reuse_plan;
   if (opt.reuse_in != nullptr || opt.reuse_out != nullptr) {
-    reuse_plan.emplace(
-        make_reuse_plan(bt, sd, space, height, prune, opt.reuse_in));
+    reuse_plan.emplace(make_reuse_plan(bt, sd, space, height, prune,
+                                       opt.reuse_in, tables));
   }
-  const DpEngine engine{bt,    space,  sd, ps,
-                        prune, tables, reuse_plan ? &*reuse_plan : nullptr};
+  const DpEngine engine{bt, space, sd, ps, prune, tables};
   {
     DpScratch scratch(space);
     for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend();
@@ -841,7 +852,7 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
   }
 
   // 4. Pick the best root signature.
-  const NodeTable& root_table = tables[static_cast<std::size_t>(bt.root())];
+  const NodeTable& root_table = *tables[static_cast<std::size_t>(bt.root())];
   std::size_t best_sig = SignatureSpace::npos;
   double best_cost = kInf;
   for (std::size_t i = 0; i < root_table.feasible.size(); ++i) {
@@ -910,7 +921,7 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
       }
       return;
     }
-    const Back& back = lookup(tables[static_cast<std::size_t>(v)], sig);
+    const Back& back = lookup(*tables[static_cast<std::size_t>(v)], sig);
     self(self, kids[0], back.sig1,
          child_active(back.sig1, back.j1, active));
     if (kids.size() == 2) {
@@ -946,6 +957,8 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
   // 6. Hand this solve's subtree tables to the caller so the next
   //    incremental solve can skip clean subtrees.  Only successful solves
   //    populate the store (the assembly sits after the feasibility throw).
+  //    The store takes the tables' pointers: a clean node's is the very
+  //    entry reuse_in holds.
   if (opt.reuse_out != nullptr) {
     DpReuseStore& store = *opt.reuse_out;
     store.height = height;
@@ -957,10 +970,12 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
     store.entries.reserve(tables.size());
     for (Vertex v = 0; v < bt.node_count(); ++v) {
       const auto vi = static_cast<std::size_t>(v);
-      store.entries[reuse_plan->hash[vi]] = std::move(tables[vi]);
+      store.entries.insert_or_assign(reuse_plan->hash[vi],
+                                     std::move(tables[vi]));
     }
   }
-  publish_dp_metrics(result.stats, bt, sd);
+  publish_dp_metrics(result.stats, reuse_plan ? reuse_plan->translated : 0,
+                     bt, sd);
   return result;
 }
 

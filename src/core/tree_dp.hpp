@@ -50,6 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +77,8 @@ struct DpBack {
 /// Compacted DP table of one (binarized) subtree root: feasible signature
 /// ids (sorted), their costs, and their back-pointers, all in the space of
 /// the solve that captured them.  The DP keeps every finished node in this
-/// form.
+/// form, immutable once built and shared by pointer: a clean subtree's
+/// table passes from one solve's store to the next without a copy.
 struct DpSubtreeEntry {
   std::vector<std::uint32_t> feasible;
   std::vector<double> cost;
@@ -87,26 +89,31 @@ struct DpSubtreeEntry {
 /// the binarized subtree (rounded leaf demands, edge weights, uncuttable
 /// flags, shape).  A node's table is a pure function of that content given
 /// the signature-space parameters, so a later solve over a mutated tree
-/// can rehydrate the tables of every untouched ("clean") subtree instead
-/// of re-merging it — the structural locality the incremental re-solve
-/// path (src/runtime/incremental.hpp) is built on.
+/// can take the table of every untouched ("clean") subtree instead of
+/// re-merging it — the structural locality the incremental re-solve path
+/// (src/runtime/incremental.hpp) is built on.  A clean node takes the
+/// store's pointer, so consecutive stores share every clean table.
 ///
 /// The capturing solve's space parameters are recorded so a consuming
 /// solve can check compatibility: height, pruning flag and
 /// units_per_capacity must match exactly (otherwise the store is ignored;
 /// production always prunes, but a direct solve_rhgpt caller may mix
 /// modes, and pruned tables must never reach an unpruned solve);
-/// a different demand *total* only shifts the per-level signature bounds,
-/// which solve_rhgpt handles by translating stored ids between spaces —
-/// clean-subtree signatures always survive translation because their
-/// demands are bounded by the (unchanged) subtree demand sum.
+/// a different demand *total* can only shift the per-level signature
+/// bounds min(capacity_j, total).  When it does, solve_rhgpt translates
+/// stored ids into the new space (one new table per stored entry, shared
+/// by every node that hashes to it) — clean-subtree signatures always
+/// survive translation because their demands are bounded by the
+/// (unchanged) subtree demand sum; when the bounds agree the spaces are
+/// identical and the stored tables are used as they are.
 struct DpReuseStore {
   int height = 0;
   bool prune = false;
   DemandUnits units_per_capacity = 0;
   DemandUnits total = 0;
   std::vector<DemandUnits> capacity;
-  std::unordered_map<std::uint64_t, DpSubtreeEntry> entries;
+  std::unordered_map<std::uint64_t, std::shared_ptr<const DpSubtreeEntry>>
+      entries;
 
   bool empty() const { return entries.empty(); }
 };
@@ -139,13 +146,15 @@ struct TreeDpOptions {
   /// relaxations.  nullptr = unconstrained.  Must outlive the call.
   const ExecContext* exec = nullptr;
   /// Clean-subtree tables from a previous solve.  Subtrees whose content
-  /// hash (and every descendant's) is found here are rehydrated instead of
-  /// rebuilt; results are bit-identical to a from-scratch solve either
-  /// way.  Ignored when incompatible (see DpReuseStore).  Must outlive the
-  /// call.
+  /// hash (and every descendant's) is found here share the stored table
+  /// instead of rebuilding it; results are bit-identical to a from-scratch
+  /// solve either way.  Ignored when incompatible (see DpReuseStore).  Must
+  /// outlive the call.
   const DpReuseStore* reuse_in = nullptr;
   /// When non-null, receives this solve's per-subtree tables (parameters +
   /// entries are overwritten) for the *next* incremental solve to consume.
+  /// The entries are shared pointers: clean tables are the very objects
+  /// reuse_in holds.
   DpReuseStore* reuse_out = nullptr;
 };
 
@@ -163,7 +172,7 @@ struct TreeDpStats {
   std::size_t states_pruned = 0;     ///< dominance-pruned DP entries
   std::size_t arena_bytes = 0;       ///< workspace arena high-water, bytes
   std::size_t nodes_built = 0;       ///< node tables computed by merging
-  std::size_t nodes_reused = 0;      ///< node tables rehydrated from reuse_in
+  std::size_t nodes_reused = 0;      ///< node tables taken from reuse_in
 };
 
 struct TreeDpResult {

@@ -528,9 +528,9 @@ struct ShardCoordinator::Impl {
     // Every tree's DP would reject an instance whose rounded demand total
     // overflows the root capacity, and solve_hgp rejects it before it
     // builds a tree: such a solve leases nothing and spawns no worker.
-    const bool fits =
-        rounded_demand_overflow(g, h, opt.epsilon, opt.units_override)
-            .empty();
+    report.rounded_demand_overflow =
+        !rounded_demand_overflow(g, h, opt.epsilon, opt.units_override)
+             .empty();
 
     rid = obs::next_library_request_id();
     deadline = opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
@@ -550,7 +550,7 @@ struct ShardCoordinator::Impl {
       return ms;
     };
 
-    if (fits) {
+    if (!report.rounded_demand_overflow) {
       try {
         std::vector<pid_t> spawned = spawn_workers();
         report.connect_ms = lap();
@@ -568,10 +568,9 @@ struct ShardCoordinator::Impl {
       }
       cleanup();
       report.teardown_ms = lap();
+      report.degraded_inprocess =
+          checkpoint->size() < static_cast<std::size_t>(opt.num_trees);
     }
-
-    report.degraded_inprocess =
-        checkpoint->size() < static_cast<std::size_t>(opt.num_trees);
 
     // Final aggregation IS solve_hgp, so the one forest executor: every
     // shard-delivered tree is served from the checkpoint without re-running

@@ -100,9 +100,14 @@ struct CoordinatorReport {
   int zombies_fenced = 0;     ///< stale-epoch results discarded
   int respawns = 0;           ///< replacement workers spawned
   int trees_from_shards = 0;  ///< tree results accepted off the wire
-  /// Some trees missed their shard window and were solved in-process by
-  /// the final aggregation (true whenever every shard was lost).
+  /// Distribution was attempted, and some trees missed their shard window
+  /// and were solved in-process by the final aggregation (true whenever
+  /// every shard was lost).  False when nothing was distributed.
   bool degraded_inprocess = false;
+  /// The rounded demand total exceeds the root capacity, so every tree's
+  /// DP would reject the instance: nothing was distributed, no worker was
+  /// spawned, and the in-process solve_hgp answered.
+  bool rounded_demand_overflow = false;
   /// The phase timeline.  The four sum to at most the solve's wall time;
   /// the final in-process aggregation is the rest.
   double job_ms = 0;       ///< Job encode (graph + hierarchy snapshot)

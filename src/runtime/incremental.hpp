@@ -14,9 +14,9 @@
 //      the mutation never touches keep their exact shape, weights and
 //      node order;
 //   2. the DP re-solves every tree with the previous solve's clean-subtree
-//      tables (DpReuseStore, core/tree_dp.hpp): untouched subtrees are
-//      rehydrated instead of re-merged, so DP work scales with the dirty
-//      region, not the graph;
+//      tables (DpReuseStore, core/tree_dp.hpp): an untouched subtree shares
+//      its stored table by pointer instead of re-merging it, so merge work
+//      scales with the dirty region, not the graph;
 //   3. the result is committed atomically — graph snapshot, forest, reuse
 //      stores and last placement advance together, and only on success.
 //
@@ -82,7 +82,8 @@ struct ResolveOptions {
 struct ResolveStats {
   /// Forest-patch summary (dirty vertices, leaf edits, weight edits).
   PatchStats patch;
-  /// DP node tables re-merged vs rehydrated, summed over succeeded trees.
+  /// DP node tables re-merged vs taken from the reuse stores, summed over
+  /// succeeded trees.
   std::uint64_t nodes_built = 0;
   std::uint64_t nodes_reused = 0;
   /// Placement stability: surviving vertices (alive before and after the
@@ -115,6 +116,8 @@ class IncrementalSolver {
   const HgpResult& last() const { return last_; }
   /// The pinned demand-unit count every solve of this instance uses.
   DemandUnits units() const { return units_; }
+  /// The clean-subtree tables the next resolve starts from, per tree.
+  const std::vector<DpReuseStore>& stores() const { return stores_; }
 
   /// A fresh MutationLog over graph() that CO-OWNS the snapshot: the log
   /// keeps its base graph alive even after a later resolve swaps the

@@ -21,6 +21,7 @@
 #include "churn_schedule.hpp"
 #include "graph/fingerprint.hpp"
 #include "hierarchy/placement.hpp"
+#include "obs/obs.hpp"
 #include "runtime/incremental.hpp"
 #include "util/fault_injector.hpp"
 #include "util/status.hpp"
@@ -206,6 +207,83 @@ TEST(ChurnDifferential, ChainedResolvesStayIdenticalToScratch) {
     ASSERT_EQ(inc.telemetry.dp_feasible_states,
               scratch.telemetry.dp_feasible_states);
     ASSERT_EQ(solver.fingerprint(), graph_fingerprint(*solver.graph()));
+  }
+}
+
+// A clean subtree's DP table passes from one resolve's store to the next
+// by pointer.  A demand total that moves a per-level bound
+// min(capacity_j, total) re-interns the reused tables into the new
+// signature space; a total that moves no bound re-interns nothing and
+// shares every clean table as it is.  Both arms stay bit-identical to
+// scratch.
+TEST(ChurnDifferential, CleanSubtreesShareTablesAcrossResolves) {
+  // 15 vertices of one unit each (0.3 at U = 4) under a two-level
+  // hierarchy: the level-1 bound is min(16, total), so a total of 15 → 16
+  // moves it and 16 → 17 does not; the level-2 bound stays 4.
+  auto base = gen::grid2d(3, 5);
+  gen::set_uniform_demands(base, 0.3);
+  const auto g = std::make_shared<const Graph>(std::move(base));
+  const Hierarchy h = Hierarchy::uniform(2, 4, {3.0, 1.0, 0.0});
+  IncrementalOptions iopt;
+  iopt.num_trees = 2;
+  iopt.units_override = 4;
+  iopt.seed = 5;
+  IncrementalSolver solver(g, h, iopt);
+  const auto translated = [] {
+    return obs::MetricsRegistry::global().counter_value("dp.nodes_translated");
+  };
+
+  const struct {
+    Vertex vertex;
+    DemandUnits total_after;
+    bool bounds_move;
+  } steps[] = {{0, 16, true}, {7, 17, false}};
+  for (const auto& step : steps) {
+    SCOPED_TRACE(::testing::Message() << "total=" << step.total_after);
+    const std::vector<DpReuseStore> before = solver.stores();
+    const std::shared_ptr<MutationLog> log = solver.begin_batch();
+    log->set_demand(step.vertex, 0.6);  // 1 → 2 units
+    const std::uint64_t translated_before = translated();
+    ResolveStats rs;
+    const HgpResult inc = solver.resolve(*log, ResolveOptions{}, &rs);
+    const std::uint64_t translated_now = translated() - translated_before;
+    ASSERT_GT(rs.nodes_reused, 0u);
+
+    const HgpResult scratch =
+        solve_on_forest(*solver.graph(), h, solver.forest(),
+                        scratch_options(solver));
+    ASSERT_EQ(inc.cost, scratch.cost);
+    ASSERT_EQ(inc.tree_costs, scratch.tree_costs);
+    ASSERT_EQ(inc.placement.leaf_of, scratch.placement.leaf_of);
+    ASSERT_EQ(inc.telemetry.dp_feasible_states,
+              scratch.telemetry.dp_feasible_states);
+
+    const std::vector<DpReuseStore>& after = solver.stores();
+    ASSERT_EQ(after.size(), before.size());
+    std::size_t common = 0;
+    std::size_t shared = 0;
+    for (std::size_t t = 0; t < after.size(); ++t) {
+      ASSERT_EQ(after[t].total, step.total_after);
+      ASSERT_EQ(before[t].total + 1, after[t].total);
+      for (const auto& [key, table] : after[t].entries) {
+        const auto old = before[t].entries.find(key);
+        if (old == before[t].entries.end()) continue;
+        ++common;
+        shared += old->second == table ? 1 : 0;
+      }
+    }
+    ASSERT_GT(common, 0u);
+    if (step.bounds_move) {
+      // Every reused table was re-interned into the new space.
+      EXPECT_EQ(shared, 0u);
+      if (HGP_OBS_ENABLED) {
+        EXPECT_EQ(translated_now, rs.nodes_reused);
+      }
+    } else {
+      // Every clean subtree's entry is the very object the old store held.
+      EXPECT_EQ(shared, common);
+      EXPECT_EQ(translated_now, 0u);
+    }
   }
 }
 

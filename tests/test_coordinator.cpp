@@ -786,6 +786,8 @@ TEST(Coordinator, RoundedDemandOverflowSpawnsNoWorker) {
   EXPECT_EQ(got.status.message, baseline.status.message);
   EXPECT_EQ(rep.shards_up, 0);
   EXPECT_EQ(rep.trees_from_shards, 0);
+  EXPECT_FALSE(rep.degraded_inprocess);
+  EXPECT_TRUE(rep.rounded_demand_overflow);
   EXPECT_EQ(trees_built(), built_before);
   expect_no_child_left();
   EXPECT_FALSE(std::filesystem::exists(marker));

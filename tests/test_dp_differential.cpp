@@ -168,9 +168,9 @@ TEST(DpDifferential, ProjectedMergeMatchesPairLoopReference) {
         ASSERT_NE(it, tables.entries.end()) << "node " << v;
         const testref::RefNodeTable& want =
             ref.nodes[static_cast<std::size_t>(v)];
-        ASSERT_EQ(it->second.feasible, want.feasible) << "node " << v;
+        ASSERT_EQ(it->second->feasible, want.feasible) << "node " << v;
         for (std::size_t i = 0; i < want.cost.size(); ++i) {
-          ASSERT_NEAR(it->second.cost[i], want.cost[i],
+          ASSERT_NEAR(it->second->cost[i], want.cost[i],
                       1e-9 * std::max(1.0, std::abs(want.cost[i])))
               << "node " << v << " signature " << want.feasible[i];
         }
@@ -309,7 +309,7 @@ TEST(DpDifferential, DominanceIndexMatchesQuadraticPrune) {
     for (Vertex v = 0; v < bin.tree.node_count(); ++v) {
       const auto it = tables.entries.find(hash[static_cast<std::size_t>(v)]);
       ASSERT_NE(it, tables.entries.end()) << "node " << v;
-      ASSERT_EQ(it->second.feasible,
+      ASSERT_EQ(it->second->feasible,
                 ref.nodes[static_cast<std::size_t>(v)].feasible)
           << "node " << v;
     }
@@ -359,7 +359,7 @@ std::uint64_t table_fingerprint(const Instance& inst) {
     h *= 0x100000001b3ull;
   };
   for (const std::uint64_t key : dp_subtree_hashes(bin.tree, sd)) {
-    const DpSubtreeEntry& e = tables.entries.at(key);
+    const DpSubtreeEntry& e = *tables.entries.at(key);
     for (std::size_t i = 0; i < e.feasible.size(); ++i) {
       mix(e.feasible[i]);
       mix(std::bit_cast<std::uint64_t>(e.cost[i]));

@@ -399,13 +399,19 @@ int main(int argc, char** argv) {
         copt.num_shards = shards;
         copt.shardd_path = resolve_shardd(argv[0], shardd_path);
         hgp_result = solve_hgp_sharded(g, h, opt, copt, &crep);
-        std::printf(
-            "shards: %d up, %d lost, %d lease expiries, %d reassigned, "
-            "%d zombies fenced, %d/%d trees remote%s\n",
-            crep.shards_up, crep.shards_lost, crep.lease_expiries,
-            crep.batches_reassigned, crep.zombies_fenced,
-            crep.trees_from_shards, trees,
-            crep.degraded_inprocess ? " (degraded to in-process)" : "");
+        if (crep.rounded_demand_overflow) {
+          std::printf(
+              "shards: not distributed: the rounded demand exceeds the "
+              "capacity, solved in-process\n");
+        } else {
+          std::printf(
+              "shards: %d up, %d lost, %d lease expiries, %d reassigned, "
+              "%d zombies fenced, %d/%d trees remote%s\n",
+              crep.shards_up, crep.shards_lost, crep.lease_expiries,
+              crep.batches_reassigned, crep.zombies_fenced,
+              crep.trees_from_shards, trees,
+              crep.degraded_inprocess ? " (degraded to in-process)" : "");
+        }
       } else {
         hgp_result = solve_hgp(g, h, opt);
       }
